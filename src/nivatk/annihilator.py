@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .configurations import Configuration, extract_pattern
+from .configurations import Configuration, ValueTable, extract_pattern
 from .decomposition import difference as pattern_difference
 from .errors import (
     DimensionMismatchError,
@@ -28,7 +28,7 @@ from .errors import (
     WindowTooSmallError,
     ZeroPolynomialError,
 )
-from .lattice import Window, canonical_sign, vec_add, vec_neg, vec_scale, vec_sub
+from .lattice import Window, canonical_sign, vec_neg, vec_scale, vec_sub
 from .laurent import (
     AnnihilationResult,
     LaurentPolynomial,
@@ -66,14 +66,11 @@ def find_annihilator(c: Configuration, shape: Window, sample: Window,
     if shape.dim != c.dim or sample.dim != c.dim or verify.dim != c.dim:
         raise DimensionMismatchError("shape/sample/verify vs configuration")
     shape_pts = list(shape)
-    anchors = list(sample)
-    if not anchors:
+    if len(sample) == 0:
         raise EmptySampleError("empty sample window")
 
-    rows = sorted({
-        (1,) + tuple(c.value(vec_add(u, v)) for u in shape_pts)
-        for v in anchors
-    })
+    keys = set(ValueTable.covering(c, shape, sample).keys(shape, sample))
+    rows = sorted((1,) + tuple(itertools.chain.from_iterable(k)) for k in keys)
     kernel = nullspace_basis([list(r) for r in rows])
     if len(rows) <= len(shape_pts):
         # n+1 columns and at most n independent rows force a dependency

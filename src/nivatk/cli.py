@@ -88,19 +88,6 @@ def _parse_range(text: str):
     return range(int(a), int(b) + 1)
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get("NIVATK_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ValueError(f"NIVATK_THREADS must be a positive integer, got {raw!r}")
-    return n
-
-
 def _load_config(args) -> Configuration:
     if os.path.isfile(args.config):
         return read_config_file(args.config).config
@@ -196,8 +183,7 @@ def _cmd_lines(args) -> int:
 def _cmd_nivat_scan(args) -> int:
     c = _load_config(args)
     sample = parse_window(args.sample, c.dim)
-    rows = nivat_scan(c, _parse_range(args.M), _parse_range(args.N), sample,
-                      threads=_threads_from_env())
+    rows = nivat_scan(c, _parse_range(args.M), _parse_range(args.N), sample)
     out = scan_csv(rows)
     sys.stdout.write(out if out.endswith("\n") else out + "\n")
     return 0

@@ -10,6 +10,7 @@ integer combinations and letter-to-letter recodings.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,10 +40,6 @@ class Configuration:
     def _check(self, v):
         if len(v) != self.dim:
             raise DimensionMismatchError(f"cell {v} vs dimension {self.dim}")
-
-
-def evaluate(c: Configuration, v) -> int:
-    return c.value(tuple(v))
 
 
 class Periodic(Configuration):
@@ -176,7 +173,7 @@ class Sum(Configuration):
 
     @property
     def is_finitary(self):
-        # not decided statically; use observed_alphabet for evidence
+        # not decided statically
         return None
 
 
@@ -196,18 +193,13 @@ class ValueMap(Configuration):
 
     @property
     def is_finitary(self):
-        # not decided statically; use observed_alphabet for evidence
+        # not decided statically
         return None
 
 
 def merge_letters(c: Configuration, mapping: dict, default: int) -> ValueMap:
     """Letter merging wrapper; never increases pattern counts."""
     return ValueMap(c, mapping, default)
-
-
-def observed_alphabet(c: Configuration, window: Window):
-    """Set of letters seen on a window (evidence, not a proof of finitarity)."""
-    return {c.value(v) for v in window}
 
 
 # --- patterns ---------------------------------------------------------------
@@ -255,6 +247,70 @@ def extract_pattern(c: Configuration, anchor, shape: Window) -> Pattern:
     return Pattern(window, {p: c.value(p) for p in window})
 
 
+class ValueTable:
+    """Values of a configuration on a box, row-major, one value() per cell.
+
+    The last coordinate varies fastest, so the flat index of a cell p is
+    sum((p[i] - lo[i]) * strides[i]) and a translate by u moves every index
+    by the same amount.  That makes the pattern at any anchor a fixed set
+    of slices of one tuple.
+    """
+
+    __slots__ = ("lo", "hi", "values", "strides")
+
+    def __init__(self, c: Configuration, lo, hi):
+        ranges = [range(a, b + 1) for a, b in zip(lo, hi)]
+        self.lo, self.hi = tuple(lo), tuple(hi)
+        self.values = tuple(map(c.value, itertools.product(*ranges)))
+        strides = [1]
+        for r in reversed(ranges[1:]):
+            strides.append(strides[-1] * len(r))
+        self.strides = tuple(reversed(strides))
+
+    @classmethod
+    def covering(cls, c: Configuration, shape: Window, anchors: Window):
+        """The table on the smallest box holding anchor + shape for all anchors."""
+        (alo, ahi), (slo, shi) = anchors.bounds(), shape.bounds()
+        return cls(c, vec_add(alo, slo), vec_add(ahi, shi))
+
+    def keys(self, shape: Window, anchors: Window):
+        """Yield one hashable pattern key per anchor, lazily, in anchor order.
+
+        A key is a tuple of table slices, one per run of shape cells that
+        are consecutive both in shape order and in the table; flattened it
+        is the sequence of values in shape order.  Every anchor + shape
+        must lie inside the table's box.
+        """
+        runs = []
+        for u in shape:
+            off = vec_dot(u, self.strides)
+            if runs and runs[-1][1] == off:
+                runs[-1][1] = off + 1
+            else:
+                runs.append([off, off + 1])
+        if anchors.is_box:
+            alo, ahi = anchors.bounds()
+            bases = map(sum, itertools.product(*(
+                range((a - l) * s, (b - l) * s + 1, s)
+                for a, b, l, s in zip(alo, ahi, self.lo, self.strides))))
+        else:
+            origin = vec_dot(self.lo, self.strides)
+            bases = (vec_dot(a, self.strides) - origin for a in anchors)
+        values = self.values
+        for b in bases:
+            yield tuple([values[b + start:b + stop] for start, stop in runs])
+
+
+def count_distinct(keys, limit: int | None = None) -> int:
+    """Number of distinct keys, stopping as soon as it exceeds limit."""
+    seen = set()
+    for key in keys:
+        seen.add(key)
+        if limit is not None and len(seen) > limit:
+            break
+    return len(seen)
+
+
 @dataclass
 class ComplexityResult:
     count: int
@@ -280,70 +336,19 @@ def pattern_complexity(
         raise DimensionMismatchError("shape vs configuration dimension")
     if len(shape) == 0:
         raise EmptyShapeError("empty shape")
-    offsets = list(shape)
 
     if isinstance(c, Periodic) and stop_after is None:
-        anchors = list(c.lattice.residues())
+        anchors = Window.from_points(c.lattice.residues())
         exact = True
-        window = Window.from_points(anchors)
     else:
         if sample is None or len(sample) == 0:
             raise EmptySampleError("a sample window is required here")
         anchors = sample
         exact = False
-        window = sample
 
-    seen = set()
-    fast = _try_row_fast_path(c, shape, anchors)
-    if fast is not None:
-        rows, ylo, xlo, uys, uxlo, width = fast
-        for ax, ay in anchors:
-            iy = ay - ylo
-            ix = ax - xlo + uxlo
-            key = tuple(tuple(rows[iy + uy][ix : ix + width]) for uy in uys)
-            seen.add(key)
-            if stop_after is not None and len(seen) > stop_after:
-                return ComplexityResult(len(seen), False, window)
-    else:
-        table = _value_table(c, anchors, offsets)
-        for a in anchors:
-            key = tuple(table[vec_add(a, u)] for u in offsets)
-            seen.add(key)
-            if stop_after is not None and len(seen) > stop_after:
-                return ComplexityResult(len(seen), False, window)
-    return ComplexityResult(len(seen), exact, window)
-
-
-def _anchor_bounds(anchors):
-    if isinstance(anchors, Window):
-        return anchors.bounds()
-    lo = tuple(min(p[i] for p in anchors) for i in range(len(anchors[0])))
-    hi = tuple(max(p[i] for p in anchors) for i in range(len(anchors[0])))
-    return lo, hi
-
-
-def _value_table(c, anchors, offsets):
-    alo, ahi = _anchor_bounds(anchors)
-    slo = tuple(min(u[i] for u in offsets) for i in range(len(alo)))
-    shi = tuple(max(u[i] for u in offsets) for i in range(len(alo)))
-    box = Window(lo=vec_add(alo, slo), hi=vec_add(ahi, shi))
-    return {p: c.value(p) for p in box}
-
-
-def _try_row_fast_path(c, shape, anchors):
-    """Precomputed row lists for 2d box shapes; None when not applicable."""
-    if c.dim != 2 or not shape.is_box:
-        return None
-    alo, ahi = _anchor_bounds(anchors)
-    (uxlo, uylo), (uxhi, uyhi) = shape.bounds()
-    xlo, xhi = alo[0] + uxlo, ahi[0] + uxhi
-    ylo, yhi = alo[1] + uylo, ahi[1] + uyhi
-    rows = [
-        [c.value((x, y)) for x in range(xlo, xhi + 1)] for y in range(ylo, yhi + 1)
-    ]
-    uys = range(uylo, uyhi + 1)
-    width = uxhi - uxlo + 1
-    return rows, ylo, xlo, uys, uxlo, width
+    table = ValueTable.covering(c, shape, anchors)
+    count = count_distinct(table.keys(shape, anchors), stop_after)
+    return ComplexityResult(count, exact, anchors)
 
 
 # --- periodicity ------------------------------------------------------------

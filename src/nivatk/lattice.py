@@ -379,9 +379,8 @@ class Window:
         return tuple(self) == tuple(other)
 
     def __hash__(self):
-        if self.is_box:
-            return hash((self.lo, self.hi))
-        return hash(self._points)
+        # equal windows hold the same cells, whether stored as box or points
+        return hash((self.lo, self.hi, len(self)))
 
     def __repr__(self):
         if self.is_box:

@@ -10,11 +10,10 @@ always a certified lower bound, never an upper one.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .configurations import Configuration, periodicity_test
+from .configurations import Configuration, ValueTable, count_distinct, periodicity_test
 from .errors import (
     BlockTooSmallError,
     DegenerateDirectionError,
@@ -30,7 +29,6 @@ from .lattice import (
     canonical_sign,
     is_zero_vector,
     primitive_vector,
-    vec_add,
     vec_scale,
     vec_sub,
 )
@@ -164,17 +162,15 @@ class ScanRow:
     verdict: str  # "ExceedsMN" | "Inconclusive"
 
 
-def nivat_scan(c: Configuration, M_range, N_range, sample: Window,
-               threads: int = 1) -> list:
+def nivat_scan(c: Configuration, M_range, N_range, sample: Window) -> list:
     """Sampled block-count audit over a grid of block sizes.
 
     For every (M, N) the count of distinct M x N blocks anchored in the
     sample is accumulated until it exceeds M*N (verdict ExceedsMN) or the
     sample is exhausted (verdict Inconclusive, count = full sampled value).
-    Inconclusive never asserts the threshold is met globally.  The value
-    grid is computed once and shared across block sizes; worker threads,
-    when requested, partition the (M, N) cells and results keep the
-    sequential order.
+    Inconclusive never asserts the threshold is met globally.  One value
+    table covering the largest block at every anchor is filled once and
+    shared by all block sizes; rows come in M-major order.
     """
     Ms = [int(M) for M in M_range]
     Ns = [int(N) for N in N_range]
@@ -185,37 +181,16 @@ def nivat_scan(c: Configuration, M_range, N_range, sample: Window,
     if c.dim != 2 or sample.dim != 2:
         raise DimensionMismatchError("scan works on two-dimensional data")
 
-    (alo0, alo1), (ahi0, ahi1) = sample.bounds()
-    max_m, max_n = max(Ms), max(Ns)
-    grid = [
-        [c.value((i, j)) for j in range(alo1, ahi1 + max_n)]
-        for i in range(alo0, ahi0 + max_m)
-    ]
-    anchors = None if sample.is_box else sorted(sample)
-
-    def run_cell(MN):
-        M, N = MN
-        threshold = M * N
-        seen = set()
-        if anchors is None:
-            for i in range(ahi0 - alo0 + 1):
-                for j in range(ahi1 - alo1 + 1):
-                    seen.add(tuple(tuple(grid[i + a][j:j + N]) for a in range(M)))
-                    if len(seen) > threshold:
-                        return ScanRow(M, N, len(seen), threshold, "ExceedsMN")
-        else:
-            for (ai, aj) in anchors:
-                i, j = ai - alo0, aj - alo1
-                seen.add(tuple(tuple(grid[i + a][j:j + N]) for a in range(M)))
-                if len(seen) > threshold:
-                    return ScanRow(M, N, len(seen), threshold, "ExceedsMN")
-        return ScanRow(M, N, len(seen), threshold, "Inconclusive")
-
-    cells = [(M, N) for M in Ms for N in Ns]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run_cell, cells))
-    return [run_cell(mn) for mn in cells]
+    table = ValueTable.covering(c, Window.box((0, 0), (max(Ms) - 1, max(Ns) - 1)), sample)
+    rows = []
+    for M in Ms:
+        for N in Ns:
+            threshold = M * N
+            count = count_distinct(
+                table.keys(Window.box((0, 0), (M - 1, N - 1)), sample), threshold)
+            verdict = "ExceedsMN" if count > threshold else "Inconclusive"
+            rows.append(ScanRow(M, N, count, threshold, verdict))
+    return rows
 
 
 def scan_csv(rows) -> str:
@@ -232,6 +207,21 @@ def _line_rep(anchor, step):
     return vec_sub(anchor, vec_scale(t, step))
 
 
+def _line_groups(c: Configuration, shape: Window, v, sample: Window) -> dict:
+    """Pattern keys of the sample anchors, grouped by line w + Zv."""
+    v = tuple(int(x) for x in v)
+    if len(v) != c.dim or shape.dim != c.dim or sample.dim != c.dim:
+        raise DimensionMismatchError("direction/shape/sample vs configuration")
+    if is_zero_vector(v):
+        raise ZeroVectorError("census direction must be nonzero")
+    step = canonical_sign(v)
+    keys = ValueTable.covering(c, shape, sample).keys(shape, sample)
+    groups: dict = {}
+    for a, key in zip(sample, keys):
+        groups.setdefault(_line_rep(a, step), set()).add(key)
+    return groups
+
+
 def line_pattern_census(c: Configuration, shape: Window, v, sample: Window):
     """Distinct shape-pattern counts per anchor line in direction v.
 
@@ -239,26 +229,7 @@ def line_pattern_census(c: Configuration, shape: Window, v, sample: Window):
     how many distinct patterns it shows.  Returned sorted by the line's
     canonical representative.
     """
-    v = tuple(int(x) for x in v)
-    if len(v) != c.dim or shape.dim != c.dim or sample.dim != c.dim:
-        raise DimensionMismatchError("direction/shape/sample vs configuration")
-    if is_zero_vector(v):
-        raise ZeroVectorError("census direction must be nonzero")
-    step = canonical_sign(v)
-    offsets = list(shape)
-
-    lo, hi = sample.bounds()
-    slo = tuple(min(u[k] for u in offsets) for k in range(c.dim))
-    shi = tuple(max(u[k] for u in offsets) for k in range(c.dim))
-    table = {
-        p: c.value(p)
-        for p in Window.box(vec_add(lo, slo), vec_add(hi, shi))
-    }
-
-    groups: dict = {}
-    for a in sample:
-        key = tuple(table[vec_add(a, u)] for u in offsets)
-        groups.setdefault(_line_rep(a, step), set()).add(key)
+    groups = _line_groups(c, shape, v, sample)
     return sorted((rep, len(keys)) for rep, keys in groups.items())
 
 
@@ -270,23 +241,7 @@ def disjoint_pattern_line_count(c: Configuration, shape: Window, v, sample: Wind
     lower bound; it is exact whenever distinct lines have identical or
     disjoint pattern sets, the situation the censused bounds address.
     """
-    v = tuple(int(x) for x in v)
-    if is_zero_vector(v):
-        raise ZeroVectorError("census direction must be nonzero")
-    step = canonical_sign(v)
-    offsets = list(shape)
-    lo, hi = sample.bounds()
-    slo = tuple(min(u[k] for u in offsets) for k in range(c.dim))
-    shi = tuple(max(u[k] for u in offsets) for k in range(c.dim))
-    table = {
-        p: c.value(p)
-        for p in Window.box(vec_add(lo, slo), vec_add(hi, shi))
-    }
-    groups: dict = {}
-    for a in sample:
-        key = tuple(table[vec_add(a, u)] for u in offsets)
-        groups.setdefault(_line_rep(a, step), set()).add(key)
-
+    groups = _line_groups(c, shape, v, sample)
     used: set = set()
     kept = 0
     for rep in sorted(groups):

@@ -114,28 +114,14 @@ def test_nivat_scan_csv(cfg, capsys):
         "3,2,2,6,Inconclusive\n")
 
 
-def test_nivat_scan_thread_env(cfg, capsys, monkeypatch):
+def test_nivat_scan_irrational_exceeds(cfg, capsys):
     path = cfg("b.cfg", BINARY_IRRATIONAL)
-    monkeypatch.setenv("NIVATK_THREADS", "3")
     code = run(["nivat-scan", "--config", path, "--M", "2..3", "--N", "2..3",
                 "--sample", "60"])
     assert code == 0
-    threaded = capsys.readouterr().out
-    monkeypatch.delenv("NIVATK_THREADS")
-    run(["nivat-scan", "--config", path, "--M", "2..3", "--N", "2..3",
-         "--sample", "60"])
-    assert capsys.readouterr().out == threaded
+    out = capsys.readouterr().out
     assert all(line.endswith("ExceedsMN")
-               for line in threaded.strip().splitlines()[1:])
-
-
-def test_nivat_scan_rejects_bad_thread_env(cfg, capsys, monkeypatch):
-    path = cfg("cb.cfg", CHECKERBOARD)
-    monkeypatch.setenv("NIVATK_THREADS", "0")
-    code = run(["nivat-scan", "--config", path, "--M", "2..2", "--N", "2..2",
-                "--sample", "10"])
-    assert code == 2
-    assert "NIVATK_THREADS" in capsys.readouterr().err
+               for line in out.strip().splitlines()[1:])
 
 
 def test_bounds_from_poly(capsys):

@@ -159,6 +159,14 @@ def test_window_from_points_dedupes_and_sorts():
     assert (3, 1) in w and (1, 1) not in w
 
 
+def test_window_hash_agrees_with_eq():
+    box = Window.box((0, 0), (1, 1))
+    explicit = Window.from_points([(0, 0), (0, 1), (1, 0), (1, 1)])
+    assert box == explicit
+    assert hash(box) == hash(explicit)
+    assert len({box, explicit}) == 1
+
+
 def test_window_translate_covariance():
     w = Window.box((-1, -1), (1, 1))
     v = (4, -2)

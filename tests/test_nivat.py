@@ -12,6 +12,7 @@ from nivatk.configurations import (
 from nivatk.errors import (
     BlockTooSmallError,
     DegenerateDirectionError,
+    DimensionMismatchError,
     NonPrimitiveError,
     ParallelDirectionsError,
     ZeroAreaError,
@@ -150,14 +151,6 @@ def test_scan_monotone_in_sample():
             assert b.verdict == "ExceedsMN"
 
 
-def test_scan_threads_do_not_change_output():
-    c = binary_irrational_2d()
-    sample = Window.box((0, 0), (59, 59))
-    a = nivat_scan(c, range(2, 5), range(2, 5), sample, threads=1)
-    b = nivat_scan(c, range(2, 5), range(2, 5), sample, threads=4)
-    assert a == b
-
-
 def test_scan_csv_format():
     rows = nivat_scan(checkerboard(), range(2, 3), range(2, 3),
                       Window.box((0, 0), (10, 10)))
@@ -194,6 +187,16 @@ def test_disjoint_pattern_line_count():
     assert disjoint_pattern_line_count(c, one, (1, 0), Window.box((0, 0), (9, 0))) == 1
     # diagonals alternate between all-zero and all-one: two disjoint lines
     assert disjoint_pattern_line_count(c, one, (1, 1), Window.box((0, 0), (9, 9))) == 2
+
+
+def test_census_dimension_checks():
+    board = Periodic(Lattice([(2, 0), (1, 1)]), {(0, 0): 0, (1, 0): 1})
+    sample = Window.box((0, 0), (5, 5))
+    for census in (line_pattern_census, disjoint_pattern_line_count):
+        with pytest.raises(DimensionMismatchError):
+            census(board, Window.box((0, 0, 0), (1, 1, 1)), (1, 0), sample)
+        with pytest.raises(DimensionMismatchError):
+            census(board, Window.box((0, 0), (1, 1)), (1, 0, 0), sample)
 
 
 def test_periodicity_class_confirmed_doubly_periodic():

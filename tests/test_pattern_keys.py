@@ -1,0 +1,219 @@
+"""Differential test of the value-table pattern keys.
+
+Every pattern-counting entry point is compared, on seeded random
+descriptors of all six variants in dimensions 1 to 3, against a per-anchor
+reference that names each pattern by extract_pattern(c, a, shape).key().
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from nivatk.annihilator import find_annihilator
+from nivatk.configurations import (
+    CosetIndicator,
+    FiniteSupport,
+    Mechanical,
+    Periodic,
+    Sum,
+    ValueMap,
+    extract_pattern,
+    pattern_complexity,
+)
+from nivatk.errors import VerificationFailedError
+from nivatk.lattice import Lattice, Window, canonical_sign, vec_neg, vec_scale, vec_sub
+from nivatk.laurent import LaurentPolynomial, annihilates, apply
+from nivatk.linalg import integer_primitive, nullspace_basis
+from nivatk.nivat import disjoint_pattern_line_count, line_pattern_census, nivat_scan
+from nivatk.quadratic import QuadraticReal
+
+VARIANTS = ("periodic", "coset", "mechanical", "finite", "sum", "valuemap")
+
+
+def _triangular_generators(rng, d, rank):
+    gens = []
+    for i in range(rank):
+        g = [0] * d
+        g[i] = rng.choice((1, 2, 3))
+        for j in range(i + 1, d):
+            g[j] = rng.randint(-2, 2)
+        gens.append(tuple(g))
+    return gens
+
+
+def random_config(rng, d, variant):
+    if variant == "periodic":
+        lat = Lattice(_triangular_generators(rng, d, d))
+        return Periodic(lat, {r: rng.randint(0, 2) for r in lat.residues()})
+    if variant == "coset":
+        offset = tuple(rng.randint(-3, 3) for _ in range(d))
+        gens = _triangular_generators(rng, d, rng.randint(1, d))
+        return CosetIndicator(offset, gens, rng.randint(1, 3))
+    if variant == "mechanical":
+        weights = tuple(rng.randint(-2, 2) for _ in range(d))
+        alpha = rng.choice((QuadraticReal.sqrt(2), QuadraticReal.sqrt(5),
+                            QuadraticReal.from_fraction(Fraction(rng.randint(1, 7), 5))))
+        return Mechanical(weights, alpha)
+    if variant == "finite":
+        cells = {tuple(rng.randint(-4, 4) for _ in range(d)): rng.randint(-2, 2)
+                 for _ in range(rng.randint(0, 6))}
+        return FiniteSupport(cells, dim=d)
+    if variant == "sum":
+        leaves = ("periodic", "coset", "mechanical", "finite")
+        return Sum([(rng.randint(-2, 2), random_config(rng, d, rng.choice(leaves)))
+                    for _ in range(2)])
+    inner = random_config(rng, d, rng.choice(("periodic", "mechanical", "sum")))
+    mapping = {k: rng.randint(0, 3) for k in range(-2, 3) if rng.random() < 0.6}
+    return ValueMap(inner, mapping, rng.randint(0, 1))
+
+
+def random_box(rng, d, extent):
+    lo = tuple(rng.randint(-4, 2) for _ in range(d))
+    return Window.box(lo, tuple(a + rng.randint(0, extent - 1) for a in lo))
+
+
+def random_shape(rng, d):
+    if rng.random() < 0.5:
+        return random_box(rng, d, 3)
+    # an L: a corner plus an arm along each of two axes, or a random point set
+    corner = tuple(rng.randint(-2, 1) for _ in range(d))
+    if rng.random() < 0.5:
+        pts = [corner]
+        for axis in rng.sample(range(d), min(2, d)):
+            for k in range(1, rng.randint(2, 3)):
+                pts.append(tuple(x + k * (i == axis) for i, x in enumerate(corner)))
+        return Window.from_points(pts)
+    return Window.from_points(
+        [tuple(x + rng.randint(0, 2) for x in corner) for _ in range(rng.randint(2, 5))])
+
+
+def random_anchors(rng, d):
+    extent = {1: 12, 2: 6, 3: 4}[d]
+    if rng.random() < 0.6:
+        return random_box(rng, d, extent)
+    return Window.from_points(
+        [tuple(rng.randint(-5, 5) for _ in range(d)) for _ in range(rng.randint(1, 20))])
+
+
+def cases(seed, count):
+    rng = random.Random(seed)
+    for k in range(count):
+        d = 1 + k % 3
+        variant = VARIANTS[(k // 3) % len(VARIANTS)]
+        yield rng, d, random_config(rng, d, variant), random_shape(rng, d), random_anchors(rng, d)
+
+
+# --- per-anchor reference ---------------------------------------------------
+
+
+def ref_keys(c, shape, anchors):
+    return [extract_pattern(c, a, shape).key() for a in anchors]
+
+
+def ref_count(keys, limit=None):
+    seen = set()
+    for key in keys:
+        seen.add(key)
+        if limit is not None and len(seen) > limit:
+            break
+    return len(seen)
+
+
+def ref_groups(c, shape, v, anchors):
+    step = canonical_sign(v)
+    i0 = next(k for k, x in enumerate(step) if x != 0)
+    groups = {}
+    for a, key in zip(anchors, ref_keys(c, shape, anchors)):
+        rep = vec_sub(a, vec_scale(a[i0] // step[i0], step))
+        groups.setdefault(rep, set()).add(key)
+    return groups
+
+
+def ref_find_annihilator(c, shape, sample, verify):
+    shape_pts = list(shape)
+    rows = sorted({(1,) + key for key in ref_keys(c, shape, sample)})
+    kernel = nullspace_basis([list(r) for r in rows])
+    if not kernel:
+        return None
+    a = integer_primitive(kernel[0])
+    g = LaurentPolynomial(
+        c.dim, {vec_neg(u): a[i + 1] for i, u in enumerate(shape_pts) if a[i + 1]})
+    if g.leading_term()[1] < 0:
+        a = [-x for x in a]
+        g = -g
+    f = LaurentPolynomial.difference((1,) + (0,) * (c.dim - 1)) * g
+    if apply(g, c, verify).constant_value() != -a[0] or not annihilates(f, c, verify):
+        raise VerificationFailedError("reference verification failed")
+    return g, -a[0], f
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except VerificationFailedError:
+        return VerificationFailedError
+
+
+# --- comparisons --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [11, 22])
+def test_pattern_complexity_matches_reference(seed):
+    for rng, d, c, shape, anchors in cases(seed, 72):
+        keys = ref_keys(c, shape, anchors)
+        res = pattern_complexity(c, shape, anchors)
+        if isinstance(c, Periodic):
+            domain = Window.from_points(c.lattice.residues())
+            assert res.count == ref_count(ref_keys(c, shape, domain))
+            assert res.exact and res.sample_window == domain
+        else:
+            assert res.count == ref_count(keys)
+            assert not res.exact and res.sample_window == anchors
+        stop = rng.randint(0, 4)
+        cut = pattern_complexity(c, shape, anchors, stop_after=stop)
+        assert cut.count == ref_count(keys, stop)
+        assert not cut.exact
+
+
+@pytest.mark.parametrize("seed", [33, 44])
+def test_nivat_scan_matches_reference(seed):
+    rng = random.Random(seed)
+    for k in range(18):
+        c = random_config(rng, 2, VARIANTS[k % len(VARIANTS)])
+        sample = random_anchors(rng, 2)
+        rows = nivat_scan(c, range(1, 4), range(1, 3), sample)
+        want = []
+        for M, N in itertools.product(range(1, 4), range(1, 3)):
+            count = ref_count(ref_keys(c, Window.box((0, 0), (M - 1, N - 1)), sample), M * N)
+            want.append((M, N, count, "ExceedsMN" if count > M * N else "Inconclusive"))
+        assert [(r.M, r.N, r.lower_bound_count, r.verdict) for r in rows] == want
+
+
+@pytest.mark.parametrize("seed", [55, 66])
+def test_line_census_matches_reference(seed):
+    for rng, d, c, shape, anchors in cases(seed, 54):
+        v = tuple(rng.randint(-2, 2) for _ in range(d))
+        if not any(v):
+            v = (1,) + v[1:]
+        groups = ref_groups(c, shape, v, anchors)
+        assert line_pattern_census(c, shape, v, anchors) == sorted(
+            (rep, len(keys)) for rep, keys in groups.items())
+        used, kept = set(), 0
+        for rep in sorted(groups):
+            if not groups[rep] & used:
+                used |= groups[rep]
+                kept += 1
+        assert disjoint_pattern_line_count(c, shape, v, anchors) == kept
+
+
+@pytest.mark.parametrize("seed", [77, 88])
+def test_find_annihilator_matches_reference(seed):
+    for rng, d, c, shape, anchors in cases(seed, 54):
+        got = outcome(find_annihilator, c, shape, anchors, anchors)
+        want = outcome(ref_find_annihilator, c, shape, anchors, anchors)
+        if got is None or got is VerificationFailedError:
+            assert got is want
+        else:
+            assert (got.g, got.constant, got.f) == want
