@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .configurations import Configuration, ValueTable, extract_pattern
+from .configurations import Configuration, ValueTable, extract_pattern, window_values
 from .decomposition import difference as pattern_difference
 from .errors import (
     DimensionMismatchError,
@@ -142,7 +142,7 @@ def verify_expansion(f: LaurentPolynomial, c: Configuration, primes,
     if not base:
         raise VerificationFailedError(
             f"f*c is nonzero on the window at {base.witness}")
-    c_max = max(abs(c.value(u)) for u in window)
+    c_max = max(map(abs, window_values(c, window)))
     s, _ = expansion_bound(f, int(c_max))
 
     out = []

@@ -11,6 +11,7 @@ integer combinations and letter-to-letter recodings.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from .errors import (
     EmptyShapeError,
     ZeroVectorError,
 )
-from .lattice import Lattice, Window, vec_add, vec_dot, is_zero_vector
+from .lattice import Lattice, Window, vec_add, vec_dot, vec_scale, is_zero_vector
 from .quadratic import QuadraticReal, _floor_sqrt_multiple
 
 
@@ -30,7 +31,17 @@ class Configuration:
     dim: int
 
     def value(self, v) -> int:
+        """The value at one cell; the reference every block is tested against."""
         raise NotImplementedError
+
+    def block(self, lo, hi) -> list:
+        """Values on the inclusive box lo..hi, row-major, last coordinate fastest.
+
+        This is the order of Window iteration and of ValueTable.  The default
+        calls value() once per cell; the variants override it with whole-box
+        fills that give the same list.
+        """
+        return list(map(self.value, itertools.product(*_box(self, lo, hi))))
 
     @property
     def is_finitary(self):
@@ -67,6 +78,24 @@ class Periodic(Configuration):
         self._check(v)
         return self.values[self.lattice.reduce(v)]
 
+    def block(self, lo, hi) -> list:
+        """Tile a corner: index * e_i lies in the lattice for every axis i.
+
+        value() fills the corner of side min(index, extent) per axis; every
+        row of the box repeats a corner row, and row t picks the corner row
+        of t mod index.
+        """
+        period = self.lattice.index()
+        ranges = _box(self, lo, hi)
+        sides = [range(min(period, len(r))) for r in ranges]
+        corner = super().block(lo, [a + len(s) - 1 for a, s in zip(lo, sides)])
+        n, width = len(ranges[-1]), len(sides[-1])
+        rows = [(corner[i:i + width] * -(-n // width))[:n] for i in range(0, len(corner), width)]
+        picks = map(sum, itertools.product(*(
+            [(t % period) * k for t in range(len(r))]
+            for r, k in zip(ranges[:-1], _strides(sides[:-1])))))
+        return list(itertools.chain.from_iterable(map(rows.__getitem__, picks)))
+
     @property
     def is_finitary(self):
         return True
@@ -91,6 +120,21 @@ class CosetIndicator(Configuration):
         diff = tuple(a - b for a, b in zip(v, self.offset))
         return self.value_on if self._sub.contains(diff) else 0
 
+    def block(self, lo, hi) -> list:
+        """Enumerate offset + L inside the box, pivot coordinate by pivot coordinate.
+
+        A basis row with pivot c is zero past c, so once the rows of higher
+        pivots are chosen, coordinate c pins the multiple of row c to a range.
+        """
+        ranges = _box(self, lo, hi)
+        cells = [self.offset]
+        for row in reversed(self._sub.basis()):
+            c = max(i for i, x in enumerate(row) if x)
+            p = row[c]
+            cells = [vec_add(u, vec_scale(k, row)) for u in cells
+                     for k in range(-((u[c] - lo[c]) // p), (hi[c] - u[c]) // p + 1)]
+        return _placed(ranges, ((u, self.value_on) for u in cells))
+
     @property
     def is_finitary(self):
         return True
@@ -114,6 +158,28 @@ class Mechanical(Configuration):
         a = self.alpha
         # floor((m*a.a + m*a.b*sqrt(n)) / a.q) without building intermediates
         return (m * a.a + _floor_sqrt_multiple(m * a.b, a.n)) // a.q
+
+    def block(self, lo, hi) -> list:
+        """One exact floor per distinct m = <w, v> in the box, then a gather.
+
+        Every row of the box (last coordinate varying) is an arithmetic run
+        of m.  Only the values of m that occur are floored, never a dense
+        range: for weights like (10**6, 1) that range is far larger than the
+        box.
+        """
+        *outer, last = _box(self, lo, hi)
+        *head, w = self.weights
+        starts = [0]
+        for wi, r in zip(head, outer):
+            steps = [wi * x for x in r]
+            starts = [s + k for s in starts for k in steps]
+        if w:
+            runs = [range(s + w * last.start, s + w * last.stop, w) for s in starts]
+            floor = self.alpha.floor_multiples(set(itertools.chain.from_iterable(runs)))
+        else:
+            runs = [itertools.repeat(s, len(last)) for s in starts]
+            floor = self.alpha.floor_multiples(set(starts))
+        return list(map(floor.__getitem__, itertools.chain.from_iterable(runs)))
 
     @property
     def is_finitary(self):
@@ -147,6 +213,9 @@ class FiniteSupport(Configuration):
         self._check(v)
         return self.assoc.get(tuple(v), 0)
 
+    def block(self, lo, hi) -> list:
+        return _placed(_box(self, lo, hi), self.assoc.items())
+
     @property
     def is_finitary(self):
         return True
@@ -171,6 +240,15 @@ class Sum(Configuration):
         self._check(v)
         return sum(k * c.value(v) for k, c in self.terms)
 
+    def block(self, lo, hi) -> list:
+        out = None
+        for k, c in self.terms:
+            b = c.block(lo, hi)
+            if k != 1:
+                b = map(k.__mul__, b)
+            out = list(b) if out is None else list(map(operator.add, out, b))
+        return out
+
     @property
     def is_finitary(self):
         # not decided statically
@@ -191,10 +269,42 @@ class ValueMap(Configuration):
     def value(self, v) -> int:
         return self.mapping.get(self.inner.value(v), self.default)
 
+    def block(self, lo, hi) -> list:
+        inner = self.inner.block(lo, hi)
+        recode = {x: self.mapping.get(x, self.default) for x in set(inner)}
+        return list(map(recode.__getitem__, inner))
+
     @property
     def is_finitary(self):
         # not decided statically
         return None
+
+
+def _box(c: Configuration, lo, hi):
+    """Coordinate ranges of the inclusive box lo..hi, checked against c."""
+    if len(lo) != c.dim or len(hi) != c.dim:
+        raise DimensionMismatchError(f"box {lo}..{hi} vs dimension {c.dim}")
+    if any(a > b for a, b in zip(lo, hi)):
+        raise EmptyShapeError(f"empty box {lo}..{hi}")
+    return [range(a, b + 1) for a, b in zip(lo, hi)]
+
+
+def _strides(ranges):
+    """Row-major strides of a box, last coordinate fastest."""
+    strides = [1]
+    for r in reversed(ranges[1:]):
+        strides.append(strides[-1] * len(r))
+    return tuple(reversed(strides))
+
+
+def _placed(ranges, cells) -> list:
+    """Zeros on the box of the ranges, with the given (cell, value) pairs that fall inside."""
+    strides = _strides(ranges)
+    out = [0] * (strides[0] * len(ranges[0]))
+    for cell, val in cells:
+        if all(x in r for x, r in zip(cell, ranges)):
+            out[sum((x - r.start) * k for x, r, k in zip(cell, ranges, strides))] = val
+    return out
 
 
 def merge_letters(c: Configuration, mapping: dict, default: int) -> ValueMap:
@@ -244,11 +354,20 @@ def extract_pattern(c: Configuration, anchor, shape: Window) -> Pattern:
     if len(anchor) != c.dim or shape.dim != c.dim:
         raise DimensionMismatchError("anchor/shape vs configuration dimension")
     window = shape.shift(anchor)
-    return Pattern(window, {p: c.value(p) for p in window})
+    return Pattern(window, dict(zip(window, window_values(c, window))))
+
+
+def window_values(c: Configuration, window: Window) -> list:
+    """Values of c on the window's cells, in window order, from one block."""
+    lo, hi = window.bounds()
+    if window.is_box:
+        return c.block(lo, hi)
+    table = ValueTable(c, lo, hi)
+    return list(map(table.values.__getitem__, table.indices(window)))
 
 
 class ValueTable:
-    """Values of a configuration on a box, row-major, one value() per cell.
+    """Values of a configuration on a box, row-major, from one block() call.
 
     The last coordinate varies fastest, so the flat index of a cell p is
     sum((p[i] - lo[i]) * strides[i]) and a translate by u moves every index
@@ -259,13 +378,9 @@ class ValueTable:
     __slots__ = ("lo", "hi", "values", "strides")
 
     def __init__(self, c: Configuration, lo, hi):
-        ranges = [range(a, b + 1) for a, b in zip(lo, hi)]
         self.lo, self.hi = tuple(lo), tuple(hi)
-        self.values = tuple(map(c.value, itertools.product(*ranges)))
-        strides = [1]
-        for r in reversed(ranges[1:]):
-            strides.append(strides[-1] * len(r))
-        self.strides = tuple(reversed(strides))
+        self.values = tuple(c.block(self.lo, self.hi))
+        self.strides = _strides([range(a, b + 1) for a, b in zip(lo, hi)])
 
     @classmethod
     def covering(cls, c: Configuration, shape: Window, anchors: Window):
@@ -288,17 +403,19 @@ class ValueTable:
                 runs[-1][1] = off + 1
             else:
                 runs.append([off, off + 1])
-        if anchors.is_box:
-            alo, ahi = anchors.bounds()
-            bases = map(sum, itertools.product(*(
-                range((a - l) * s, (b - l) * s + 1, s)
-                for a, b, l, s in zip(alo, ahi, self.lo, self.strides))))
-        else:
-            origin = vec_dot(self.lo, self.strides)
-            bases = (vec_dot(a, self.strides) - origin for a in anchors)
         values = self.values
-        for b in bases:
+        for b in self.indices(anchors):
             yield tuple([values[b + start:b + stop] for start, stop in runs])
+
+    def indices(self, cells: Window):
+        """Flat index of every cell of the window, lazily, in window order."""
+        if cells.is_box:
+            clo, chi = cells.bounds()
+            return map(sum, itertools.product(*(
+                range((a - l) * s, (b - l) * s + 1, s)
+                for a, b, l, s in zip(clo, chi, self.lo, self.strides))))
+        origin = vec_dot(self.lo, self.strides)
+        return (vec_dot(p, self.strides) - origin for p in cells)
 
 
 def count_distinct(keys, limit: int | None = None) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .configurations import Configuration, Pattern, extract_pattern
+from .configurations import Configuration, Pattern, window_values
 from .errors import (
     DimensionMismatchError,
     EmptyResultError,
@@ -156,7 +156,7 @@ def decompose(c: Configuration, vectors, core: Window, halo: Window | None = Non
             col_of[(i, r)] = len(col_of)
 
     rows = [{col_of[(i, rep(i, u))]: 1 for i in range(m)} for u in core_cells]
-    rhs = [c.value(u) for u in core_cells]
+    rhs = window_values(c, core)
     solution, bad = solve_sparse(rows, rhs, len(col_of))
     if solution is None:
         raise InfeasibleError(

@@ -10,6 +10,7 @@ collects every line factor of one primitive direction.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from .errors import (
     ZeroPolynomialError,
     ZeroVectorError,
 )
-from .configurations import Configuration, Pattern, Periodic
+from .configurations import Configuration, Pattern, Periodic, window_values
 from .lattice import (
     Window,
     canonical_sign,
@@ -286,29 +287,24 @@ def _gcd(a, b):
 
 
 def apply(f: LaurentPolynomial, c: Configuration, window: Window) -> Pattern:
-    """Pattern of f*c on the window, where (f*c)_u = sum_v a_v c_{u-v}."""
+    """Pattern of f*c on the window, where (f*c)_u = sum_v a_v c_{u-v}.
+
+    Each term reads c on its own translate window - v, so the cost follows
+    the window and the number of terms, not the spread of the exponents.
+    """
     if f.dim != c.dim or window.dim != c.dim:
         raise DimensionMismatchError("polynomial/configuration/window dimensions")
     if f.is_zero:
         return Pattern(window, {u: 0 for u in window})
     integral = f.has_integer_coefficients()
-    items = [
-        (e, a.numerator if integral else a) for e, a in sorted(f.terms.items())
-    ]
-    cache = {}
-    val = c.value
-    values = {}
-    for u in window:
-        s = 0
-        for e, a in items:
-            p = vec_sub(u, e)
-            x = cache.get(p)
-            if x is None:
-                x = val(p)
-                cache[p] = x
-            s += a * x
-        values[u] = s
-    return Pattern(window, values)
+    out = None
+    for e, a in f.terms.items():
+        col = window_values(c, window.shift(vec_neg(e)))
+        a = a.numerator if integral else a
+        if a != 1:
+            col = map(a.__mul__, col)
+        out = list(col) if out is None else list(map(operator.add, out, col))
+    return Pattern(window, dict(zip(window, out)))
 
 
 @dataclass
@@ -328,18 +324,12 @@ def annihilates(f: LaurentPolynomial, c: Configuration, window: Window) -> Annih
     is exact.  Otherwise the window is scanned and a clean pass only
     certifies the window itself.
     """
-    if isinstance(c, Periodic):
-        domain = Window.from_points(c.lattice.residues())
-        pat = apply(f, c, domain)
-        for u in domain:
-            if pat.values[u] != 0:
-                return AnnihilationResult("no", witness=u)
-        return AnnihilationResult("exact")
-    pat = apply(f, c, window)
-    for u in window:
-        if pat.values[u] != 0:
+    exact = isinstance(c, Periodic)
+    domain = Window.from_points(c.lattice.residues()) if exact else window
+    for u, x in apply(f, c, domain).values.items():
+        if x != 0:
             return AnnihilationResult("no", witness=u)
-    return AnnihilationResult("window")
+    return AnnihilationResult("exact" if exact else "window")
 
 
 # --- Newton polygon and line factors -----------------------------------------

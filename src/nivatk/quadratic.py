@@ -160,6 +160,20 @@ class QuadraticReal:
         """
         return (self.a + _floor_sqrt_multiple(self.b, self.n)) // self.q
 
+    def floor_multiples(self, ms) -> dict:
+        """{m: floor(m * self)} for the integers m, the batch form of floor()."""
+        a, b, q = self.a, self.b, self.q
+        bbn = b * b * self.n
+        out = {}
+        for m in ms:
+            # floor(m*b*sqrt(n)) from t = (m*b)^2 * n, as _floor_sqrt_multiple
+            t = m * m * bbn
+            s = math.isqrt(t)
+            if m * b < 0:
+                s = -s if s * s == t else -s - 1
+            out[m] = (m * a + s) // q
+        return out
+
     def sign(self) -> int:
         a, b = self.a, self.b
         if b == 0:

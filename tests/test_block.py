@@ -1,0 +1,237 @@
+"""Differential tests of the block evaluator.
+
+Configuration.block(lo, hi) is the fast path every value table, apply and
+pattern reads from; value(v) is the reference.  Seeded random descriptors
+of all six variants, nested sums and recodings included, are compared
+cell by cell against value() on boxes with negative coordinates and
+extent-1 axes in dimensions 1 to 3.  Mechanical floors are also checked
+against an integer-only oracle at extreme weights and coordinates.
+"""
+
+import random
+import time
+from fractions import Fraction
+
+import pytest
+
+from nivatk.configurations import (
+    CosetIndicator,
+    FiniteSupport,
+    Mechanical,
+    Periodic,
+    Sum,
+    ValueMap,
+    extract_pattern,
+    window_values,
+)
+from nivatk.errors import DimensionMismatchError, EmptyShapeError
+from nivatk.lattice import Lattice, Window, vec_sub
+from nivatk.laurent import LaurentPolynomial, apply
+from nivatk.quadratic import QuadraticReal
+
+LEAVES = ("periodic", "coset", "mechanical", "finite")
+
+
+def _triangular_generators(rng, d, rank):
+    axes = sorted(rng.sample(range(d), rank))
+    gens = []
+    for i in axes:
+        g = [0] * d
+        g[i] = rng.choice((1, 2, 3, 4))
+        for j in range(i + 1, d):
+            g[j] = rng.randint(-3, 3)
+        gens.append(tuple(g))
+    return gens
+
+
+def random_alpha(rng):
+    return rng.choice((
+        QuadraticReal.sqrt(2),
+        QuadraticReal(1, 1, 5, 2),
+        QuadraticReal(-3, 2, 7, 5),
+        QuadraticReal.from_fraction(Fraction(rng.randint(-9, 9), rng.randint(1, 6))),
+    ))
+
+
+def random_config(rng, d, variant, depth=2):
+    if variant == "periodic":
+        lat = Lattice(_triangular_generators(rng, d, d))
+        return Periodic(lat, {r: rng.randint(-2, 3) for r in lat.residues()})
+    if variant == "coset":
+        offset = tuple(rng.randint(-5, 5) for _ in range(d))
+        gens = _triangular_generators(rng, d, rng.randint(1, d))
+        return CosetIndicator(offset, gens, rng.randint(-3, 3))
+    if variant == "mechanical":
+        return Mechanical(tuple(rng.randint(-3, 3) for _ in range(d)), random_alpha(rng))
+    if variant == "finite":
+        cells = {tuple(rng.randint(-6, 6) for _ in range(d)): rng.randint(-3, 3)
+                 for _ in range(rng.randint(0, 12))}
+        return FiniteSupport(cells, dim=d)
+    kinds = LEAVES + (("sum", "valuemap") if depth > 0 else ())
+    if variant == "sum":
+        return Sum([(rng.randint(-3, 3), random_config(rng, d, rng.choice(kinds), depth - 1))
+                    for _ in range(rng.randint(1, 3))])
+    inner = random_config(rng, d, rng.choice(kinds), depth - 1)
+    mapping = {k: rng.randint(-2, 4) for k in range(-4, 5) if rng.random() < 0.5}
+    return ValueMap(inner, mapping, rng.randint(-1, 1))
+
+
+def random_box(rng, d):
+    lo = tuple(rng.randint(-9, 3) for _ in range(d))
+    # extent 1 on some axes, up to 9 on others
+    extent = {1: 30, 2: 9, 3: 5}[d]
+    hi = tuple(a + (0 if rng.random() < 0.2 else rng.randint(0, extent - 1)) for a in lo)
+    return lo, hi
+
+
+def reference(c, lo, hi):
+    return [c.value(p) for p in Window.box(lo, hi)]
+
+
+VARIANTS = LEAVES + ("sum", "valuemap")
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_block_matches_value(variant, d):
+    rng = random.Random(f"block/{variant}/{d}")
+    for _ in range(25):
+        c = random_config(rng, d, variant)
+        for _ in range(3):
+            lo, hi = random_box(rng, d)
+            assert c.block(lo, hi) == reference(c, lo, hi), (c, lo, hi)
+
+
+def test_block_with_large_index_lattices():
+    # the index exceeds the box on some axes and not on others
+    rng = random.Random(7)
+    for _ in range(20):
+        gens = [(rng.randint(1, 9), 0), (rng.randint(-9, 9), rng.randint(1, 9))]
+        lat = Lattice(gens)
+        c = Periodic(lat, {r: rng.randint(0, 5) for r in lat.residues()})
+        coset = CosetIndicator((rng.randint(-9, 9), 3), gens, 2)
+        lo = (rng.randint(-40, 0), rng.randint(-40, 0))
+        hi = (lo[0] + rng.randint(0, 30), lo[1] + rng.randint(0, 30))
+        assert c.block(lo, hi) == reference(c, lo, hi)
+        assert coset.block(lo, hi) == reference(coset, lo, hi)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_block_rejects_wrong_dimension_and_empty_boxes(variant):
+    c = random_config(random.Random(variant), 2, variant)
+    with pytest.raises(DimensionMismatchError):
+        c.block((0, 0, 0), (1, 1, 1))
+    with pytest.raises(EmptyShapeError):
+        c.block((0, 2), (3, 1))
+
+
+def test_window_values_and_extract_pattern_follow_window_order():
+    rng = random.Random(11)
+    for d in (1, 2, 3):
+        for variant in VARIANTS:
+            c = random_config(rng, d, variant)
+            pts = [tuple(rng.randint(-8, 8) for _ in range(d)) for _ in range(rng.randint(1, 9))]
+            for window in (Window.box(*random_box(rng, d)), Window.from_points(pts)):
+                want = [c.value(p) for p in window]
+                assert window_values(c, window) == want
+                anchor = tuple(rng.randint(-3, 3) for _ in range(d))
+                pat = extract_pattern(c, anchor, window)
+                assert pat.key() == tuple(c.value(p) for p in window.shift(anchor))
+
+
+# --- apply --------------------------------------------------------------------
+
+
+def random_poly(rng, d, integral):
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        e = tuple(rng.randint(-3, 3) for _ in range(d))
+        a = rng.randint(-3, 3)
+        terms[e] = Fraction(a, 1 if integral else rng.randint(1, 4))
+    return LaurentPolynomial(d, terms)
+
+
+def apply_reference(f, c, window):
+    return {u: sum(a * c.value(vec_sub(u, e)) for e, a in f.terms.items()) for u in window}
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_apply_matches_per_cell_reference(d):
+    rng = random.Random(f"apply/{d}")
+    for k in range(30):
+        c = random_config(rng, d, VARIANTS[k % len(VARIANTS)])
+        f = random_poly(rng, d, integral=k % 4 != 0)
+        pts = [tuple(rng.randint(-8, 8) for _ in range(d)) for _ in range(rng.randint(1, 12))]
+        for window in (Window.box(*random_box(rng, d)), Window.from_points(pts)):
+            pat = apply(f, c, window)
+            assert list(pat.values) == list(window)
+            assert pat.values == apply_reference(f, c, window), (f, c, window)
+
+
+def test_apply_zero_polynomial():
+    c = Mechanical((1, 2), QuadraticReal.sqrt(3))
+    window = Window.box((-2, -2), (2, 2))
+    assert apply(LaurentPolynomial(2, {}), c, window).values == {u: 0 for u in window}
+
+
+# --- exact Mechanical floors --------------------------------------------------
+
+
+def floor_oracle(A, B, n, q):
+    """floor((A + B*sqrt(n)) / q), q > 0, by bisection on exact square comparisons."""
+
+    def at_most(t):
+        # t <= B*sqrt(n), deciding signs first and comparing squares after
+        if B >= 0:
+            return t <= 0 or t * t <= B * B * n
+        return t < 0 and t * t >= B * B * n
+
+    # the largest k with k*q - A <= B*sqrt(n)
+    lo, hi = -(abs(A) + abs(B) * (n + 1)) // q - 2, (abs(A) + abs(B) * (n + 1)) // q + 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if at_most(mid * q - A):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def mechanical_oracle(c, v):
+    m = sum(w * x for w, x in zip(c.weights, v))
+    a = c.alpha
+    return floor_oracle(m * a.a, m * a.b, a.n, a.q)
+
+
+@pytest.mark.parametrize("weights", [(10**6, 1), (0, 0), (-3, 7), (1, -10**6), (5, 0)])
+@pytest.mark.parametrize("corner", [(0, 0), (-7, 4), (10**15, -10**15), (-10**15 - 3, 10**15)])
+def test_mechanical_block_exact_at_extremes(weights, corner):
+    for alpha in (QuadraticReal.sqrt(2), QuadraticReal(-3, 2, 7, 5),
+                  QuadraticReal.from_fraction(Fraction(-7, 3))):
+        c = Mechanical(weights, alpha)
+        lo, hi = corner, (corner[0] + 6, corner[1] + 8)
+        want = [mechanical_oracle(c, p) for p in Window.box(lo, hi)]
+        assert c.block(lo, hi) == want
+        assert reference(c, lo, hi) == want
+
+
+def test_mechanical_block_cost_follows_the_box_not_the_range_of_m():
+    # <w, v> spans about 5 * 10**7 values here but takes only 2500 of them
+    c = Mechanical((10**6, 1), QuadraticReal.sqrt(2))
+    start = time.perf_counter()
+    got = c.block((0, 0), (49, 49))
+    assert time.perf_counter() - start < 0.5
+    assert len(got) == 2500
+    assert got[::97] == [mechanical_oracle(c, p) for p in list(Window.box((0, 0), (49, 49)))[::97]]
+
+
+def test_quadratic_floor_matches_oracle_up_to_1e30():
+    rng = random.Random(30)
+    for _ in range(400):
+        n = rng.choice((0, 2, 3, 5, 6, 7, 10, 11, 13, 9973))
+        a, b, q = rng.randint(-50, 50), rng.randint(-50, 50), rng.randint(1, 40)
+        m = rng.choice((1, -1)) * rng.randint(0, 10 ** rng.randint(0, 30))
+        alpha = QuadraticReal(a, b, n, q)
+        want = floor_oracle(m * a, m * b if n else 0, n, q)
+        assert (alpha * m).floor() == want, (a, b, n, q, m)
+        assert alpha.floor_multiples([m, -m]) == {m: want, -m: (alpha * -m).floor()}

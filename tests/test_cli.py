@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import nivatk
 from nivatk.cli import ConfigFile, read_config_file, run
 
 CHECKERBOARD = "periodic lattice{(2,0) (0,2)} values{(0,0):0 (0,1):1 (1,0):1 (1,1):0}\n"
@@ -193,3 +199,17 @@ def test_output_determinism(cfg, capsys):
     first = capsys.readouterr().out
     run(argv)
     assert capsys.readouterr().out == first
+
+
+def test_python_dash_m_matches_run(cfg, capsys):
+    path = cfg("cb.cfg", CHECKERBOARD)
+    src = str(Path(nivatk.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    for argv in (["complexity", "--config", path, "--shape", "2x2"],
+                 ["complexity", "--config", path, "--shape", "0x2"]):
+        code = run(argv)
+        want = capsys.readouterr().out
+        proc = subprocess.run([sys.executable, "-m", "nivatk", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout) == (code, want)
