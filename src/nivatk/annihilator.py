@@ -36,7 +36,7 @@ from .laurent import (
     apply,
     substitute_power,
 )
-from .linalg import integer_primitive, nullspace_basis
+from .linalg import nullspace_basis
 from .quadratic import is_prime
 
 
@@ -71,14 +71,14 @@ def find_annihilator(c: Configuration, shape: Window, sample: Window,
 
     keys = set(ValueTable.covering(c, shape, sample).keys(shape, sample))
     rows = sorted((1,) + tuple(itertools.chain.from_iterable(k)) for k in keys)
-    kernel = nullspace_basis([list(r) for r in rows])
+    kernel = nullspace_basis(rows)
     if len(rows) <= len(shape_pts):
         # n+1 columns and at most n independent rows force a dependency
         assert kernel, "trivial kernel despite pattern count <= shape size"
     if not kernel:
         return None
 
-    a = integer_primitive(kernel[0])
+    a = kernel[0]
     g = LaurentPolynomial(
         c.dim, {vec_neg(u): a[i + 1] for i, u in enumerate(shape_pts) if a[i + 1]})
     assert not g.is_zero, "kernel vector supported on the augmentation only"

@@ -19,8 +19,6 @@ from .errors import (
     ZeroVectorError,
 )
 
-IntVector = tuple  # tuple[int, ...]
-
 
 def vec_add(u, v):
     return tuple(a + b for a, b in zip(u, v))
@@ -263,21 +261,6 @@ class Lattice:
     def __repr__(self):
         rows = ";".join(str(r) for r in self.basis())
         return f"Lattice<{rows}>"
-
-
-def hnf_fundamental_domain(generators):
-    """Canonical basis, residue cells and index for full rank generators.
-
-    Returns (basis, residues, index).  The basis is triangular: the row with
-    pivot at coordinate c is zero past c, pivots are positive and entries
-    below a pivot are reduced into [0, pivot).  Residues are the integer box
-    whose side along coordinate c is the pivot entry, so their count equals
-    |det| of the generator matrix.
-    """
-    lat = generators if isinstance(generators, Lattice) else Lattice(generators)
-    if not lat.is_full_rank:
-        raise RankDeficientError("fundamental domain requires full rank")
-    return lat.basis(), lat.residues(), lat.index()
 
 
 class Window:

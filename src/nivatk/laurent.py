@@ -30,11 +30,7 @@ from .lattice import (
     vec_scale,
     vec_sub,
 )
-
-
-def box(v):
-    """Componentwise absolute extents of a single vector."""
-    return tuple(abs(a) for a in v)
+from .linalg import integer_primitive
 
 
 class LaurentPolynomial:
@@ -101,9 +97,6 @@ class LaurentPolynomial:
 
     def support(self):
         return tuple(sorted(self.terms))
-
-    def constant_coefficient(self) -> Fraction:
-        return self.terms.get((0,) * self.dim, Fraction(0))
 
     def min_exponent(self):
         if self.is_zero:
@@ -263,24 +256,10 @@ def normalize_integer_primitive(f: LaurentPolynomial) -> LaurentPolynomial:
     graded lexicographic leading coefficient is positive."""
     if f.is_zero:
         raise ZeroPolynomialError("cannot normalize the zero polynomial")
-    denom_lcm = 1
-    for a in f.terms.values():
-        denom_lcm = denom_lcm * a.denominator // _gcd(denom_lcm, a.denominator)
-    nums = [a.numerator * (denom_lcm // a.denominator) for a in f.terms.values()]
-    g = 0
-    for n in nums:
-        g = _gcd(g, abs(n))
-    factor = Fraction(denom_lcm, g)
-    out = f.scale(factor)
+    out = LaurentPolynomial(f.dim, dict(zip(f.terms, integer_primitive(f.terms.values()))))
     if out.leading_term()[1] < 0:
         out = -out
     return out
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # --- action on configurations ------------------------------------------------

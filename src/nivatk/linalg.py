@@ -1,10 +1,16 @@
-"""Exact rational linear algebra for the solver layers.
+"""Exact integer linear algebra for the solver layers.
 
-Two entry points: a dense reduced row echelon kernel for the small
-annihilator systems, and a sparse fraction-free echelon solver for the
-larger decomposition systems.  Both scan columns strictly left to right,
-so the pivot column set, and with it the canonical free-variables-zero
-solution, is independent of row pivoting choices.
+One engine with two entry points.  `_echelon` brings sparse integer rows
+to row echelon form fraction-free: integer row combinations, each row's
+content stripped by its gcd.  `_kernel_vector` back-substitutes one
+integer kernel vector from that form over a common denominator.
+`nullspace_basis` serves the annihilator systems, one coprime kernel
+vector per free column; `solve_sparse` serves the decomposition systems,
+with -b riding along as one more integer column, so a solution is the
+kernel vector of (A | -b) that is 1 at that column.  Pivot columns are
+scanned strictly left to right, so the pivot column set, and with it the
+canonical free-variables-zero solution and kernel basis, does not depend
+on which row serves as pivot.
 """
 
 from __future__ import annotations
@@ -13,86 +19,70 @@ import math
 from fractions import Fraction
 
 
-def rref(rows):
-    """Reduced row echelon form over Fraction.  Returns (matrix, pivot_cols)."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(r, len(mat)):
-            if mat[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                c = mat[i][col]
-                mat[i] = [a - c * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
-            break
-    return mat, pivots
+def integer_primitive(vec):
+    """Scale a rational vector to coprime integers (sign preserved)."""
+    vec = list(vec)
+    den = math.lcm(*(x.denominator for x in vec))
+    ints = [x.numerator * (den // x.denominator) for x in vec]
+    g = math.gcd(*ints)
+    return [n // g for n in ints] if g > 1 else ints
 
 
 def nullspace_basis(rows):
-    """Kernel basis from the reduced echelon parameterization.
+    """Kernel basis in coprime integers, one vector per free column.
 
-    One basis vector per free column, ordered by free column index; vector
-    k has a 1 at its free column and the negated echelon entries at the
-    pivot columns.
+    Ordered by free column index; vector k is positive at its free column,
+    zero at the other free columns and, divided by that entry, equals the
+    reduced echelon parameterization.
     """
-    mat, pivots = rref(rows)
     if not rows:
         return []
     ncols = len(rows[0])
-    free = [c for c in range(ncols) if c not in pivots]
+    work = [{c: v for c, v in enumerate(integer_primitive(row)) if v} for row in rows]
+    pivot_of_col, _ = _echelon(work, ncols)
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -mat[i][fc]
-        basis.append(vec)
+    for fc in range(ncols):
+        if fc not in pivot_of_col:
+            y, _ = _kernel_vector(work, pivot_of_col, fc)
+            g = math.gcd(*y.values())
+            basis.append([y.get(c, 0) // g for c in range(ncols)])
     return basis
-
-
-def integer_primitive(vec):
-    """Scale a rational vector to coprime integers (sign preserved)."""
-    denom = 1
-    for x in vec:
-        x = Fraction(x)
-        denom = denom * x.denominator // math.gcd(denom, x.denominator)
-    ints = [int(Fraction(x) * denom) for x in vec]
-    g = 0
-    for n in ints:
-        g = math.gcd(g, abs(n))
-    if g > 1:
-        ints = [n // g for n in ints]
-    return ints
 
 
 def solve_sparse(rows, rhs, ncols):
     """Solve a sparse integer system, free variables pinned to zero.
 
     rows: list of {column: int coefficient}; rhs: rational right hand
-    sides.  Forward elimination is fraction-free (integer row combinations
-    with gcd stripping); columns are processed left to right so the pivot
-    set matches reduced echelon form and the returned solution is the
-    canonical one.  Returns (solution, inconsistent) where solution is a
-    list of Fractions or None, and inconsistent lists the row indices that
-    reduced to 0 = nonzero.
+    sides.  A row with right hand side p/q is scaled by q and gets -p at
+    column ncols.  Returns (solution, inconsistent) where solution is a
+    list of Fractions or None, and inconsistent lists, ascending, the row
+    indices that reduced to 0 = nonzero.
     """
-    work = [dict(r) for r in rows]
-    b = [Fraction(x) for x in rhs]
+    work = []
+    for row, b in zip(rows, rhs):
+        den = b.denominator
+        work.append({c: v * den for c, v in row.items()})
+        if b:
+            work[-1][ncols] = -b.numerator
+    pivot_of_col, rest = _echelon(work, ncols)
+    inconsistent = [i for i in rest if work[i]]
+    if inconsistent:
+        return None, inconsistent
+    y, den = _kernel_vector(work, pivot_of_col, ncols)
+    return [Fraction(y.get(c, 0), den) for c in range(ncols)], []
+
+
+def _echelon(work, ncols):
+    """Fraction-free row echelon form of the rows in `work`, in place.
+
+    work: list of {column: int} rows.  Columns 0..ncols-1 are scanned left
+    to right; entries at column ncols ride along and never pivot.  Each
+    column's pivot is the remaining row with the fewest entries below
+    ncols, lowest index on ties; every other remaining row with an entry
+    there becomes a*row - c*pivot with its content stripped.  Returns
+    ({pivot column: row index}, ascending indices of the non-pivot rows),
+    which then hold entries at column ncols only.
+    """
     col_rows = {}
     for i, row in enumerate(work):
         for c in row:
@@ -101,13 +91,10 @@ def solve_sparse(rows, rhs, ncols):
     pivot_of_col = {}
 
     for col in range(ncols):
-        members = col_rows.get(col)
-        if not members:
-            continue
-        cand = [i for i in members if i in active]
+        cand = [i for i in col_rows.get(col, ()) if i in active]
         if not cand:
             continue
-        piv = min(cand, key=lambda i: (len(work[i]), i))
+        piv = min(cand, key=lambda i: (len(work[i]) - (ncols in work[i]), i))
         active.discard(piv)
         pivot_of_col[col] = piv
         prow, pval = work[piv], work[piv][col]
@@ -115,50 +102,54 @@ def solve_sparse(rows, rhs, ncols):
             if i == piv:
                 continue
             row = work[i]
-            rval = row[col]
-            g = math.gcd(abs(pval), abs(rval))
-            a, c = pval // g, rval // g
-            # row <- a*row - c*prow, eliminating col
+            g = math.gcd(pval, row[col])
+            if pval < 0:
+                g = -g
+            a, c = pval // g, row[col] // g
+            # row <- a*row - c*prow, eliminating col; a > 0
+            if a != 1:
+                for k in row:
+                    row[k] *= a
+            # every entry of prow is registered in col_rows
             for pc, pv in prow.items():
-                nv = a * row.get(pc, 0) - c * pv
-                if nv:
-                    row[pc] = nv
-                    col_rows.setdefault(pc, set()).add(i)
-                elif pc in row:
+                d = c * pv
+                rv = row.get(pc)
+                if rv is None:
+                    row[pc] = -d
+                    col_rows[pc].add(i)
+                elif rv == d:
                     del row[pc]
                     col_rows[pc].discard(i)
-            for rc in list(row):
-                if rc not in prow:
-                    row[rc] = a * row[rc]
-            b[i] = a * b[i] - c * b[piv]
-            _strip_content(row, b, i)
-        members.clear()
-        members.add(piv)
+                else:
+                    row[pc] = rv - d
+            g = math.gcd(*row.values())
+            if g > 1:
+                for k in row:
+                    row[k] //= g
+    return pivot_of_col, sorted(active)
 
-    inconsistent = [i for i in active if not work[i] and b[i] != 0]
-    if inconsistent:
-        return None, inconsistent
 
-    solution = [Fraction(0)] * ncols
+def _kernel_vector(work, pivot_of_col, seed):
+    """Integer kernel vector of the echelon rows, by back-substitution.
+
+    Returns (y, den): y maps columns to nonzero ints with y[seed] = den > 0,
+    every free column other than seed is zero, and y / den is the kernel
+    vector that is 1 at seed.  Each pivot unknown costs one exact division;
+    when it does not divide, y and den are scaled up to keep y integral.
+    """
+    y = {seed: 1}
+    den = 1
     for col in sorted(pivot_of_col, reverse=True):
-        i = pivot_of_col[col]
-        row = work[i]
-        acc = b[i]
-        for c, v in row.items():
-            if c != col:
-                acc -= v * solution[c]
-        solution[col] = acc / row[col]
-    return solution, []
-
-
-def _strip_content(row, b, i):
-    g = 0
-    for v in row.values():
-        g = math.gcd(g, abs(v))
-        if g == 1:
-            return
-    if g > 1:
-        bi = b[i] / g
-        for c in row:
-            row[c] //= g
-        b[i] = bi
+        row = work[pivot_of_col[col]]
+        s = -sum(v * y[c] for c, v in row.items() if c in y)
+        p = row[col]
+        q, r = divmod(s, p)
+        if r:
+            g = math.gcd(s, p)
+            m = abs(p) // g
+            y = {c: v * m for c, v in y.items()}
+            den *= m
+            q = s // g if p > 0 else -s // g
+        if q:
+            y[col] = q
+    return y, den

@@ -78,10 +78,14 @@ def bound_two_directions(v1, v2, M: int, N: int) -> Fraction:
         raise ParallelDirectionsError(f"{v1} and {v2} are parallel")
     m1, n1 = abs(v1[0]), abs(v1[1])
     m2, n2 = abs(v2[0]), abs(v2[1])
-    den = m1 * n2 + m2 * n1
-    if den == 0:
+    if m1 * n2 + m2 * n1 == 0:
         raise ZeroDenominatorError("degenerate direction pair")
-    return Fraction((M * n1 + m1 * N) * (M * n2 + m2 * N), den)
+    return _two_direction_value(m1, n1, m2, n2, M, N)
+
+
+def _two_direction_value(m1, n1, m2, n2, M, N) -> Fraction:
+    """(M*n1 + m1*N)(M*n2 + m2*N) / (m1*n2 + m2*n1), unchecked."""
+    return Fraction((M * n1 + m1 * N) * (M * n2 + m2 * N), m1 * n2 + m2 * n1)
 
 
 @dataclass
@@ -129,8 +133,7 @@ def corollary_report(f: LaurentPolynomial, lf: LineFactorization | None,
             continue
         m1, n1 = abs(v1[0]), abs(v1[1])
         m2, n2 = abs(v2[0]), abs(v2[1])
-        Mp, Np = M - m1 - m2, N - n1 - n2
-        val = Fraction((Mp * n1 + m1 * Np) * (Mp * n2 + m2 * Np), m1 * n2 + m2 * n1)
+        val = _two_direction_value(m1, n1, m2, n2, M - m1 - m2, N - n1 - n2)
         bounds.append(("cor-b-pair", val))
         pair_bounds.append(((v1, v2), val))
     if pair_bounds:

@@ -62,9 +62,9 @@ def _floor_sqrt_multiple(b: int, n: int) -> int:
 class QuadraticReal:
     """(a + b*sqrt(n)) / q with integer a, b, q > 0 and squarefree n.
 
-    Canonical form: gcd(a, b, q) = 1, q > 0, and b = 0 forces n = 0 (pure
-    rationals carry radicand 0).  Square factors of the radicand are folded
-    into b on construction.
+    Canonical form: gcd(a, b, q) = 1, q > 0, and b = 0 if and only if
+    n = 0 (pure rationals carry b = n = 0; sqrt(0) adds nothing).  Square
+    factors of the radicand are folded into b on construction.
     """
 
     __slots__ = ("a", "b", "n", "q")
@@ -78,9 +78,9 @@ class QuadraticReal:
         s, m = squarefree_part(n)
         b, n = b * s, m
         if n == 1:
-            a, b, n = a + b, 0, 0
-        if b == 0:
-            n = 0
+            a += b
+        if n <= 1 or b == 0:
+            b, n = 0, 0
         if q < 0:
             a, b, q = -a, -b, -q
         g = math.gcd(math.gcd(abs(a), abs(b)), q)
@@ -212,9 +212,6 @@ class QuadraticReal:
 
     def __ge__(self, other):
         return self.compare(other) >= 0
-
-    def __float__(self):
-        return (self.a + self.b * math.sqrt(self.n)) / self.q
 
     def __repr__(self):
         if self.is_rational:

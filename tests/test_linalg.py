@@ -1,7 +1,39 @@
+import math
 import random
 from fractions import Fraction
 
-from nivatk.linalg import integer_primitive, nullspace_basis, rref, solve_sparse
+from nivatk.linalg import _echelon, integer_primitive, nullspace_basis, solve_sparse
+
+
+def rref(rows):
+    """Dense reduced row echelon form over Fraction, the reference for the
+    fraction-free eliminator.  Returns (matrix, pivot_cols)."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        sel = None
+        for i in range(r, len(mat)):
+            if mat[i][col] != 0:
+                sel = i
+                break
+        if sel is None:
+            continue
+        mat[r], mat[sel] = mat[sel], mat[r]
+        inv = 1 / mat[r][col]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col] != 0:
+                c = mat[i][col]
+                mat[i] = [a - c * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(mat):
+            break
+    return mat, pivots
 
 
 def test_rref_identity_block():
@@ -22,8 +54,7 @@ def test_nullspace_of_augmented_pattern_rows():
     rows = [[1, 0, 1, 1, 0], [1, 1, 0, 0, 1]]
     basis = nullspace_basis(rows)
     assert len(basis) == 3
-    first = integer_primitive(basis[0])
-    assert first == [-1, 1, 1, 0, 0]
+    assert basis[0] == [-1, 1, 1, 0, 0]
     for vec in basis:
         for row in rows:
             assert sum(a * b for a, b in zip(row, vec)) == 0
@@ -33,9 +64,65 @@ def test_nullspace_full_rank_is_empty():
     assert nullspace_basis([[1, 0], [0, 1]]) == []
 
 
+def _dense_kernel(rows):
+    """Kernel basis from the dense reduced echelon form, each vector scaled
+    to coprime integers."""
+    mat, pivots = rref(rows)
+    ncols = len(rows[0])
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            vec[pc] = -mat[i][fc]
+        basis.append(integer_primitive(vec))
+    return basis
+
+
+def _random_matrix(rng):
+    """Small dense matrix with dependent rows, and at times zero rows, a zero
+    column, rational rows or entries up to 10^6."""
+    ncols = rng.randint(1, 8)
+    big = rng.choice([3, 10**6])
+    rows = [[rng.randint(-big, big) if rng.random() < 0.6 else 0 for _ in range(ncols)]
+            for _ in range(rng.randint(1, 6))]
+    for _ in range(rng.randint(0, 3)):
+        u, v = rng.choice(rows), rng.choice(rows)
+        k, m = rng.randint(-3, 3), rng.randint(-3, 3)
+        rows.append([k * a + m * b for a, b in zip(u, v)])
+    if rng.random() < 0.3:
+        rows.insert(rng.randrange(len(rows) + 1), [0] * ncols)
+    if rng.random() < 0.3:
+        j = rng.randrange(ncols)
+        for row in rows:
+            row[j] = 0
+    if rng.random() < 0.3:
+        i = rng.randrange(len(rows))
+        rows[i] = [Fraction(a, rng.randint(1, 7)) for a in rows[i]]
+    rng.shuffle(rows)
+    return rows
+
+
+def test_nullspace_matches_dense_rref_kernel():
+    rng = random.Random(41)
+    for _ in range(300):
+        rows = _random_matrix(rng)
+        basis = nullspace_basis(rows)
+        assert basis == _dense_kernel(rows)
+        for vec in basis:
+            assert all(type(x) is int for x in vec)
+            assert math.gcd(*vec) == 1
+            for row in rows:
+                assert sum(a * b for a, b in zip(row, vec)) == 0
+
+
 def test_integer_primitive():
     assert integer_primitive([Fraction(2, 3), Fraction(-4, 3), 0]) == [1, -2, 0]
     assert integer_primitive([Fraction(6), Fraction(9)]) == [2, 3]
+    assert integer_primitive([-4, 6]) == [-2, 3]
+    assert integer_primitive([0, 0]) == [0, 0]
 
 
 def test_solve_sparse_simple_system():
@@ -57,6 +144,12 @@ def test_solve_sparse_free_variables_default_to_zero():
     assert sol == [Fraction(5), Fraction(0), Fraction(0)]
 
 
+def test_solve_sparse_fraction_rhs_is_scaled_not_truncated():
+    sol, bad = solve_sparse([{0: 2, 1: 1}, {1: 3}], [Fraction(1, 2), Fraction(-2, 3)], 2)
+    assert bad == []
+    assert sol == [Fraction(13, 36), Fraction(-2, 9)]
+
+
 def _dense_reference(rows_dense, rhs, ncols):
     """Textbook RREF on the augmented matrix, free variables pinned to 0."""
     aug = [[Fraction(x) for x in row] + [Fraction(b)]
@@ -76,30 +169,106 @@ def _dense_reference(rows_dense, rhs, ncols):
     return sol
 
 
-def test_solve_sparse_matches_dense_reference():
-    rng = random.Random(23)
-    for _ in range(60):
-        nrows = rng.randint(1, 8)
-        ncols = rng.randint(1, 6)
-        rows = []
-        dense = []
-        for _ in range(nrows):
-            row = {}
-            for j in range(ncols):
-                if rng.random() < 0.5:
-                    v = rng.randint(-4, 4)
-                    if v:
-                        row[j] = v
-            rows.append(row)
-            dense.append([row.get(j, 0) for j in range(ncols)])
+def _inconsistent_reference(rows, rhs, ncols):
+    """Rows left as 0 = nonzero by elimination over Fraction that pivots each
+    column, left to right, on the remaining row with the fewest nonzero
+    coefficients, lowest index on ties."""
+    mat = [[Fraction(row.get(j, 0)) for j in range(ncols)] + [Fraction(b)]
+           for row, b in zip(rows, rhs)]
+    remaining = list(range(len(mat)))
+    for col in range(ncols):
+        cand = [i for i in remaining if mat[i][col]]
+        if not cand:
+            continue
+        piv = min(cand, key=lambda i: (sum(1 for x in mat[i][:ncols] if x), i))
+        remaining.remove(piv)
+        for i in cand:
+            if i != piv:
+                f = mat[i][col] / mat[piv][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[piv])]
+    return [i for i in remaining if mat[i][ncols]]
+
+
+def _random_system(rng, big, rational):
+    nrows = rng.randint(1, 8)
+    ncols = rng.randint(1, 6)
+    rows = []
+    for _ in range(nrows):
+        row = {}
+        for j in range(ncols):
+            if rng.random() < 0.5:
+                v = rng.randint(-big, big)
+                if v:
+                    row[j] = v
+        rows.append(row)
+    if rational:
+        rhs = [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(nrows)]
+    else:
         rhs = [rng.randint(-6, 6) for _ in range(nrows)]
+    return rows, rhs, ncols
+
+
+def _check_against_references(rng, big, rational, trials):
+    for _ in range(trials):
+        rows, rhs, ncols = _random_system(rng, big, rational)
+        dense = [[row.get(j, 0) for j in range(ncols)] for row in rows]
         expected = _dense_reference(dense, rhs, ncols)
         sol, bad = solve_sparse(rows, rhs, ncols)
         if expected is None:
             assert sol is None
-            assert bad
+            assert bad == _inconsistent_reference(rows, rhs, ncols)
         else:
+            assert bad == []
             assert sol == expected
             # and it really solves the system
             for row, b in zip(rows, rhs):
                 assert sum(c * sol[j] for j, c in row.items()) == b
+
+
+def test_solve_sparse_matches_dense_reference():
+    _check_against_references(random.Random(23), 4, False, 60)
+
+
+def test_solve_sparse_fraction_rhs_matches_dense_reference():
+    _check_against_references(random.Random(29), 10**6, True, 200)
+
+
+def test_solve_sparse_inconsistent_rows_match_pivot_rule():
+    # many rows over few columns: most systems are inconsistent, and which
+    # rows are reported depends on the pivot row each column takes
+    rng = random.Random(31)
+    seen = 0
+    for _ in range(300):
+        ncols = rng.randint(1, 3)
+        rows = [{j: rng.randint(-2, 2) for j in range(ncols) if rng.random() < 0.6}
+                for _ in range(rng.randint(2, 12))]
+        rows = [{j: v for j, v in row.items() if v} for row in rows]
+        rhs = [rng.randint(-1, 1) for _ in rows]
+        sol, bad = solve_sparse(rows, rhs, ncols)
+        assert bad == _inconsistent_reference(rows, rhs, ncols)
+        assert (sol is None) == bool(bad)
+        seen += len(bad) > 1
+    assert seen > 50
+
+
+def test_solve_sparse_pivot_ignores_rhs_entry():
+    # equal coefficient counts tie on the row index, whatever the rhs is
+    assert solve_sparse([{0: 1}, {0: 1}], [1, 0], 1) == (None, [1])
+    assert solve_sparse([{0: 1}, {0: 1}], [0, 1], 1) == (None, [1])
+
+
+def test_echelon_rows_stay_primitive():
+    # every combined row has its content stripped, so entries stay small
+    rng = random.Random(37)
+    for _ in range(100):
+        ncols = rng.randint(2, 7)
+        work = []
+        for _ in range(rng.randint(2, 8)):
+            row = {j: rng.randint(-10**6, 10**6) for j in range(ncols + 1)
+                   if rng.random() < 0.7}
+            row = {j: v for j, v in row.items() if v}
+            g = math.gcd(*row.values())
+            work.append({j: v // g for j, v in row.items()} if g else row)
+        _echelon(work, ncols)
+        for row in work:
+            assert math.gcd(*row.values()) in (0, 1)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from nivatk.configurations import CosetIndicator, Mechanical, Periodic, Sum
@@ -66,6 +68,17 @@ def test_parse_mechanical_matches_direct_construction():
     d = Mechanical((1, 1), QuadraticReal.sqrt(2))
     assert all(c.value((i, j)) == d.value((i, j))
                for i in range(6) for j in range(6))
+
+
+def test_zero_radicand_alpha_is_rational():
+    # b*sqrt(0) is 0, so quad(1,5,0,2) is the rational 1/2
+    c = parse_config("mechanical weights(1,0) alpha quad(1,5,0,2)")
+    half = parse_config("mechanical weights(1,0) alpha 1/2").alpha
+    assert c.alpha == half and hash(c.alpha) == hash(half)
+    assert c.alpha.is_rational
+    assert c.alpha.as_fraction() == Fraction(1, 2)
+    assert format_config(c) == "mechanical weights(1,0) alpha 1/2"
+    assert QuadraticReal(3, -2, 0, 6) == QuadraticReal.from_fraction(Fraction(1, 2))
 
 
 def test_parse_periodic_noncanonical_generators_normalize():
