@@ -152,20 +152,12 @@ def verify_expansion(f: LaurentPolynomial, c: Configuration, primes,
             raise NotPrimeError(f"{p} is not prime")
         fp = substitute_power(f, p)
         pat = apply(fp, c, window)
-        modp_ok = all(_as_int(v) % p == 0 for v in pat.values.values())
+        modp_ok = all(v % p == 0 for v in pat.values.values())
         exact = annihilates(fp, c, window) if p > s else None
         out.append(ExpansionCheck(
             prime=p, threshold=s, above_bound=p > s,
             modp_ok=modp_ok, exact=exact))
     return out
-
-
-def _as_int(v):
-    if isinstance(v, int):
-        return v
-    if v.denominator != 1:
-        raise NonIntegerCoefficientsError("mod-p check needs integer values")
-    return int(v)
 
 
 def build_radical_witness(f: LaurentPolynomial, r: int, v0) -> LaurentPolynomial:

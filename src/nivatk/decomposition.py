@@ -42,6 +42,12 @@ def difference(p: Pattern, v) -> Pattern:
     return Pattern(dom, vals)
 
 
+def _line_order(cells, v):
+    """The cells, given in lexicographic order, in an order where u - v
+    comes before u."""
+    return cells if v > (0,) * len(v) else reversed(cells)
+
+
 def integrate(d: Pattern, v) -> Pattern:
     """Inverse of `difference` up to integration constants, on a box.
 
@@ -56,14 +62,9 @@ def integrate(d: Pattern, v) -> Pattern:
     if not d.shape.is_box:
         raise ValueError("integrate needs a box domain")
     out = {}
-    for start in d.shape:
-        if vec_sub(start, v) in d.shape:
-            continue
-        out[start] = 0
-        prev, cur = start, vec_add(start, v)
-        while cur in d.shape:
-            out[cur] = out[prev] - d.values[cur]
-            prev, cur = cur, vec_add(cur, v)
+    for u in _line_order(list(d.shape), v):
+        w = vec_sub(u, v)
+        out[u] = out[w] - d.values[u] if w in out else 0
     return Pattern(d.shape, out)
 
 
@@ -128,45 +129,28 @@ def decompose(c: Configuration, vectors, core: Window, halo: Window | None = Non
         raise VerificationFailedError(
             f"difference product does not annihilate on the halo (cell {ver.witness})")
 
-    m = len(vs)
     core_cells = list(core)
-    rep_cache = [dict() for _ in range(m)]
+    cols = []  # per direction: cell -> column of its line's entry cell
+    ncols = 0
+    for v in vs:
+        entry = {}
+        for u in _line_order(core_cells, v):
+            entry[u] = entry.get(vec_sub(u, v), u)
+        col_of = {r: ncols + k for k, r in enumerate(sorted(set(entry.values())))}
+        ncols += len(col_of)
+        cols.append({u: col_of[r] for u, r in entry.items()})
 
-    def rep(i, u):
-        cached = rep_cache[i].get(u)
-        if cached is not None:
-            return cached
-        chain = [u]
-        w = vec_sub(u, vs[i])
-        while w in core:
-            cached = rep_cache[i].get(w)
-            if cached is not None:
-                break
-            chain.append(w)
-            w = vec_sub(w, vs[i])
-        else:
-            cached = chain[-1]
-        for cell in chain:
-            rep_cache[i][cell] = cached
-        return cached
-
-    col_of = {}
-    for i in range(m):
-        for r in sorted({rep(i, u) for u in core_cells}):
-            col_of[(i, r)] = len(col_of)
-
-    rows = [{col_of[(i, rep(i, u))]: 1 for i in range(m)} for u in core_cells]
+    rows = [{col[u]: 1 for col in cols} for u in core_cells]
     rhs = window_values(c, core)
-    solution, bad = solve_sparse(rows, rhs, len(col_of))
+    solution, bad = solve_sparse(rows, rhs, ncols)
     if solution is None:
         raise InfeasibleError(
             "no windowed decomposition for these directions",
             equations=[(core_cells[i], rhs[i]) for i in bad])
 
     components = []
-    for i in range(m):
-        vals = {u: solution[col_of[(i, rep(i, u))]] for u in core_cells}
-        components.append(Pattern(core, vals))
+    for col in cols:
+        components.append(Pattern(core, {u: solution[col[u]] for u in core_cells}))
 
     ok = True
     for u, want in zip(core_cells, rhs):

@@ -10,6 +10,7 @@ collects every line factor of one primitive direction.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +35,11 @@ from .linalg import integer_primitive
 
 
 class LaurentPolynomial:
-    """Finite rational combination of monomials X^e, e in Z^d."""
+    """Finite rational combination of monomials X^e, e in Z^d.
+
+    `terms` maps exponents to nonzero coefficients: an int when integral,
+    a Fraction with denominator > 1 otherwise.
+    """
 
     __slots__ = ("dim", "terms")
 
@@ -42,9 +47,12 @@ class LaurentPolynomial:
         self.dim = dim
         clean = {}
         for e, a in (terms or {}).items():
-            a = Fraction(a)
-            if a != 0:
-                e = tuple(int(x) for x in e)
+            if type(a) is not int:
+                a = Fraction(a)
+                if a.denominator == 1:
+                    a = a.numerator
+            if a:
+                e = tuple(map(int, e))
                 if len(e) != dim:
                     raise DimensionMismatchError(f"exponent {e} vs dimension {dim}")
                 clean[e] = a
@@ -62,12 +70,12 @@ class LaurentPolynomial:
 
     @classmethod
     def constant(cls, dim, c):
-        return cls(dim, {(0,) * dim: Fraction(c)})
+        return cls(dim, {(0,) * dim: c})
 
     @classmethod
     def monomial(cls, exponent, coeff=1):
         exponent = tuple(int(x) for x in exponent)
-        return cls(len(exponent), {exponent: Fraction(coeff)})
+        return cls(len(exponent), {exponent: coeff})
 
     @classmethod
     def variable(cls, index, dim):
@@ -113,10 +121,10 @@ class LaurentPolynomial:
         return vec_sub(self.max_exponent(), self.min_exponent())
 
     def has_integer_coefficients(self) -> bool:
-        return all(a.denominator == 1 for a in self.terms.values())
+        return not any(isinstance(a, Fraction) for a in self.terms.values())
 
-    def coefficient_abs_sum(self) -> Fraction:
-        return sum((abs(a) for a in self.terms.values()), Fraction(0))
+    def coefficient_abs_sum(self):
+        return sum(map(abs, self.terms.values()))
 
     def leading_term(self):
         """(exponent, coefficient) maximal in graded lexicographic order."""
@@ -159,7 +167,7 @@ class LaurentPolynomial:
             return NotImplemented
         terms = dict(self.terms)
         for e, a in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + a
+            terms[e] = terms.get(e, 0) + a
         return LaurentPolynomial(self.dim, terms)
 
     __radd__ = __add__
@@ -203,7 +211,6 @@ class LaurentPolynomial:
         return result
 
     def scale(self, c):
-        c = Fraction(c)
         return LaurentPolynomial(self.dim, {e: a * c for e, a in self.terms.items()})
 
     def shift(self, v):
@@ -223,12 +230,9 @@ class LaurentPolynomial:
 
     def coefficients_mod(self, p: int):
         """Termwise residues of the (integer) coefficients."""
-        out = {}
-        for e, a in self.terms.items():
-            if a.denominator != 1:
-                raise ValueError("mod reduction needs integer coefficients")
-            out[e] = a.numerator % p
-        return {e: r for e, r in out.items() if r}
+        if not self.has_integer_coefficients():
+            raise ValueError("mod reduction needs integer coefficients")
+        return {e: r for e, a in self.terms.items() if (r := a % p)}
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -275,11 +279,9 @@ def apply(f: LaurentPolynomial, c: Configuration, window: Window) -> Pattern:
         raise DimensionMismatchError("polynomial/configuration/window dimensions")
     if f.is_zero:
         return Pattern(window, {u: 0 for u in window})
-    integral = f.has_integer_coefficients()
     out = None
     for e, a in f.terms.items():
         col = window_values(c, window.shift(vec_neg(e)))
-        a = a.numerator if integral else a
         if a != 1:
             col = map(a.__mul__, col)
         out = list(col) if out is None else list(map(operator.add, out, col))
@@ -374,19 +376,28 @@ def _line_coordinates(v):
 
 
 def _levels(f, coords):
-    """Group terms by the t-level beta; each level is a dense s-poly with
-    its own minimal alpha offset."""
+    """Group terms by the t-level beta: {beta: (min alpha, {alpha: coeff})}."""
     raw = {}
     for e, a in f.terms.items():
         al, be = coords(e)
         raw.setdefault(be, {})[al] = a
-    levels = {}
-    for be, table in raw.items():
-        lo = min(table)
-        hi = max(table)
-        dense = [table.get(i, Fraction(0)) for i in range(lo, hi + 1)]
-        levels[be] = (lo, dense)
-    return levels
+    return {be: (min(table), table) for be, table in raw.items()}
+
+
+def _step(*level_maps):
+    """gcd of every alpha offset from its level's minimum, 1 when there is
+    none: each level is then a polynomial in s^step."""
+    return math.gcd(*(al - lo for levels in level_maps
+                      for lo, table in levels.values() for al in table)) or 1
+
+
+def _dense(level, step):
+    """Coefficients of one level as a dense polynomial in s^step."""
+    lo, table = level
+    dense = [0] * ((max(table) - lo) // step + 1)
+    for al, a in table.items():
+        dense[(al - lo) // step] = a
+    return dense
 
 
 def _upoly_trim(p):
@@ -395,29 +406,31 @@ def _upoly_trim(p):
     return p
 
 
+def _exact_div(a, b):
+    """a / b, an int when b divides a."""
+    q, r = divmod(a, b)
+    return Fraction(a, b) if r else q
+
+
 def _upoly_divmod(a, b):
     a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv = 1 / b[-1]
+    q = [0] * max(0, len(a) - len(b) + 1)
     for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] * inv
+        c = _exact_div(a[i + len(b) - 1], b[-1])
         if c:
             q[i] = c
             for j, bj in enumerate(b):
                 a[i + j] -= c * bj
     return q, _upoly_trim(a)
 
+
 def _upoly_gcd(a, b):
-    a, b = list(a), list(b)
-    _upoly_trim(a)
-    _upoly_trim(b)
+    """A gcd of two trimmed polys, up to a rational factor; each remainder
+    is scaled to coprime integers, so integer inputs stay integral."""
     while b:
         _, r = _upoly_divmod(a, b)
-        a, b = b, r
-    if not a:
-        return a
-    inv = 1 / a[-1]
-    return [c * inv for c in a]
+        a, b = b, integer_primitive(r)
+    return a
 
 
 def line_content(f: LaurentPolynomial, v) -> LaurentPolynomial:
@@ -434,19 +447,17 @@ def line_content(f: LaurentPolynomial, v) -> LaurentPolynomial:
         raise DimensionMismatchError("line content needs d = 2")
     if f.is_zero:
         raise ZeroPolynomialError("zero polynomial")
-    v = tuple(int(x) for x in v)
-    coords, _ = _line_coordinates(primitive_vector(v))
+    vv = primitive_vector(tuple(int(x) for x in v))
+    coords, _ = _line_coordinates(vv)
     levels = _levels(f, coords)
+    step = _step(levels)
     g = []
-    for _, dense in levels.values():
-        g = _upoly_gcd(g, dense)
+    for level in levels.values():
+        g = _upoly_gcd(g, _dense(level, step))
         if len(g) == 1:
             return LaurentPolynomial.one(f.dim)
-    if len(g) <= 1:
-        return LaurentPolynomial.one(f.dim)
-    vv = primitive_vector(v)
     poly = LaurentPolynomial(
-        f.dim, {vec_scale(k, vv): a for k, a in enumerate(g) if a}
+        f.dim, {vec_scale(k * step, vv): a for k, a in enumerate(g) if a}
     )
     poly = poly.shift(vec_neg(poly.min_exponent()))
     return normalize_integer_primitive(poly)
@@ -461,16 +472,19 @@ def divide_by_line(f: LaurentPolynomial, phi: LaurentPolynomial, v) -> LaurentPo
     phi_levels = _levels(phi, coords)
     if len(phi_levels) != 1:
         raise ValueError(f"{phi} is not a line polynomial of direction {v}")
-    beta0, (alpha0, p) = next(iter(phi_levels.items()))
+    f_levels = _levels(f, coords)
+    step = _step(f_levels, phi_levels)
+    beta0, phi_level = next(iter(phi_levels.items()))
+    alpha0, p = phi_level[0], _dense(phi_level, step)
     out = {}
-    for be, (lo, dense) in _levels(f, coords).items():
-        q, r = _upoly_divmod(dense, p)
+    for be, level in f_levels.items():
+        q, r = _upoly_divmod(_dense(level, step), p)
         if r:
             raise ValueError("division is not exact")
-        qa, qb = lo - alpha0, be - beta0
+        qa, qb = level[0] - alpha0, be - beta0
         for k, a in enumerate(q):
             if a:
-                alpha = qa + k
+                alpha = qa + k * step
                 out[(alpha * v[0] + qb * w1, alpha * v[1] + qb * w2)] = a
     return LaurentPolynomial(f.dim, out)
 

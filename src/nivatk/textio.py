@@ -373,7 +373,7 @@ def parse_poly(text: str, dim: int | None = None) -> LaurentPolynomial:
             exp = parse_atom()
             if exp is None:
                 cur.fail(f"expected a term, found {tok.text!r}", tok)
-            terms.append((exp, Fraction(sign)))
+            terms.append((exp, sign))
     if not terms:
         cur.fail("empty polynomial text")
     cur.done()

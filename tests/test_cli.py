@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -107,6 +108,18 @@ def test_lines_output(capsys):
     assert out[2] == "factor 1: direction=(1,0) poly=X^(1,0) - 1"
     assert out[3] == "remainder=1"
     assert out[4] == "directions=(0,1);(1,0)"
+
+
+def test_lines_high_exponent_is_fast(capsys):
+    # the level is a polynomial in s^2000000, so the cost follows the terms
+    start = time.perf_counter()
+    assert run(["lines", "--poly", "X^(2000000,0) - 1"]) == 0
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out == (
+        "monomial=(0,0)\n"
+        "factor 0: direction=(1,0) poly=X^(2000000,0) - 1\n"
+        "remainder=1\n"
+        "directions=(1,0)\n")
 
 
 def test_nivat_scan_csv(cfg, capsys):

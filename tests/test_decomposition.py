@@ -14,11 +14,13 @@ from nivatk.decomposition import decompose, difference, integrate
 from nivatk.errors import (
     DimensionMismatchError,
     EmptyResultError,
+    InfeasibleError,
     VerificationFailedError,
     WindowTooSmallError,
     ZeroVectorError,
 )
-from nivatk.lattice import Lattice, Window, vec_add
+from nivatk.lattice import Lattice, Window, vec_add, vec_sub
+from nivatk.linalg import solve_sparse
 from nivatk.quadratic import QuadraticReal
 
 
@@ -218,3 +220,54 @@ def test_decompose_random_periodic_sums():
                 t = vec_add(u, v)
                 if t in core:
                     assert comp.values[t] == comp.values[u]
+
+
+def walk_back_decomposition(c, vectors, core):
+    """Reference: name each unknown by walking its cell's line back, one
+    cell at a time, while it stays in the core; solve the same system.
+
+    Returns the component value maps, or the InfeasibleError equations.
+    """
+    cells = list(core)
+
+    def entry(u, v):
+        while vec_sub(u, v) in core:
+            u = vec_sub(u, v)
+        return u
+
+    col_of = {}
+    for i, v in enumerate(vectors):
+        for r in sorted({entry(u, v) for u in cells}):
+            col_of[(i, r)] = len(col_of)
+    rows = [{col_of[(i, entry(u, v))]: 1 for i, v in enumerate(vectors)} for u in cells]
+    rhs = [c.value(u) for u in cells]
+    solution, bad = solve_sparse(rows, rhs, len(col_of))
+    if solution is None:
+        return [(cells[i], rhs[i]) for i in bad]
+    return [{u: solution[col_of[(i, entry(u, v))]] for u in cells}
+            for i, v in enumerate(vectors)]
+
+
+def test_decompose_explicit_core_with_gaps_matches_walk_back():
+    # a line that leaves an explicit core and re-enters it gets a second
+    # unknown; a lexicographically negative step is walked the other way
+    r2 = QuadraticReal.sqrt(2)
+    c = Sum([
+        (1, Mechanical((1, 1), r2)),
+        (-1, Mechanical((1, 0), r2)),
+        (-1, Mechanical((0, 1), r2)),
+    ])
+    rng = random.Random(37)
+    box = list(Window.box((0, 0), (7, 7)))
+    cores = [Window.from_points([u for u in box if u not in {(2, 2), (3, 5), (5, 1)}])]
+    cores += [Window.from_points(rng.sample(box, 40)) for _ in range(6)]
+    for vectors in ([(1, 0), (0, 1), (-1, 1)], [(0, -1), (1, 0), (1, -1)]):
+        for core in cores:
+            want = walk_back_decomposition(c, vectors, core)
+            try:
+                dec = decompose(c, vectors, core)
+            except InfeasibleError as exc:
+                assert exc.equations == want
+                continue
+            assert [comp.values for comp in dec.components] == want
+            assert dec.residual_check

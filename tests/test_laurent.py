@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from nivatk.annihilator import find_annihilator
 from nivatk.configurations import CosetIndicator, Mechanical, Periodic, Sum
 from nivatk.errors import ZeroPolynomialError
 from nivatk.lattice import Lattice, Window
@@ -10,6 +11,7 @@ from nivatk.laurent import (
     LaurentPolynomial as LP,
     annihilates,
     apply,
+    divide_by_line,
     line_content,
     line_factorization,
     newton_polygon_directions,
@@ -17,6 +19,8 @@ from nivatk.laurent import (
     substitute_power,
 )
 from nivatk.quadratic import QuadraticReal
+from nivatk.textio import parse_poly
+from nivatk.tiling import ClusterTile, tile_polynomial
 
 
 def checkerboard():
@@ -218,3 +222,80 @@ def test_coset_line_killed_by_matching_difference():
     c = CosetIndicator((0, 0, 3), [(0, 1, 0)], 1)
     f = LP.difference((0, 1, 0))
     assert annihilates(f, c, Window.box((-3, -3, 0), (3, 3, 5)))
+
+
+def assert_coefficient_form(f):
+    """Every coefficient is an int, or a Fraction that is not integral."""
+    for e, a in f.terms.items():
+        assert type(a) is int or (type(a) is Fraction and a.denominator > 1), (e, a)
+
+
+def test_coefficient_form_invariant():
+    rng = random.Random(23)
+    half = Fraction(1, 2)
+    for f in (LP.zero(2), LP.one(2), LP.constant(2, Fraction(6, 3)),
+              LP.constant(2, half), LP.monomial((1, 2), Fraction(4, 2)),
+              LP.monomial((1, 2), half), LP.variable(1, 2), LP.difference((2, -1)),
+              LP(2, {(0, 0): Fraction(3), (1, 0): Fraction(3, 4), (0, 1): 2.0,
+                     (1, 1): 0.25, (2, 0): True})):
+        assert_coefficient_form(f)
+    assert LP(2, {(1, 1): 0.25}).terms == {(1, 1): Fraction(1, 4)}
+    for _ in range(60):
+        f, g = rand_poly(rng), rand_poly(rng)
+        if f.is_zero:
+            continue
+        h = f.scale(Fraction(rng.randint(1, 4), rng.randint(1, 4)))
+        for out in (f, h, f + g, f - h, h - h.scale(1), f * h, h * h.scale(2),
+                    h ** 2, f ** 3, f.scale(half), h.scale(2), h.shift((1, -1)),
+                    h.substitute_power(3), normalize_integer_primitive(h)):
+            assert_coefficient_form(out)
+        prod = f.scale(half) * LP.difference((1, 1)) * (LP.monomial((2, 0), 3) - 2)
+        if prod.is_zero:
+            continue
+        lf = line_factorization(prod)
+        for _, phi in lf.factors:
+            assert_coefficient_form(phi)
+        assert_coefficient_form(lf.remainder)
+        phi = line_content(prod, (1, 1))
+        assert_coefficient_form(phi)
+        assert_coefficient_form(divide_by_line(prod, phi, (1, 1)))
+        assert_coefficient_form(divide_by_line(prod, phi.scale(3), (1, 1)))
+    rep = find_annihilator(checkerboard(), Window.box((0, 0), (1, 1)),
+                           Window.box((0, 0), (9, 9)), Window.box((0, 0), (9, 9)))
+    assert_coefficient_form(rep.g)
+    assert_coefficient_form(rep.f)
+    assert_coefficient_form(tile_polynomial(ClusterTile([(0, 0), (1, 0), (0, 1)])))
+    for text in ("X^(1,0) - 1", "1/2*X^(1,0) - 1/2", "4/2*x + 3/6*y - 2"):
+        assert_coefficient_form(parse_poly(text))
+    assert parse_poly("1/2*X^(1,0) - 1/2").terms == {(1, 0): half, (0, 0): -half}
+
+
+def test_line_factorization_high_exponents():
+    # two-term and planted products with exponent gcd g > 1, on an axis and skew
+    rng = random.Random(29)
+    cases = [LP.difference((10**6, 0)), LP.difference((0, 999_999)),
+             LP.difference((500_000, -250_000)),
+             LP(2, {(3 * 10**5, 2 * 10**5): 2, (0, 0): -7})]
+    for _ in range(6):
+        g = rng.choice([2, 3, 1000, 99_991])
+        v = rng.choice([(1, 0), (0, 1), (1, 1), (2, -1), (3, 5)])
+        k = rng.randint(1, 10**6 // (g * max(map(abs, v))))
+        line = LP(2, {(g * k * v[0], g * k * v[1]): rng.randint(1, 5),
+                      (g * v[0], g * v[1]): rng.randint(-5, 5),
+                      (0, 0): rng.choice([-3, -1, 1, 2])})
+        cases.append(line * (LP.monomial((1, 1)) + 1) * LP.difference((0, g)))
+    for f in cases:
+        lf = line_factorization(f)
+        assert lf.product() == f
+        assert lf.factors
+
+
+def test_divide_by_line_with_different_offset_gcds():
+    # along (1,0) the offsets of f have gcd 2 and those of phi gcd 4
+    phi = LP.difference((4, 0))
+    q = LP(2, {(6, 1): 1, (0, 1): -2, (12, 0): 3})
+    assert divide_by_line(phi * q, phi, (1, 0)) == q
+    # and here gcd 4 for f = X^(4,0) - 1 against gcd 2 for phi = X^(2,0) - 1
+    assert divide_by_line(phi, LP.difference((2, 0)), (1, 0)) == LP.monomial((2, 0)) + 1
+    with pytest.raises(ValueError):
+        divide_by_line(phi * q + LP.monomial((2, 0)), phi, (1, 0))
