@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .configurations import Configuration, ValueTable, extract_pattern, window_values
+from .configurations import Configuration, covering_pattern, extract_pattern, window_values
 from .decomposition import difference as pattern_difference
 from .errors import (
     DimensionMismatchError,
@@ -69,7 +69,7 @@ def find_annihilator(c: Configuration, shape: Window, sample: Window,
     if len(sample) == 0:
         raise EmptySampleError("empty sample window")
 
-    keys = set(ValueTable.covering(c, shape, sample).keys(shape, sample))
+    keys = set(covering_pattern(c, shape, sample).keys(shape, sample))
     rows = sorted((1,) + tuple(itertools.chain.from_iterable(k)) for k in keys)
     kernel = nullspace_basis(rows)
     if len(rows) <= len(shape_pts):
@@ -152,7 +152,7 @@ def verify_expansion(f: LaurentPolynomial, c: Configuration, primes,
             raise NotPrimeError(f"{p} is not prime")
         fp = substitute_power(f, p)
         pat = apply(fp, c, window)
-        modp_ok = all(v % p == 0 for v in pat.values.values())
+        modp_ok = all(v % p == 0 for v in pat.cells)
         exact = annihilates(fp, c, window) if p > s else None
         out.append(ExpansionCheck(
             prime=p, threshold=s, above_bound=p > s,

@@ -164,7 +164,7 @@ def _cmd_decompose(args) -> int:
     print(f"residual_check={_bool(dec.residual_check)}")
     print(f"integral={_bool(dec.integral)}")
     for i, comp in enumerate(dec.components):
-        nonzero = sum(1 for v in comp.values.values() if v != 0)
+        nonzero = sum(1 for v in comp.cells if v != 0)
         print(f"component {i}: step={_fmt_vec(dec.vectors[i])} nonzero={nonzero}")
     return 0
 

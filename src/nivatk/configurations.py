@@ -37,16 +37,11 @@ class Configuration:
     def block(self, lo, hi) -> list:
         """Values on the inclusive box lo..hi, row-major, last coordinate fastest.
 
-        This is the order of Window iteration and of ValueTable.  The default
+        This is the order of Window iteration and of a box Pattern.  The default
         calls value() once per cell; the variants override it with whole-box
         fills that give the same list.
         """
         return list(map(self.value, itertools.product(*_box(self, lo, hi))))
-
-    @property
-    def is_finitary(self):
-        """True / False when decidable from the descriptor, else None."""
-        return None
 
     def _check(self, v):
         if len(v) != self.dim:
@@ -96,10 +91,6 @@ class Periodic(Configuration):
             for r, k in zip(ranges[:-1], _strides(sides[:-1])))))
         return list(itertools.chain.from_iterable(map(rows.__getitem__, picks)))
 
-    @property
-    def is_finitary(self):
-        return True
-
 
 class CosetIndicator(Configuration):
     """value on the coset offset + L for a rank r <= d sublattice, 0 off it."""
@@ -134,10 +125,6 @@ class CosetIndicator(Configuration):
             cells = [vec_add(u, vec_scale(k, row)) for u in cells
                      for k in range(-((u[c] - lo[c]) // p), (hi[c] - u[c]) // p + 1)]
         return _placed(ranges, ((u, self.value_on) for u in cells))
-
-    @property
-    def is_finitary(self):
-        return True
 
 
 class Mechanical(Configuration):
@@ -181,12 +168,6 @@ class Mechanical(Configuration):
             floor = self.alpha.floor_multiples(set(starts))
         return list(map(floor.__getitem__, itertools.chain.from_iterable(runs)))
 
-    @property
-    def is_finitary(self):
-        if all(w == 0 for w in self.weights) or (self.alpha.a == 0 and self.alpha.b == 0):
-            return True
-        return False
-
 
 class FiniteSupport(Configuration):
     """Zero outside a finite association of cells."""
@@ -215,10 +196,6 @@ class FiniteSupport(Configuration):
 
     def block(self, lo, hi) -> list:
         return _placed(_box(self, lo, hi), self.assoc.items())
-
-    @property
-    def is_finitary(self):
-        return True
 
 
 class Sum(Configuration):
@@ -249,11 +226,6 @@ class Sum(Configuration):
             out = list(b) if out is None else list(map(operator.add, out, b))
         return out
 
-    @property
-    def is_finitary(self):
-        # not decided statically
-        return None
-
 
 class ValueMap(Configuration):
     """Recode the letters of an inner configuration through a finite map."""
@@ -273,11 +245,6 @@ class ValueMap(Configuration):
         inner = self.inner.block(lo, hi)
         recode = {x: self.mapping.get(x, self.default) for x in set(inner)}
         return list(map(recode.__getitem__, inner))
-
-    @property
-    def is_finitary(self):
-        # not decided statically
-        return None
 
 
 def _box(c: Configuration, lo, hi):
@@ -316,85 +283,68 @@ def merge_letters(c: Configuration, mapping: dict, default: int) -> ValueMap:
 
 
 class Pattern:
-    """Values on a finite window of absolute cells."""
+    """Values on a finite window of cells, one tuple in window order.
 
-    __slots__ = ("shape", "values")
+    On a box window the last coordinate varies fastest, so the flat index
+    of a cell p is sum((p[i] - lo[i]) * strides[i]) and a translate by u
+    moves every index by the same amount.  That makes the pattern at any
+    anchor a fixed set of slices of `cells`.  `values` is a cell -> value
+    view in window order, built on first access.
+    """
 
-    def __init__(self, shape: Window, values: dict):
+    __slots__ = ("shape", "cells", "strides", "_values")
+
+    def __init__(self, shape: Window, values):
+        if isinstance(values, dict):
+            raise TypeError("pattern values are a sequence in window order, not a mapping")
         self.shape = shape
-        self.values = {tuple(p): values[p] for p in shape}
+        self.cells = tuple(values)
+        if len(self.cells) != len(shape):
+            raise ValueError(f"{len(self.cells)} values for a window of {len(shape)} cells")
+        self.strides = None
+        if shape.is_box:
+            self.strides = _strides([range(a, b + 1) for a, b in zip(shape.lo, shape.hi)])
+        self._values = None
+
+    @property
+    def values(self) -> dict:
+        if self._values is None:
+            self._values = dict(zip(self.shape, self.cells))
+        return self._values
 
     def key(self):
         """Value sequence in window iteration order; translates compare equal."""
-        return tuple(self.values[p] for p in self.shape)
+        return self.cells
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values.values())
+        return not any(self.cells)
 
     def constant_value(self):
         """The single value taken, or None when not constant."""
-        vals = set(self.values.values())
+        vals = set(self.cells)
         return vals.pop() if len(vals) == 1 else None
 
     def max_abs(self):
-        return max(abs(v) for v in self.values.values())
+        return max(map(abs, self.cells))
 
-    def __eq__(self, other):
-        if not isinstance(other, Pattern):
-            return NotImplemented
-        return self.shape == other.shape and self.values == other.values
-
-    def __repr__(self):
-        return f"Pattern({self.shape}, {len(self.values)} cells)"
-
-
-def extract_pattern(c: Configuration, anchor, shape: Window) -> Pattern:
-    """Pattern of c on anchor + shape."""
-    anchor = tuple(anchor)
-    if len(anchor) != c.dim or shape.dim != c.dim:
-        raise DimensionMismatchError("anchor/shape vs configuration dimension")
-    window = shape.shift(anchor)
-    return Pattern(window, dict(zip(window, window_values(c, window))))
-
-
-def window_values(c: Configuration, window: Window) -> list:
-    """Values of c on the window's cells, in window order, from one block."""
-    lo, hi = window.bounds()
-    if window.is_box:
-        return c.block(lo, hi)
-    table = ValueTable(c, lo, hi)
-    return list(map(table.values.__getitem__, table.indices(window)))
-
-
-class ValueTable:
-    """Values of a configuration on a box, row-major, from one block() call.
-
-    The last coordinate varies fastest, so the flat index of a cell p is
-    sum((p[i] - lo[i]) * strides[i]) and a translate by u moves every index
-    by the same amount.  That makes the pattern at any anchor a fixed set
-    of slices of one tuple.
-    """
-
-    __slots__ = ("lo", "hi", "values", "strides")
-
-    def __init__(self, c: Configuration, lo, hi):
-        self.lo, self.hi = tuple(lo), tuple(hi)
-        self.values = tuple(c.block(self.lo, self.hi))
-        self.strides = _strides([range(a, b + 1) for a, b in zip(lo, hi)])
-
-    @classmethod
-    def covering(cls, c: Configuration, shape: Window, anchors: Window):
-        """The table on the smallest box holding anchor + shape for all anchors."""
-        (alo, ahi), (slo, shi) = anchors.bounds(), shape.bounds()
-        return cls(c, vec_add(alo, slo), vec_add(ahi, shi))
+    def on(self, window: Window) -> list:
+        """The values on a window inside this one, in that window's order."""
+        if self.strides is None:
+            return list(map(self.values.__getitem__, window))
+        cells = self.cells
+        if not window.is_box:
+            return list(map(cells.__getitem__, self.indices(window)))
+        n = window.hi[-1] - window.lo[-1] + 1
+        starts = self.indices(Window.box(window.lo, window.hi[:-1] + window.lo[-1:]))
+        return list(itertools.chain.from_iterable(cells[b:b + n] for b in starts))
 
     def keys(self, shape: Window, anchors: Window):
         """Yield one hashable pattern key per anchor, lazily, in anchor order.
 
-        A key is a tuple of table slices, one per run of shape cells that
-        are consecutive both in shape order and in the table; flattened it
-        is the sequence of values in shape order.  Every anchor + shape
-        must lie inside the table's box.
+        A key is a tuple of slices of a box pattern, one per run of shape
+        cells that are consecutive both in shape order and in the box;
+        flattened it is the sequence of values in shape order.  Every
+        anchor + shape must lie inside the box.
         """
         runs = []
         for u in shape:
@@ -403,19 +353,50 @@ class ValueTable:
                 runs[-1][1] = off + 1
             else:
                 runs.append([off, off + 1])
-        values = self.values
+        cells = self.cells
         for b in self.indices(anchors):
-            yield tuple([values[b + start:b + stop] for start, stop in runs])
+            yield tuple([cells[b + start:b + stop] for start, stop in runs])
 
-    def indices(self, cells: Window):
-        """Flat index of every cell of the window, lazily, in window order."""
-        if cells.is_box:
-            clo, chi = cells.bounds()
+    def indices(self, window: Window):
+        """Flat index in a box pattern of every cell of the window, lazily, in window order."""
+        if window.is_box:
             return map(sum, itertools.product(*(
                 range((a - l) * s, (b - l) * s + 1, s)
-                for a, b, l, s in zip(clo, chi, self.lo, self.strides))))
-        origin = vec_dot(self.lo, self.strides)
-        return (vec_dot(p, self.strides) - origin for p in cells)
+                for a, b, l, s in zip(window.lo, window.hi, self.shape.lo, self.strides))))
+        origin = vec_dot(self.shape.lo, self.strides)
+        return (vec_dot(p, self.strides) - origin for p in window)
+
+    def __eq__(self, other):
+        if not isinstance(other, Pattern):
+            return NotImplemented
+        return self.shape == other.shape and self.cells == other.cells
+
+    def __repr__(self):
+        return f"Pattern({self.shape}, {len(self.cells)} cells)"
+
+
+def extract_pattern(c: Configuration, anchor, shape: Window) -> Pattern:
+    """Pattern of c on anchor + shape."""
+    anchor = tuple(anchor)
+    if len(anchor) != c.dim or shape.dim != c.dim:
+        raise DimensionMismatchError("anchor/shape vs configuration dimension")
+    window = shape.shift(anchor)
+    return Pattern(window, window_values(c, window))
+
+
+def window_values(c: Configuration, window: Window) -> list:
+    """Values of c on the window's cells, in window order, from one block."""
+    lo, hi = window.bounds()
+    if window.is_box:
+        return c.block(lo, hi)
+    return Pattern(Window.box(lo, hi), c.block(lo, hi)).on(window)
+
+
+def covering_pattern(c: Configuration, shape: Window, anchors: Window) -> Pattern:
+    """The box pattern of c on the smallest box holding anchor + shape for all anchors."""
+    (alo, ahi), (slo, shi) = anchors.bounds(), shape.bounds()
+    lo, hi = vec_add(alo, slo), vec_add(ahi, shi)
+    return Pattern(Window.box(lo, hi), c.block(lo, hi))
 
 
 def count_distinct(keys, limit: int | None = None) -> int:
@@ -463,8 +444,7 @@ def pattern_complexity(
         anchors = sample
         exact = False
 
-    table = ValueTable.covering(c, shape, anchors)
-    count = count_distinct(table.keys(shape, anchors), stop_after)
+    count = count_distinct(covering_pattern(c, shape, anchors).keys(shape, anchors), stop_after)
     return ComplexityResult(count, exact, anchors)
 
 

@@ -8,6 +8,7 @@ the canonical such split by exact rational elimination.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from .errors import (
     WindowTooSmallError,
     ZeroVectorError,
 )
-from .lattice import Window, check_same_dim, is_zero_vector, vec_add, vec_sub
+from .lattice import Window, check_same_dim, is_zero_vector, vec_dot, vec_neg, vec_sub
 from .laurent import LaurentPolynomial, annihilates
 from .linalg import solve_sparse
 
@@ -38,13 +39,12 @@ def difference(p: Pattern, v) -> Pattern:
     dom = p.shape.intersect(p.shape.shift(v))
     if dom is None:
         raise EmptyResultError("difference domain is empty")
-    vals = {u: p.values[vec_sub(u, v)] - p.values[u] for u in dom}
-    return Pattern(dom, vals)
+    return Pattern(dom, map(operator.sub, p.on(dom.shift(vec_neg(v))), p.on(dom)))
 
 
 def _line_order(cells, v):
-    """The cells, given in lexicographic order, in an order where u - v
-    comes before u."""
+    """The cells (or their flat indices in a box), given in lexicographic
+    order, in an order where u - v comes before u."""
     return cells if v > (0,) * len(v) else reversed(cells)
 
 
@@ -61,11 +61,22 @@ def integrate(d: Pattern, v) -> Pattern:
         raise ZeroVectorError("integration step must be nonzero")
     if not d.shape.is_box:
         raise ValueError("integrate needs a box domain")
-    out = {}
-    for u in _line_order(list(d.shape), v):
-        w = vec_sub(u, v)
-        out[u] = out[w] - d.values[u] if w in out else 0
+    out = [0] * len(d.cells)
+    dom = d.shape.intersect(d.shape.shift(v))
+    if dom is not None:
+        # u - v sits k places before u in the flat list
+        k = vec_dot(v, d.strides)
+        for i in _line_order(list(d.indices(dom)), v):
+            out[i] = out[i - k] - d.cells[i]
     return Pattern(d.shape, out)
+
+
+def _repeats(p: Pattern, v) -> bool:
+    """Does p repeat with step v wherever both ends lie in its window?"""
+    try:
+        return difference(p, v).is_zero()
+    except EmptyResultError:
+        return True
 
 
 @dataclass
@@ -77,8 +88,7 @@ class WindowDecomposition:
     integral: bool
 
     def component_sum(self) -> Pattern:
-        vals = {u: sum(p.values[u] for p in self.components) for u in self.core}
-        return Pattern(self.core, vals)
+        return Pattern(self.core, map(sum, zip(*(p.cells for p in self.components))))
 
 
 def _halo_box(core: Window, vectors) -> Window:
@@ -130,7 +140,7 @@ def decompose(c: Configuration, vectors, core: Window, halo: Window | None = Non
             f"difference product does not annihilate on the halo (cell {ver.witness})")
 
     core_cells = list(core)
-    cols = []  # per direction: cell -> column of its line's entry cell
+    cols = []  # per direction: the column of each core cell's line entry, in core order
     ncols = 0
     for v in vs:
         entry = {}
@@ -138,9 +148,9 @@ def decompose(c: Configuration, vectors, core: Window, halo: Window | None = Non
             entry[u] = entry.get(vec_sub(u, v), u)
         col_of = {r: ncols + k for k, r in enumerate(sorted(set(entry.values())))}
         ncols += len(col_of)
-        cols.append({u: col_of[r] for u, r in entry.items()})
+        cols.append([col_of[entry[u]] for u in core_cells])
 
-    rows = [{col[u]: 1 for col in cols} for u in core_cells]
+    rows = [dict.fromkeys(cs, 1) for cs in zip(*cols)]
     rhs = window_values(c, core)
     solution, bad = solve_sparse(rows, rhs, ncols)
     if solution is None:
@@ -148,27 +158,11 @@ def decompose(c: Configuration, vectors, core: Window, halo: Window | None = Non
             "no windowed decomposition for these directions",
             equations=[(core_cells[i], rhs[i]) for i in bad])
 
-    components = []
-    for col in cols:
-        components.append(Pattern(core, {u: solution[col[u]] for u in core_cells}))
-
-    ok = True
-    for u, want in zip(core_cells, rhs):
-        if sum(p.values[u] for p in components) != want:
-            ok = False
-            break
-    if ok:
-        for i, p in enumerate(components):
-            for u in core_cells:
-                w = vec_add(u, vs[i])
-                if w in core and p.values[w] != p.values[u]:
-                    ok = False
-                    break
-            if not ok:
-                break
-
+    components = [Pattern(core, map(solution.__getitem__, col)) for col in cols]
+    ok = (list(map(sum, zip(*(p.cells for p in components)))) == rhs
+          and all(_repeats(p, v) for p, v in zip(components, vs)))
     integral = all(
-        Fraction(x).denominator == 1 for p in components for x in p.values.values())
+        Fraction(x).denominator == 1 for p in components for x in p.cells)
     return WindowDecomposition(
         vectors=tuple(vs),
         components=tuple(components),

@@ -278,14 +278,14 @@ def apply(f: LaurentPolynomial, c: Configuration, window: Window) -> Pattern:
     if f.dim != c.dim or window.dim != c.dim:
         raise DimensionMismatchError("polynomial/configuration/window dimensions")
     if f.is_zero:
-        return Pattern(window, {u: 0 for u in window})
+        return Pattern(window, [0] * len(window))
     out = None
     for e, a in f.terms.items():
         col = window_values(c, window.shift(vec_neg(e)))
         if a != 1:
             col = map(a.__mul__, col)
         out = list(col) if out is None else list(map(operator.add, out, col))
-    return Pattern(window, dict(zip(window, out)))
+    return Pattern(window, out)
 
 
 @dataclass
@@ -307,7 +307,7 @@ def annihilates(f: LaurentPolynomial, c: Configuration, window: Window) -> Annih
     """
     exact = isinstance(c, Periodic)
     domain = Window.from_points(c.lattice.residues()) if exact else window
-    for u, x in apply(f, c, domain).values.items():
+    for u, x in zip(domain, apply(f, c, domain).cells):
         if x != 0:
             return AnnihilationResult("no", witness=u)
     return AnnihilationResult("exact" if exact else "window")

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .configurations import Configuration, ValueTable, count_distinct, periodicity_test
+from .configurations import Configuration, count_distinct, covering_pattern, periodicity_test
 from .errors import (
     BlockTooSmallError,
     DegenerateDirectionError,
@@ -171,8 +171,8 @@ def nivat_scan(c: Configuration, M_range, N_range, sample: Window) -> list:
     For every (M, N) the count of distinct M x N blocks anchored in the
     sample is accumulated until it exceeds M*N (verdict ExceedsMN) or the
     sample is exhausted (verdict Inconclusive, count = full sampled value).
-    Inconclusive never asserts the threshold is met globally.  One value
-    table covering the largest block at every anchor is filled once and
+    Inconclusive never asserts the threshold is met globally.  One box
+    pattern covering the largest block at every anchor is filled once and
     shared by all block sizes; rows come in M-major order.
     """
     Ms = [int(M) for M in M_range]
@@ -184,7 +184,7 @@ def nivat_scan(c: Configuration, M_range, N_range, sample: Window) -> list:
     if c.dim != 2 or sample.dim != 2:
         raise DimensionMismatchError("scan works on two-dimensional data")
 
-    table = ValueTable.covering(c, Window.box((0, 0), (max(Ms) - 1, max(Ns) - 1)), sample)
+    table = covering_pattern(c, Window.box((0, 0), (max(Ms) - 1, max(Ns) - 1)), sample)
     rows = []
     for M in Ms:
         for N in Ns:
@@ -218,7 +218,7 @@ def _line_groups(c: Configuration, shape: Window, v, sample: Window) -> dict:
     if is_zero_vector(v):
         raise ZeroVectorError("census direction must be nonzero")
     step = canonical_sign(v)
-    keys = ValueTable.covering(c, shape, sample).keys(shape, sample)
+    keys = covering_pattern(c, shape, sample).keys(shape, sample)
     groups: dict = {}
     for a, key in zip(sample, keys):
         groups.setdefault(_line_rep(a, step), set()).add(key)

@@ -389,11 +389,11 @@ def parse_poly(text: str, dim: int | None = None) -> LaurentPolynomial:
     if d is None:
         d = 2 if dim is None else dim
 
-    out = LaurentPolynomial.zero(d)
+    out = {}
     for exp, coeff in terms:
         e = exp if exp is not None else (0,) * d
-        out = out + LaurentPolynomial.monomial(e, coeff)
-    return out
+        out[e] = out.get(e, 0) + coeff
+    return LaurentPolynomial(d, out)
 
 
 def format_poly(f: LaurentPolynomial) -> str:

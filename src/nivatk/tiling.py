@@ -273,7 +273,7 @@ def prime_periodicity_check(tile: ClusterTile, cotiler, window: Window | None = 
         # fundamental domain checks the congruence everywhere
         window = Window.from_points(list(cotiler.lattice.residues()))
     pat = apply(fp, config, window)
-    if any(v % p != 0 for v in pat.values.values()):
+    if any(v % p != 0 for v in pat.cells):
         raise VerificationFailedError(
             "power-substituted tile polynomial breaks the mod-p congruence")
     return verified

@@ -87,7 +87,6 @@ def test_finite_support():
     c = FiniteSupport({(0, 0): 1, (2, 3): -4})
     assert c.value((2, 3)) == -4
     assert c.value((1, 1)) == 0
-    assert c.is_finitary
     empty = FiniteSupport({}, dim=2)
     assert empty.value((0, 0)) == 0
 

@@ -1,0 +1,261 @@
+"""Differential tests of the flat pattern layout.
+
+A Pattern stores its values as one tuple in window order.  Every operator
+that reads or builds patterns (difference, integrate, apply, component_sum,
+the decompose period check and the bounded difference search) is compared
+on seeded random windows in dimensions 1 to 3 (boxes with negative
+coordinates, L-shaped and scattered explicit windows) against a per-cell
+dict reference kept here.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from nivatk.annihilator import search_difference_annihilator
+from nivatk.configurations import CosetIndicator, Mechanical, Pattern, Periodic, Sum
+from nivatk.decomposition import WindowDecomposition, _repeats, difference, integrate
+from nivatk.errors import EmptyResultError, VerificationFailedError, WindowTooSmallError
+from nivatk.lattice import Window, canonical_sign, vec_add, vec_sub
+from nivatk.laurent import LaurentPolynomial, apply
+from nivatk.quadratic import QuadraticReal
+
+from test_block import VARIANTS, random_config, random_poly
+
+
+def random_window(rng, d, box_only=False, extent=None):
+    lo = tuple(rng.randint(-6, 2) for _ in range(d))
+    extent = extent or {1: 9, 2: 5, 3: 4}[d]
+    kind = 0 if box_only else rng.randrange(3)
+    if kind == 0:
+        return Window.box(lo, tuple(a + rng.randint(0, extent - 1) for a in lo))
+    if kind == 1:
+        # an L: a corner plus an arm along each of up to two axes
+        pts = [lo]
+        for axis in rng.sample(range(d), min(2, d)):
+            pts += [tuple(x + k * (i == axis) for i, x in enumerate(lo))
+                    for k in range(1, rng.randint(2, extent + 1))]
+        return Window.from_points(pts)
+    return Window.from_points(
+        [tuple(x + rng.randint(0, extent) for x in lo) for _ in range(rng.randint(1, 12))])
+
+
+def random_step(rng, d, bound=2):
+    while True:
+        v = tuple(rng.randint(-bound, bound) for _ in range(d))
+        if any(v):
+            return v
+
+
+def random_values(rng, window):
+    return {u: rng.randint(-3, 3) for u in window}
+
+
+def ref_difference(vals, v):
+    """u -> vals[u - v] - vals[u] on the cells where both are known, in lexicographic order."""
+    return {u: vals[vec_sub(u, v)] - vals[u] for u in sorted(vals) if vec_sub(u, v) in vals}
+
+
+def ref_integrate(vals, v):
+    """Zero at each line's entry cell of the box, then o[u] = o[u - v] - vals[u]."""
+    cells = sorted(vals)
+    out = {}
+    for u in (cells if v > (0,) * len(v) else reversed(cells)):
+        w = vec_sub(u, v)
+        out[u] = out[w] - vals[u] if w in out else 0
+    return {u: out[u] for u in cells}
+
+
+def ref_repeats(vals, v):
+    return all(vals[vec_add(u, v)] == x for u, x in vals.items() if vec_add(u, v) in vals)
+
+
+def cases(seed, count, box_only=False):
+    rng = random.Random(seed)
+    for k in range(count):
+        d = 1 + k % 3
+        yield rng, d, random_window(rng, d, box_only)
+
+
+def test_pattern_rejects_a_value_sequence_of_the_wrong_length():
+    for window in (Window.box((-2, 0), (0, 1)), Window.from_points([(0, 0), (3, -1)])):
+        n = len(window)
+        assert Pattern(window, range(n)).cells == tuple(range(n))
+        for wrong in (n - 1, n + 1, 0):
+            with pytest.raises(ValueError):
+                Pattern(window, range(wrong))
+        with pytest.raises(TypeError):
+            Pattern(window, dict.fromkeys(window, 0))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_values_view_and_on_follow_window_order(seed):
+    for rng, d, window in cases(seed, 60):
+        vals = random_values(rng, window)
+        p = Pattern(window, vals.values())
+        assert list(p.values.items()) == sorted(vals.items())
+        assert p.key() == p.cells == tuple(vals[u] for u in window)
+        sub = Window.from_points(rng.sample(list(window), rng.randint(1, len(window))))
+        assert p.on(sub) == [vals[u] for u in sub]
+        if window.is_box:
+            lo = tuple(rng.randint(a, b) for a, b in zip(window.lo, window.hi))
+            box = Window.box(lo, tuple(rng.randint(a, b) for a, b in zip(lo, window.hi)))
+            assert p.on(box) == [vals[u] for u in box]
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_difference_matches_dict_reference(seed):
+    for rng, d, window in cases(seed, 90):
+        vals = random_values(rng, window)
+        v = random_step(rng, d, 3)
+        want = ref_difference(vals, v)
+        p = Pattern(window, vals.values())
+        if not want:
+            with pytest.raises(EmptyResultError):
+                difference(p, v)
+            continue
+        got = difference(p, v)
+        assert list(got.shape) == list(want)
+        assert got.cells == tuple(want.values())
+        assert got.is_zero() == all(x == 0 for x in want.values())
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_integrate_matches_dict_reference(seed):
+    for rng, d, window in cases(seed, 60, box_only=True):
+        vals = random_values(rng, window)
+        v = random_step(rng, d, 3)
+        got = integrate(Pattern(window, vals.values()), v)
+        assert got.shape == window
+        assert got.cells == tuple(ref_integrate(vals, v).values())
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_apply_matches_dict_reference(d):
+    rng = random.Random(f"flat-apply/{d}")
+    for k in range(24):
+        c = random_config(rng, d, VARIANTS[k % len(VARIANTS)])
+        f = random_poly(rng, d, integral=k % 3 != 0)
+        window = random_window(rng, d)
+        want = {u: sum(a * c.value(vec_sub(u, e)) for e, a in f.terms.items()) for u in window}
+        got = apply(f, c, window)
+        assert got.shape == window
+        assert got.cells == tuple(want[u] for u in window)
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_component_sum_matches_dict_reference(seed):
+    for rng, d, window in cases(seed, 45):
+        parts = [random_values(rng, window) for _ in range(rng.randint(1, 3))]
+        dec = WindowDecomposition(
+            vectors=tuple(random_step(rng, d) for _ in parts),
+            components=tuple(Pattern(window, p.values()) for p in parts),
+            core=window, residual_check=True, integral=True)
+        total = dec.component_sum()
+        assert total.shape == window
+        assert total.cells == tuple(sum(p[u] for p in parts) for u in window)
+
+
+@pytest.mark.parametrize("seed", [9, 10])
+def test_period_check_matches_dict_reference(seed):
+    seen = set()
+    for rng, d, window in cases(seed, 90):
+        v = random_step(rng, d)
+        if rng.random() < 0.5:
+            vals = random_values(rng, window)
+        else:
+            # constant along every line u + Zv
+            i0 = next(i for i, x in enumerate(v) if x)
+            line = {}
+            vals = {u: line.setdefault(vec_sub(u, tuple(u[i0] // v[i0] * x for x in v)),
+                                       rng.randint(-3, 3)) for u in window}
+        want = ref_repeats(vals, v)
+        assert _repeats(Pattern(window, vals.values()), v) == want
+        seen.add(want)
+    assert seen == {True, False}
+
+
+# --- the bounded difference search ---------------------------------------------
+
+
+def ref_search(c, max_factors, coord_bound, window):
+    """The search with every pattern held as a cell -> value dict."""
+    zero = (0,) * c.dim
+    steps = sorted({canonical_sign(v) for v in itertools.product(
+        range(-coord_bound, coord_bound + 1), repeat=c.dim) if v != zero})
+
+    def dfs(vals, start, depth):
+        for idx in range(start, len(steps)):
+            v = steps[idx]
+            nxt = ref_difference(vals, v)
+            if not nxt:
+                raise WindowTooSmallError(f"window exhausted after shrinking by step {v}")
+            if depth == 1:
+                if all(x == 0 for x in nxt.values()):
+                    return [v]
+            else:
+                found = dfs(nxt, idx, depth - 1)
+                if found is not None:
+                    return [v, *found]
+        return None
+
+    base = {u: c.value(u) for u in window}
+    for length in range(1, max_factors + 1):
+        found = dfs(base, 0, length)
+        if found is not None:
+            # re-verified like the search does: exactly on one fundamental
+            # domain for a Periodic descriptor, else on the shrunk window
+            product, dom = LaurentPolynomial.one(c.dim), base
+            for v in found:
+                product = product * LaurentPolynomial.difference(v)
+                dom = ref_difference(dom, v)
+            cells = c.lattice.residues() if isinstance(c, Periodic) else sorted(dom)
+            for u in cells:
+                if sum(a * c.value(vec_sub(u, e)) for e, a in product.terms.items()):
+                    raise VerificationFailedError(
+                        f"search certificate fails re-verification at {u}")
+            return found
+    return None
+
+
+def search_outcome(search, *args):
+    try:
+        return search(*args)
+    except (VerificationFailedError, WindowTooSmallError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def search_config(rng, d, bound):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return random_config(rng, d, rng.choice(VARIANTS))
+    if kind < 3:
+        # one difference factor per line: a certificate of length <= 3 when the
+        # steps are short enough
+        return Sum([(rng.randint(1, 2), CosetIndicator(
+            tuple(rng.randint(-3, 3) for _ in range(d)), [random_step(rng, d, bound)]))
+            for _ in range(rng.randint(2, 3))])
+    # a linear ramp for an integer alpha: (X^v - 1)^2 annihilates it
+    alpha = rng.choice((QuadraticReal.sqrt(2), QuadraticReal.from_fraction(rng.randint(1, 2))))
+    return Mechanical(tuple(rng.randint(-2, 2) for _ in range(d)), alpha)
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_search_matches_dict_reference(d):
+    rng = random.Random(f"flat-search/{d}")
+    kinds = set()
+    for k in range(40):
+        bound = 1 if d == 3 else rng.randint(1, 2)
+        c = search_config(rng, d, bound)
+        if rng.random() < 0.6:
+            lo = tuple(rng.randint(-4, 0) for _ in range(d))
+            window = Window.box(lo, tuple(a + rng.randint(2, {1: 15, 2: 7, 3: 4}[d]) for a in lo))
+        else:
+            window = random_window(rng, d, extent={1: 16, 2: 8, 3: 5}[d])
+        args = (c, rng.randint(1, 3 if d < 3 else 2), bound, window)
+        want = search_outcome(ref_search, *args)
+        assert search_outcome(search_difference_annihilator, *args) == want, args
+        kinds.add(len(want) if isinstance(want, list) else want and want[0])
+    # certificates of length one and two, no certificate, and exhausted windows
+    assert kinds >= {1, 2, None, "WindowTooSmallError"}

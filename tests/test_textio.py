@@ -1,3 +1,5 @@
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,8 @@ from nivatk.textio import (
     parse_window,
 )
 from nivatk.tiling import ClusterTile
+
+from test_block import VARIANTS, random_box, random_config
 
 CANONICAL_CONFIGS = [
     "periodic lattice{(2,0) (0,2)} values{(0,0):0 (0,1):1 (1,0):1 (1,1):0}",
@@ -145,6 +149,39 @@ def test_poly_zero_and_constants():
 def test_poly_laurent_exponents():
     f = parse_poly("X^(0,-1) + 1")
     assert sorted(f.terms) == [(-0, -1), (0, 0)]
+
+
+def test_parse_poly_is_linear_in_the_term_count():
+    # exponents repeat every 1400 terms, so like terms merge and some cancel
+    terms = [(("-" if i % 2 else "+"), (f"{i % 3 + 1}/2" if i % 5 == 0 else str(i % 3 + 1)),
+              (i % 1400, i % 7)) for i in range(4000)]
+    text = " ".join(f"{s} {a}*X^({e[0]},{e[1]})" for s, a, e in terms)
+    start = time.perf_counter()
+    got = parse_poly(text)
+    assert time.perf_counter() - start < 1.0
+
+    def total(lo, hi):
+        # the monomials summed term by term, pairwise so the reference stays fast
+        if hi - lo == 1:
+            s, a, e = terms[lo]
+            return LP.monomial(e, (-1 if s == "-" else 1) * Fraction(a))
+        mid = (lo + hi) // 2
+        return total(lo, mid) + total(mid, hi)
+
+    assert got == total(0, len(terms))
+    assert format_poly(parse_poly(format_poly(got))) == format_poly(got)
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_random_config_round_trip(d):
+    rng = random.Random(f"round-trip/{d}")
+    for k in range(60):
+        c = random_config(rng, d, VARIANTS[k % len(VARIANTS)])
+        text = format_config(c)
+        back = parse_config(text)
+        assert format_config(back) == text
+        lo, hi = random_box(rng, d)
+        assert back.block(lo, hi) == c.block(lo, hi), text
 
 
 def test_poly_errors():
