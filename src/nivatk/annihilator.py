@@ -15,7 +15,13 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .configurations import Configuration, covering_pattern, extract_pattern, window_values
+from .configurations import (
+    Configuration,
+    covering_pattern,
+    extract_pattern,
+    residue_representatives,
+    window_values,
+)
 from .decomposition import difference as pattern_difference
 from .errors import (
     DimensionMismatchError,
@@ -56,11 +62,12 @@ def find_annihilator(c: Configuration, shape: Window, sample: Window,
                      verify: Window) -> AnnihilatorReport | None:
     """Look for a dependency among the sampled patterns of the given shape.
 
-    Builds one augmented row (1, values of c on v + shape) per sample
-    anchor v, takes the exact rational kernel, and keeps the canonical
-    kernel vector: first in the reduced-echelon kernel basis, scaled to
-    coprime integers, sign chosen so g's graded-lex leading coefficient is
-    positive.  Returns None when the kernel is trivial, which certifies
+    Builds one augmented row (1, values of c on v + shape) per distinct
+    pattern at the sample anchors v, keying one anchor per residue class
+    of c.periods() when c has that lattice.  Takes the exact rational
+    kernel and keeps the canonical kernel vector: first in the
+    reduced-echelon kernel basis, scaled to coprime integers, sign chosen
+    so g's graded-lex leading coefficient is positive.  Returns None when the kernel is trivial, which certifies
     that the sampled pattern count exceeds the shape size.
     """
     if shape.dim != c.dim or sample.dim != c.dim or verify.dim != c.dim:
@@ -69,7 +76,8 @@ def find_annihilator(c: Configuration, shape: Window, sample: Window,
     if len(sample) == 0:
         raise EmptySampleError("empty sample window")
 
-    keys = set(covering_pattern(c, shape, sample).keys(shape, sample))
+    keyed = residue_representatives(c, sample)
+    keys = set(covering_pattern(c, shape, keyed).keys(shape, keyed))
     rows = sorted((1,) + tuple(itertools.chain.from_iterable(k)) for k in keys)
     kernel = nullspace_basis(rows)
     if len(rows) <= len(shape_pts):
@@ -90,7 +98,9 @@ def find_annihilator(c: Configuration, shape: Window, sample: Window,
     e1 = (1,) + (0,) * (c.dim - 1)
     f = LaurentPolynomial.difference(e1) * g
 
-    got = apply(g, c, verify).constant_value()
+    # g*c has the periods of c, so its values on the representatives of
+    # the verify window are its values on the whole window
+    got = apply(g, c, residue_representatives(c, verify)).constant_value()
     if got != constant:
         raise VerificationFailedError(
             f"g*c is not the constant {constant} on the verify window (got {got})")
@@ -214,7 +224,9 @@ def search_difference_annihilator(c: Configuration, max_factors: int,
     in [-coord_bound, coord_bound], in lexicographic order; sequences are
     nondecreasing to kill permutation symmetry, and each step shrinks the
     valid window by the step's extent.  Returns the first certificate in
-    shortest-then-lex order, re-verified before reporting, or None.
+    shortest-then-lex order that passes re-verification, or None.  A chain
+    that vanishes on the window but fails the re-check, which is exact for
+    a Periodic descriptor, is skipped and the search goes on.
     """
     if max_factors < 1:
         raise ValueError("max_factors must be >= 1")
@@ -231,7 +243,15 @@ def search_difference_annihilator(c: Configuration, max_factors: int,
     })
     base = extract_pattern(c, zero, window)
 
-    def dfs(pat, start: int, depth: int):
+    def verified(chain) -> bool:
+        product = LaurentPolynomial.one(c.dim)
+        dom = window
+        for v in chain:
+            product = product * LaurentPolynomial.difference(v)
+            dom = dom.intersect(dom.shift(v))
+        return bool(annihilates(product, c, dom))
+
+    def dfs(pat, start: int, depth: int, chain: list):
         for idx in range(start, len(steps)):
             v = steps[idx]
             try:
@@ -240,25 +260,16 @@ def search_difference_annihilator(c: Configuration, max_factors: int,
                 raise WindowTooSmallError(
                     f"window exhausted after shrinking by step {v}") from None
             if depth == 1:
-                if nxt.is_zero():
-                    return [v]
+                if nxt.is_zero() and verified(chain + [v]):
+                    return chain + [v]
             else:
-                found = dfs(nxt, idx, depth - 1)
+                found = dfs(nxt, idx, depth - 1, chain + [v])
                 if found is not None:
-                    return [v, *found]
+                    return found
         return None
 
     for length in range(1, max_factors + 1):
-        found = dfs(base, 0, length)
+        found = dfs(base, 0, length, [])
         if found is not None:
-            product = LaurentPolynomial.one(c.dim)
-            dom = window
-            for v in found:
-                product = product * LaurentPolynomial.difference(v)
-                dom = dom.intersect(dom.shift(v))
-            ver = annihilates(product, c, dom)
-            if not ver:
-                raise VerificationFailedError(
-                    f"search certificate fails re-verification at {ver.witness}")
             return found
     return None

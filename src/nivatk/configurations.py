@@ -43,6 +43,14 @@ class Configuration:
         """
         return list(map(self.value, itertools.product(*_box(self, lo, hi))))
 
+    def periods(self) -> Lattice | None:
+        """A full rank lattice of periods p, c(v + p) = c(v) for every v, or None.
+
+        Each variant certifies its lattice by construction.  None claims
+        nothing: the configuration may still be periodic.
+        """
+        return None
+
     def _check(self, v):
         if len(v) != self.dim:
             raise DimensionMismatchError(f"cell {v} vs dimension {self.dim}")
@@ -72,6 +80,9 @@ class Periodic(Configuration):
     def value(self, v) -> int:
         self._check(v)
         return self.values[self.lattice.reduce(v)]
+
+    def periods(self) -> Lattice:
+        return self.lattice
 
     def block(self, lo, hi) -> list:
         """Tile a corner: index * e_i lies in the lattice for every axis i.
@@ -111,6 +122,9 @@ class CosetIndicator(Configuration):
         diff = tuple(a - b for a, b in zip(v, self.offset))
         return self.value_on if self._sub.contains(diff) else 0
 
+    def periods(self) -> Lattice | None:
+        return self._sub if self._sub.is_full_rank else None
+
     def block(self, lo, hi) -> list:
         """Enumerate offset + L inside the box, pivot coordinate by pivot coordinate.
 
@@ -145,6 +159,11 @@ class Mechanical(Configuration):
         a = self.alpha
         # floor((m*a.a + m*a.b*sqrt(n)) / a.q) without building intermediates
         return (m * a.a + _floor_sqrt_multiple(m * a.b, a.n)) // a.q
+
+    def periods(self) -> Lattice | None:
+        """Z^d when <w, v> * alpha is 0 everywhere."""
+        zero = not any(self.weights) or self.alpha.a == self.alpha.b == 0
+        return _whole_space(self.dim) if zero else None
 
     def block(self, lo, hi) -> list:
         """One exact floor per distinct m = <w, v> in the box, then a gather.
@@ -194,6 +213,9 @@ class FiniteSupport(Configuration):
         self._check(v)
         return self.assoc.get(tuple(v), 0)
 
+    def periods(self) -> Lattice | None:
+        return None if self.assoc else _whole_space(self.dim)
+
     def block(self, lo, hi) -> list:
         return _placed(_box(self, lo, hi), self.assoc.items())
 
@@ -216,6 +238,16 @@ class Sum(Configuration):
     def value(self, v) -> int:
         self._check(v)
         return sum(k * c.value(v) for k, c in self.terms)
+
+    def periods(self) -> Lattice | None:
+        """The intersection of the terms' lattices, None if any term has none."""
+        out = None
+        for _, c in self.terms:
+            lat = c.periods()
+            if lat is None:
+                return None
+            out = lat if out is None else out.intersect(lat)
+        return out
 
     def block(self, lo, hi) -> list:
         out = None
@@ -241,10 +273,18 @@ class ValueMap(Configuration):
     def value(self, v) -> int:
         return self.mapping.get(self.inner.value(v), self.default)
 
+    def periods(self) -> Lattice | None:
+        return self.inner.periods()
+
     def block(self, lo, hi) -> list:
         inner = self.inner.block(lo, hi)
         recode = {x: self.mapping.get(x, self.default) for x in set(inner)}
         return list(map(recode.__getitem__, inner))
+
+
+def _whole_space(dim: int) -> Lattice:
+    """Z^dim, the periods of a constant configuration."""
+    return Lattice([tuple(int(i == j) for j in range(dim)) for i in range(dim)])
 
 
 def _box(c: Configuration, lo, hi):
@@ -346,16 +386,7 @@ class Pattern:
         flattened it is the sequence of values in shape order.  Every
         anchor + shape must lie inside the box.
         """
-        runs = []
-        for u in shape:
-            off = vec_dot(u, self.strides)
-            if runs and runs[-1][1] == off:
-                runs[-1][1] = off + 1
-            else:
-                runs.append([off, off + 1])
-        cells = self.cells
-        for b in self.indices(anchors):
-            yield tuple([cells[b + start:b + stop] for start, stop in runs])
+        return _slice_keys(self.cells, self.strides, shape, self.indices(anchors))
 
     def indices(self, window: Window):
         """Flat index in a box pattern of every cell of the window, lazily, in window order."""
@@ -392,11 +423,75 @@ def window_values(c: Configuration, window: Window) -> list:
     return Pattern(Window.box(lo, hi), c.block(lo, hi)).on(window)
 
 
-def covering_pattern(c: Configuration, shape: Window, anchors: Window) -> Pattern:
-    """The box pattern of c on the smallest box holding anchor + shape for all anchors."""
+def _slice_keys(cells: tuple, strides, shape: Window, bases):
+    """Pattern keys read from a flat row-major layout, one per base index."""
+    runs = []
+    for u in shape:
+        off = vec_dot(u, strides)
+        if runs and runs[-1][1] == off:
+            runs[-1][1] = off + 1
+        else:
+            runs.append([off, off + 1])
+    for b in bases:
+        yield tuple([cells[b + start:b + stop] for start, stop in runs])
+
+
+class _AnchorBlocks:
+    """Box patterns of c on anchor + cover, one per anchor, laid end to end.
+
+    keys(shape, anchors) reads them as a box Pattern's keys would, for the
+    anchors it was built on and any shape inside the box cover.
+    """
+
+    __slots__ = ("cells", "strides", "bases")
+
+    def __init__(self, c: Configuration, cover: Window, anchors: Window):
+        self.strides = _strides([range(a, b + 1) for a, b in zip(cover.lo, cover.hi)])
+        origin = vec_dot(cover.lo, self.strides)
+        cells, self.bases = [], {}
+        for a in anchors:
+            self.bases[a] = len(cells) - origin
+            cells += c.block(vec_add(a, cover.lo), vec_add(a, cover.hi))
+        self.cells = tuple(cells)
+
+    def keys(self, shape: Window, anchors: Window):
+        return _slice_keys(self.cells, self.strides, shape, map(self.bases.__getitem__, anchors))
+
+
+def covering_pattern(c: Configuration, shape: Window, anchors: Window):
+    """Values of c holding anchor + shape for every anchor, keyed by .keys(s, anchors).
+
+    The keys serve every shape s inside the bounding box of shape.  The
+    values come from one box over all anchors, or from one block per
+    anchor when that box holds more cells than the blocks together, as it
+    can for an explicit anchor window spread far apart.
+    """
     (alo, ahi), (slo, shi) = anchors.bounds(), shape.bounds()
     lo, hi = vec_add(alo, slo), vec_add(ahi, shi)
-    return Pattern(Window.box(lo, hi), c.block(lo, hi))
+    box, cover = Window.box(lo, hi), Window.box(slo, shi)
+    if len(box) > len(anchors) * len(cover):
+        return _AnchorBlocks(c, cover, anchors)
+    return Pattern(box, c.block(lo, hi))
+
+
+def residue_representatives(c: Configuration, anchors: Window) -> Window:
+    """The first anchor of each residue class of c.periods(), in anchor order.
+
+    Anchors in one class see the same pattern of every shape, so keying
+    only these gives the same sequence of first-seen keys, and with it the
+    same counts and early exits.  The scan stops once every class has been
+    seen.  Without a certified lattice the anchors come back unchanged.
+    """
+    lattice = c.periods()
+    if lattice is None:
+        return anchors
+    classes = lattice.index()
+    first = {}
+    for a in anchors:
+        first.setdefault(lattice.reduce(a), a)
+        if len(first) == classes:
+            break
+    return Window.from_points(first.values())
 
 
 def count_distinct(keys, limit: int | None = None) -> int:
@@ -426,9 +521,10 @@ def pattern_complexity(
 
     For a Periodic descriptor the anchor set is internally replaced by one
     fundamental domain, which covers every translate, so the count is exact.
-    Otherwise anchors range over the sample window and the count is a
-    certified lower bound.  stop_after aborts the scan once the count
-    exceeds that many patterns (the result is then marked inexact).
+    Otherwise anchors range over the sample window, one per residue class
+    of c.periods() when that lattice exists, and the count is a certified
+    lower bound.  stop_after aborts the scan once the count exceeds that
+    many patterns (the result is then marked inexact).
     """
     if shape.dim != c.dim:
         raise DimensionMismatchError("shape vs configuration dimension")
@@ -436,15 +532,15 @@ def pattern_complexity(
         raise EmptyShapeError("empty shape")
 
     if isinstance(c, Periodic) and stop_after is None:
-        anchors = Window.from_points(c.lattice.residues())
+        anchors = keyed = Window.from_points(c.lattice.residues())
         exact = True
     else:
         if sample is None or len(sample) == 0:
             raise EmptySampleError("a sample window is required here")
-        anchors = sample
+        anchors, keyed = sample, residue_representatives(c, sample)
         exact = False
 
-    count = count_distinct(covering_pattern(c, shape, anchors).keys(shape, anchors), stop_after)
+    count = count_distinct(covering_pattern(c, shape, keyed).keys(shape, keyed), stop_after)
     return ComplexityResult(count, exact, anchors)
 
 

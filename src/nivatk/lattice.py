@@ -243,6 +243,24 @@ class Lattice:
             v = vec_sub(v, vec_scale(v[c] // row[c], row))
         return v
 
+    def intersect(self, other: "Lattice") -> "Lattice":
+        """The lattice of vectors lying in both, by an integer kernel.
+
+        The rows (g | g) for the generators g of self and (0 | h) for those
+        of other span the pairs (x, x + y) with x in self and y in other.
+        Triangularised with the second half last, the basis rows with a zero
+        second half span the pairs with x = -y, whose first halves are the
+        intersection (the Hermite normal form argument of Cohen, A Course
+        in Computational Algebraic Number Theory, 2.4).  Raises
+        ZeroVectorError when the intersection is {0}.
+        """
+        if other.dim != self.dim:
+            raise DimensionMismatchError(f"lattices of dimension {self.dim} and {other.dim}")
+        d = self.dim
+        rows = [g + g for g in self.generators] + [(0,) * d + h for h in other.generators]
+        pivots = _triangular_basis(rows, 2 * d)
+        return Lattice([pivots[c][:d] for c in sorted(pivots) if c < d])
+
     def residues(self):
         """Canonical residue cells, the integer box under the pivot entries."""
         if not self.is_full_rank:

@@ -13,7 +13,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .configurations import Configuration, count_distinct, covering_pattern, periodicity_test
+from .configurations import (
+    Configuration,
+    count_distinct,
+    covering_pattern,
+    periodicity_test,
+    residue_representatives,
+)
 from .errors import (
     BlockTooSmallError,
     DegenerateDirectionError,
@@ -171,9 +177,11 @@ def nivat_scan(c: Configuration, M_range, N_range, sample: Window) -> list:
     For every (M, N) the count of distinct M x N blocks anchored in the
     sample is accumulated until it exceeds M*N (verdict ExceedsMN) or the
     sample is exhausted (verdict Inconclusive, count = full sampled value).
-    Inconclusive never asserts the threshold is met globally.  One box
-    pattern covering the largest block at every anchor is filled once and
-    shared by all block sizes; rows come in M-major order.
+    Inconclusive never asserts the threshold is met globally.  Only the
+    first anchor of each residue class of c.periods() is keyed, which
+    leaves every count unchanged.  One pattern covering the largest block
+    at every keyed anchor is filled once and shared by all block sizes;
+    rows come in M-major order.
     """
     Ms = [int(M) for M in M_range]
     Ns = [int(N) for N in N_range]
@@ -184,13 +192,14 @@ def nivat_scan(c: Configuration, M_range, N_range, sample: Window) -> list:
     if c.dim != 2 or sample.dim != 2:
         raise DimensionMismatchError("scan works on two-dimensional data")
 
-    table = covering_pattern(c, Window.box((0, 0), (max(Ms) - 1, max(Ns) - 1)), sample)
+    anchors = residue_representatives(c, sample)
+    table = covering_pattern(c, Window.box((0, 0), (max(Ms) - 1, max(Ns) - 1)), anchors)
     rows = []
     for M in Ms:
         for N in Ns:
             threshold = M * N
             count = count_distinct(
-                table.keys(Window.box((0, 0), (M - 1, N - 1)), sample), threshold)
+                table.keys(Window.box((0, 0), (M - 1, N - 1)), anchors), threshold)
             verdict = "ExceedsMN" if count > threshold else "Inconclusive"
             rows.append(ScanRow(M, N, count, threshold, verdict))
     return rows

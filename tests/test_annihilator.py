@@ -190,6 +190,21 @@ def test_search_returns_none_for_sturmian_rows():
     assert steps is None
 
 
+def test_search_skips_a_chain_that_fails_the_exact_check():
+    lat = Lattice([(3, 0), (0, 3)])
+    ones = {(0, 1), (0, 2), (2, 1)}
+    c = Periodic(lat, {r: int(r in ones) for r in lat.residues()})
+    window = Window.box((0, 0), (4, 5))
+    # the first chain in shortest-then-lex order vanishes on the window only
+    local = LP.difference((2, -1)) * LP.difference((2, 0))
+    assert apply(local, c, Window.box((4, 0), (4, 4))).is_zero()
+    assert not annihilates(local, c, window)
+    steps = search_difference_annihilator(c, 3, 2, window)
+    assert steps == [(0, 1), (1, -2), (1, 0)]
+    f = LP.difference((0, 1)) * LP.difference((1, -2)) * LP.difference((1, 0))
+    assert annihilates(f, c, window).status == "exact"
+
+
 def test_search_result_is_a_certificate():
     c = binary_irrational_2d()
     steps = search_difference_annihilator(c, 3, 1, Window.box((0, 0), (59, 59)))

@@ -226,3 +226,18 @@ def test_python_dash_m_matches_run(cfg, capsys):
         proc = subprocess.run([sys.executable, "-m", "nivatk", *argv],
                               capture_output=True, text=True, env=env, timeout=60)
         assert (proc.returncode, proc.stdout) == (code, want)
+
+
+def test_search_skips_a_certificate_true_only_on_the_window(capsys):
+    # a chain vanishes on the 3 x 2 window but not on the whole board; the
+    # search skips it and runs out of window, and on a 12 x 12 window it
+    # finds no certificate at all
+    board = ("periodic lattice{(6,0) (3,1)} values{(0,0):0 (1,0):1 (2,0):1 "
+             "(3,0):1 (4,0):1 (5,0):0}")
+    argv = ["search", "--config", board, "--max-factors", "2", "--coord-bound", "1"]
+    assert run([*argv, "--window", "3x2"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: window exhausted after shrinking by step (0, 1)\n"
+    assert run([*argv, "--window", "12x12"]) == 0
+    assert capsys.readouterr().out == "found=false\n"

@@ -151,6 +151,37 @@ def test_annihilates_window_only_for_aperiodic():
     assert res.status == "window"
 
 
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_exact_and_windowed_annihilates_agree_on_periodic_inputs(d):
+    # the same board as a bare Periodic (checked on one fundamental domain)
+    # and as a one-term Sum (checked on a window); any box at least as wide
+    # as the pivots holds a full residue system, so the answers must agree
+    rng = random.Random(f"annihilates/{d}")
+    seen = set()
+    for _ in range(40):
+        gens = []
+        for i in range(d):
+            gens.append(tuple(0 if j < i else rng.randint(1, 3) if j == i else rng.randint(-2, 2)
+                              for j in range(d)))
+        lat = Lattice(gens)
+        c = Periodic(lat, {r: rng.randint(0, 2) for r in lat.residues()})
+        f = rand_poly(rng, dim=d, max_terms=3, coord=2, coeff=2)
+        if rng.random() < 0.5:
+            f = f * LP.difference(rng.choice(lat.basis()))
+        pivots = [row[i] for i, row in enumerate(lat.basis())]
+        lo = tuple(rng.randint(-9, 9) for _ in range(d))
+        window = Window.box(lo, tuple(a + p - 1 + rng.randint(0, 2) for a, p in zip(lo, pivots)))
+        exact = annihilates(f, c, window)
+        windowed = annihilates(f, Sum([(1, c)]), window)
+        assert exact.status in ("exact", "no") and windowed.status in ("window", "no")
+        assert bool(exact) == bool(windowed), (f, lat, window)
+        for res in (exact, windowed):
+            if not res:
+                assert apply(f, c, Window.box(res.witness, res.witness)).cells != (0,)
+        seen.add(bool(exact))
+    assert seen == {True, False}
+
+
 def test_newton_polygon_directions_square():
     f = LP.difference((1, 0)) * LP.difference((0, 1))
     assert newton_polygon_directions(f) == ((0, 1), (1, 0))

@@ -1,0 +1,296 @@
+"""Certified period lattices and the counts keyed on one anchor per class.
+
+Configuration.periods() returns a full rank lattice of periods or None;
+every certified lattice is checked cell by cell on seeded random
+descriptors of all six variants.  Lattice.intersect is checked against
+brute-force membership on a box.  Each counting site that keys one anchor
+per residue class (nivat_scan, sampled pattern_complexity and
+find_annihilator) is compared with the same call keying every anchor.
+"""
+
+import itertools
+import random
+
+import pytest
+
+import nivatk.annihilator
+import nivatk.configurations
+import nivatk.nivat
+from nivatk.annihilator import find_annihilator
+from nivatk.configurations import (
+    Configuration,
+    CosetIndicator,
+    FiniteSupport,
+    Mechanical,
+    Periodic,
+    Sum,
+    ValueMap,
+    covering_pattern,
+    extract_pattern,
+    pattern_complexity,
+    residue_representatives,
+)
+from nivatk.errors import VerificationFailedError, ZeroVectorError
+from nivatk.lattice import Lattice, Window, vec_add
+from nivatk.nivat import nivat_scan
+from nivatk.quadratic import QuadraticReal
+
+from test_block import VARIANTS, _triangular_generators, random_config
+
+
+def random_cell(rng, d):
+    return tuple(rng.randint(-20, 20) for _ in range(d))
+
+
+# --- soundness ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_periods_are_periods(variant, d):
+    rng = random.Random(f"periods/{variant}/{d}")
+    certified = 0
+    for _ in range(40):
+        c = random_config(rng, d, variant)
+        lattice = c.periods()
+        if lattice is None:
+            continue
+        certified += 1
+        assert lattice.dim == d and lattice.is_full_rank
+        for p in lattice.basis():
+            for _ in range(6):
+                v = random_cell(rng, d)
+                assert c.value(vec_add(v, p)) == c.value(v), (c, p, v)
+    if variant in ("periodic", "sum", "valuemap"):
+        assert certified > 0
+
+
+def test_periods_by_variant():
+    lat = Lattice([(2, 0), (1, 3)])
+    assert Periodic(lat, {r: 1 for r in lat.residues()}).periods() == lat
+    assert CosetIndicator((1, 2), [(2, 0), (1, 3)], 4).periods() == lat
+    assert CosetIndicator((1, 2), [(2, 1)], 4).periods() is None
+    whole = Lattice([(1, 0), (0, 1)])
+    assert Mechanical((0, 0), QuadraticReal.sqrt(2)).periods() == whole
+    assert Mechanical((1, 2), QuadraticReal.from_fraction(0)).periods() == whole
+    assert Mechanical((1, 2), QuadraticReal.sqrt(2)).periods() is None
+    assert FiniteSupport({}, dim=2).periods() == whole
+    assert FiniteSupport({(0, 0): 1}).periods() is None
+    other = Lattice([(3, 0), (0, 2)])
+    two = Sum([(1, Periodic(lat, {r: 1 for r in lat.residues()})),
+               (2, Periodic(other, {r: r[0] for r in other.residues()}))])
+    assert two.periods() == lat.intersect(other)
+    assert Sum([(1, two), (1, Mechanical((1, 0), QuadraticReal.sqrt(2)))]).periods() is None
+    assert ValueMap(two, {0: 1}, 0).periods() == two.periods()
+
+
+# --- Lattice.intersect ----------------------------------------------------------
+
+
+def random_lattice(rng, d, rank):
+    gens = _triangular_generators(rng, d, rank)
+    # a unimodular mix, so that the generators are not already triangular
+    for _ in range(2):
+        i, j = rng.sample(range(rank), 2) if rank > 1 else (0, 0)
+        if i != j:
+            k = rng.randint(-2, 2)
+            gens[i] = tuple(a + k * b for a, b in zip(gens[i], gens[j]))
+    return Lattice(gens)
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_intersect_matches_membership(d):
+    rng = random.Random(f"intersect/{d}")
+    radius = {1: 40, 2: 12, 3: 6}[d]
+    box = list(itertools.product(range(-radius, radius + 1), repeat=d))
+    for _ in range(30):
+        a = random_lattice(rng, d, rng.randint(1, d))
+        b = random_lattice(rng, d, rng.randint(1, d))
+        both = [v for v in box if a.contains(v) and b.contains(v)]
+        try:
+            meet = a.intersect(b)
+        except ZeroVectorError:
+            assert both == [(0,) * d], (a, b)
+            continue
+        assert [v for v in box if meet.contains(v)] == both, (a, b)
+        assert meet == b.intersect(a)
+        if a.is_full_rank and b.is_full_rank:
+            assert meet.is_full_rank
+
+
+# --- the representatives --------------------------------------------------------
+
+
+def test_representatives_are_first_of_each_class():
+    rng = random.Random("representatives")
+    for _ in range(30):
+        lat = Lattice(_triangular_generators(rng, 2, 2))
+        c = Periodic(lat, {r: rng.randint(0, 2) for r in lat.residues()})
+        if rng.random() < 0.5:
+            lo = (rng.randint(-9, 9), rng.randint(-9, 9))
+            anchors = Window.box(lo, vec_add(lo, (rng.randint(0, 5), rng.randint(0, 5))))
+        else:
+            anchors = Window.from_points([random_cell(rng, 2) for _ in range(rng.randint(1, 15))])
+        first = {}
+        for a in anchors:
+            first.setdefault(lat.reduce(a), a)
+        reps = residue_representatives(c, anchors)
+        assert not reps.is_box
+        assert list(reps) == sorted(first.values())
+
+
+def test_representatives_without_periods_are_the_anchors():
+    anchors = Window.box((0, 0), (9, 9))
+    c = Mechanical((1, 1), QuadraticReal.sqrt(2))
+    assert residue_representatives(c, anchors) is anchors
+
+
+# --- the rerouted sites, with and without the representatives -------------------
+
+
+class Recorder(Configuration):
+    """Delegates to an inner descriptor and counts the cells of every block."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dim = inner.dim
+        self.cells = 0
+
+    def value(self, v):
+        return self.inner.value(v)
+
+    def block(self, lo, hi):
+        self.cells += len(Window.box(lo, hi))
+        return self.inner.block(lo, hi)
+
+    def periods(self):
+        return self.inner.periods()
+
+
+@pytest.fixture
+def every_anchor(monkeypatch):
+    """Key every anchor: the helper replaced by the identity at each site."""
+    def keyed(c, anchors):
+        return anchors
+
+    for module in (nivatk.configurations, nivatk.nivat, nivatk.annihilator):
+        monkeypatch.setattr(module, "residue_representatives", keyed)
+
+
+def board(rng, generators=None):
+    lat = Lattice(generators or _triangular_generators(rng, 2, 2))
+    return Periodic(lat, {r: rng.randint(0, 3) for r in lat.residues()})
+
+
+def periodic_inputs(rng):
+    """Periodic descriptors, certified non-Periodic ones, and two on different lattices."""
+    c = board(rng)
+    yield c
+    yield ValueMap(c, {0: 1, 1: 0}, 2)
+    yield CosetIndicator((rng.randint(-3, 3), 1), [(rng.randint(1, 4), 0), (1, 2)], 3)
+    yield Sum([(1, board(rng, [(2, 0), (1, 3)])), (2, board(rng, [(3, 0), (0, 2)]))])
+
+
+def samples(rng):
+    yield Window.box((-3, -2), (12, 10))
+    yield Window.from_points([random_cell(rng, 2) for _ in range(12)])
+    # a single row and a single residue class: most classes are missed
+    yield Window.box((0, 0), (0, 5))
+    yield Window.from_points([(6 * k, 12 * k) for k in range(-2, 3)])
+
+
+def each_case(seed):
+    rng = random.Random(seed)
+    for _ in range(6):
+        for c in periodic_inputs(rng):
+            for sample in samples(rng):
+                yield c, sample
+
+
+def run_both(request, call):
+    """The call on every case, keying one anchor per class, then every anchor."""
+    got = [call(c, s) for c, s in each_case("sites")]
+    request.getfixturevalue("every_anchor")
+    want = [call(c, s) for c, s in each_case("sites")]
+    return got, want
+
+
+def test_nivat_scan_with_and_without_representatives(request):
+    got, want = run_both(request, lambda c, s: nivat_scan(c, range(1, 4), range(1, 4), s))
+    assert got == want
+    verdicts = {r.verdict for rows in got for r in rows}
+    assert verdicts == {"ExceedsMN", "Inconclusive"}
+
+
+def test_pattern_complexity_with_and_without_representatives(request):
+    shapes = (Window.box((0, 0), (1, 2)), Window.from_points([(0, 0), (1, 0), (0, 2)]))
+
+    def call(c, sample):
+        return [pattern_complexity(c, shape, sample, stop_after=limit)
+                for shape in shapes for limit in (None, 2)]
+
+    got, want = run_both(request, call)
+    assert got == want
+
+
+def test_find_annihilator_with_and_without_representatives(request):
+    shape = Window.box((0, 0), (1, 1))
+
+    def call(c, sample):
+        try:
+            rep = find_annihilator(c, shape, sample, Window.box((-4, -4), (8, 8)))
+        except VerificationFailedError as exc:
+            return str(exc)
+        return None if rep is None else (rep.g, rep.constant, rep.f)
+
+    got, want = run_both(request, call)
+    assert got == want
+    assert any(isinstance(x, tuple) for x in got) and None in got
+    # the verify window holds every residue class, so only the g*c check on
+    # it can fail: f*c then vanishes on the whole board
+    assert {x[:3] for x in got if isinstance(x, str)} == {"g*c"}
+
+
+def test_scan_keys_one_anchor_per_class():
+    # the scan fills one block around a few anchors, not the 60 x 60 sample
+    lat = Lattice([(2, 0), (1, 2)])
+    inner = Periodic(lat, {r: sum(r) % 3 for r in lat.residues()})
+    c = Recorder(inner)
+    rows = nivat_scan(c, range(2, 9), range(2, 9), Window.box((0, 0), (59, 59)))
+    assert c.cells <= len(Window.box((0, 0), (8, 8))) * lat.index()
+    assert [r.lower_bound_count for r in rows] == [
+        pattern_complexity(inner, Window.box((0, 0), (r.M - 1, r.N - 1))).count for r in rows]
+
+
+# --- covering_pattern on spread-out anchors -------------------------------------
+
+
+def binary_irrational():
+    r2 = QuadraticReal.sqrt(2)
+    return Sum([(1, Mechanical((1, 1), r2)), (-1, Mechanical((1, 0), r2)),
+                (-1, Mechanical((0, 1), r2))])
+
+
+@pytest.mark.parametrize("span", (60, 1200))
+def test_covering_pattern_fills_one_block_per_spread_anchor(span):
+    c = Recorder(binary_irrational())
+    anchors = Window.from_points([(0, 0), (span, 7), (3, span)])
+    cover = Window.box((0, 0), (3, 3))
+    table = covering_pattern(c, cover, anchors)
+    assert c.cells <= len(anchors) * len(cover)
+    for shape in (cover, Window.box((1, 0), (2, 3)), Window.from_points([(0, 0), (3, 1), (2, 2)])):
+        keys = [tuple(itertools.chain.from_iterable(k)) for k in table.keys(shape, anchors)]
+        assert keys == [extract_pattern(c.inner, a, shape).key() for a in anchors]
+    c.cells = 0
+    shape = Window.box((0, 0), (2, 2))
+    assert pattern_complexity(c, shape, anchors).count == len(
+        {extract_pattern(c.inner, a, shape).key() for a in anchors})
+    assert c.cells <= len(anchors) * len(shape)
+
+
+def test_covering_pattern_keeps_one_box_for_dense_anchors():
+    c = Recorder(binary_irrational())
+    anchors = Window.box((-2, 3), (9, 7))
+    shape = Window.box((0, 0), (2, 1))
+    covering_pattern(c, shape, anchors)
+    assert c.cells == len(Window.box((-2, 3), (11, 8)))
