@@ -243,12 +243,9 @@ def search_difference_annihilator(c: Configuration, max_factors: int,
     })
     base = extract_pattern(c, zero, window)
 
-    def verified(chain) -> bool:
-        product = LaurentPolynomial.one(c.dim)
-        dom = window
-        for v in chain:
-            product = product * LaurentPolynomial.difference(v)
-            dom = dom.intersect(dom.shift(v))
+    def verified(chain, dom: Window) -> bool:
+        product = math.prod(map(LaurentPolynomial.difference, chain),
+                            start=LaurentPolynomial.one(c.dim))
         return bool(annihilates(product, c, dom))
 
     def dfs(pat, start: int, depth: int, chain: list):
@@ -260,7 +257,7 @@ def search_difference_annihilator(c: Configuration, max_factors: int,
                 raise WindowTooSmallError(
                     f"window exhausted after shrinking by step {v}") from None
             if depth == 1:
-                if nxt.is_zero() and verified(chain + [v]):
+                if nxt.is_zero() and verified(chain + [v], nxt.shape):
                     return chain + [v]
             else:
                 found = dfs(nxt, idx, depth - 1, chain + [v])

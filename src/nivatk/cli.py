@@ -21,6 +21,7 @@ from .lattice import Lattice, Window
 from .laurent import LaurentPolynomial, annihilates, line_factorization
 from .nivat import bound_two_directions, corollary_report, nivat_scan, scan_csv
 from .textio import (
+    _format_vector,
     format_poly,
     parse_config,
     parse_poly,
@@ -68,12 +69,8 @@ def _text_or_file(arg: str) -> str:
     return arg
 
 
-def _fmt_vec(v) -> str:
-    return "(" + ",".join(str(x) for x in v) + ")"
-
-
 def _fmt_vecs(vs) -> str:
-    return ";".join(_fmt_vec(v) for v in vs)
+    return ";".join(_format_vector(v) for v in vs)
 
 
 def _bool(b) -> str:
@@ -89,9 +86,7 @@ def _parse_range(text: str):
 
 
 def _load_config(args) -> Configuration:
-    if os.path.isfile(args.config):
-        return read_config_file(args.config).config
-    return parse_config(_strip_comments(args.config))
+    return parse_config(_strip_comments(_text_or_file(args.config)))
 
 
 def _cmd_complexity(args) -> int:
@@ -127,7 +122,7 @@ def _cmd_verify(args) -> int:
     if res:
         print(f"annihilates=true status={res.status}")
         return 0
-    print(f"annihilates=false witness={_fmt_vec(res.witness)}")
+    print(f"annihilates=false witness={_format_vector(res.witness)}")
     return 1
 
 
@@ -165,16 +160,16 @@ def _cmd_decompose(args) -> int:
     print(f"integral={_bool(dec.integral)}")
     for i, comp in enumerate(dec.components):
         nonzero = sum(1 for v in comp.cells if v != 0)
-        print(f"component {i}: step={_fmt_vec(dec.vectors[i])} nonzero={nonzero}")
+        print(f"component {i}: step={_format_vector(dec.vectors[i])} nonzero={nonzero}")
     return 0
 
 
 def _cmd_lines(args) -> int:
     f = parse_poly(_text_or_file(args.poly))
     lf = line_factorization(f)
-    print(f"monomial={_fmt_vec(lf.monomial)}")
+    print(f"monomial={_format_vector(lf.monomial)}")
     for i, (v, phi) in enumerate(lf.factors):
-        print(f"factor {i}: direction={_fmt_vec(v)} poly={format_poly(phi)}")
+        print(f"factor {i}: direction={_format_vector(v)} poly={format_poly(phi)}")
     print(f"remainder={format_poly(lf.remainder)}")
     print(f"directions={_fmt_vecs(lf.directions)}")
     return 0
@@ -194,7 +189,7 @@ def _cmd_bounds(args) -> int:
         f = parse_poly(_text_or_file(args.poly))
         lf = line_factorization(f)
         rep = corollary_report(f, lf, args.M, args.N)
-        print(f"bbox={_fmt_vec(rep.bbox_f)}")
+        print(f"bbox={_format_vector(rep.bbox_f)}")
         for name, value in rep.bounds:
             tag = " conditional" if name in rep.conditional else ""
             print(f"{name}={value}{tag}")
@@ -224,7 +219,7 @@ def _cmd_tile_verify(args) -> int:
     if res:
         print("status=Valid")
         return 0
-    print(f"status={res.status} witness={_fmt_vec(res.witness)}")
+    print(f"status={res.status} witness={_format_vector(res.witness)}")
     return 1
 
 

@@ -51,6 +51,17 @@ class Configuration:
         """
         return None
 
+    def exact_domain(self) -> Window | None:
+        """Cells whose values settle every translation invariant question, or None.
+
+        Pattern counts, annihilation and period checks read this window and
+        are labelled exact; without it they certify only the caller's
+        window or sample.  A Sum, ValueMap or CosetIndicator with a full
+        rank periods() is settled by its residue box just the same, but
+        they keep None so that their printed answers keep their labels.
+        """
+        return None
+
     def _check(self, v):
         if len(v) != self.dim:
             raise DimensionMismatchError(f"cell {v} vs dimension {self.dim}")
@@ -83,6 +94,11 @@ class Periodic(Configuration):
 
     def periods(self) -> Lattice:
         return self.lattice
+
+    def exact_domain(self) -> Window:
+        """The box under the lattice's pivots: lattice.residues(), in the same order."""
+        hi = [row[i] - 1 for i, row in enumerate(self.lattice.basis())]
+        return Window.box((0,) * self.dim, hi)
 
     def block(self, lo, hi) -> list:
         """Tile a corner: index * e_i lies in the lattice for every axis i.
@@ -369,14 +385,11 @@ class Pattern:
 
     def on(self, window: Window) -> list:
         """The values on a window inside this one, in that window's order."""
-        if self.strides is None:
+        if self.strides is None or not window.is_box:
             return list(map(self.values.__getitem__, window))
-        cells = self.cells
-        if not window.is_box:
-            return list(map(cells.__getitem__, self.indices(window)))
         n = window.hi[-1] - window.lo[-1] + 1
         starts = self.indices(Window.box(window.lo, window.hi[:-1] + window.lo[-1:]))
-        return list(itertools.chain.from_iterable(cells[b:b + n] for b in starts))
+        return list(itertools.chain.from_iterable(self.cells[b:b + n] for b in starts))
 
     def keys(self, shape: Window, anchors: Window):
         """Yield one hashable pattern key per anchor, lazily, in anchor order.
@@ -416,11 +429,21 @@ def extract_pattern(c: Configuration, anchor, shape: Window) -> Pattern:
 
 
 def window_values(c: Configuration, window: Window) -> list:
-    """Values of c on the window's cells, in window order, from one block."""
-    lo, hi = window.bounds()
+    """Values of c on the window's cells, in window order.
+
+    A box is one block.  An explicit window is one block per run of cells
+    consecutive along the last axis, so the cost follows its cells, not
+    its bounding box.
+    """
     if window.is_box:
-        return c.block(lo, hi)
-    return Pattern(Window.box(lo, hi), c.block(lo, hi)).on(window)
+        return c.block(window.lo, window.hi)
+    runs = []
+    for p in window:
+        if runs and runs[-1][1][:-1] == p[:-1] and runs[-1][1][-1] + 1 == p[-1]:
+            runs[-1][1] = p
+        else:
+            runs.append([p, p])
+    return list(itertools.chain.from_iterable(c.block(lo, hi) for lo, hi in runs))
 
 
 def _slice_keys(cells: tuple, strides, shape: Window, bases):
@@ -494,12 +517,12 @@ def residue_representatives(c: Configuration, anchors: Window) -> Window:
     return Window.from_points(first.values())
 
 
-def count_distinct(keys, limit: int | None = None) -> int:
+def count_distinct(keys, limit: int) -> int:
     """Number of distinct keys, stopping as soon as it exceeds limit."""
     seen = set()
     for key in keys:
         seen.add(key)
-        if limit is not None and len(seen) > limit:
+        if len(seen) > limit:
             break
     return len(seen)
 
@@ -511,37 +534,28 @@ class ComplexityResult:
     sample_window: Window
 
 
-def pattern_complexity(
-    c: Configuration,
-    shape: Window,
-    sample: Window | None = None,
-    stop_after: int | None = None,
-) -> ComplexityResult:
+def pattern_complexity(c: Configuration, shape: Window,
+                       sample: Window | None = None) -> ComplexityResult:
     """Number of distinct patterns of the given shape.
 
-    For a Periodic descriptor the anchor set is internally replaced by one
-    fundamental domain, which covers every translate, so the count is exact.
-    Otherwise anchors range over the sample window, one per residue class
-    of c.periods() when that lattice exists, and the count is a certified
-    lower bound.  stop_after aborts the scan once the count exceeds that
-    many patterns (the result is then marked inexact).
+    Where c.exact_domain() is a window it replaces the anchors: it covers
+    every translate, so the count is exact.  Otherwise anchors range over
+    the sample window, one per residue class of c.periods() when that
+    lattice exists, and the count is a certified lower bound.
     """
     if shape.dim != c.dim:
         raise DimensionMismatchError("shape vs configuration dimension")
     if len(shape) == 0:
         raise EmptyShapeError("empty shape")
 
-    if isinstance(c, Periodic) and stop_after is None:
-        anchors = keyed = Window.from_points(c.lattice.residues())
-        exact = True
-    else:
-        if sample is None or len(sample) == 0:
-            raise EmptySampleError("a sample window is required here")
-        anchors, keyed = sample, residue_representatives(c, sample)
-        exact = False
+    domain = c.exact_domain()
+    if domain is None and (sample is None or len(sample) == 0):
+        raise EmptySampleError("a sample window is required here")
+    anchors = sample if domain is None else domain
+    keyed = residue_representatives(c, sample) if domain is None else domain
 
-    count = count_distinct(covering_pattern(c, shape, keyed).keys(shape, keyed), stop_after)
-    return ComplexityResult(count, exact, anchors)
+    count = len(set(covering_pattern(c, shape, keyed).keys(shape, keyed)))
+    return ComplexityResult(count, domain is not None, anchors)
 
 
 # --- periodicity ------------------------------------------------------------
@@ -556,10 +570,10 @@ class PeriodicityResult:
 def periodicity_test(c: Configuration, v, sample: Window | None = None) -> PeriodicityResult:
     """Is v a translation period of c?
 
-    Exact for Periodic descriptors: v in the lattice is immediately a
-    period, and otherwise comparing one fundamental domain against its
-    translate decides the question for the whole plane.  Other descriptors
-    are scanned over the sample and can only refute or stay unknown.
+    Where c.exact_domain() is a window, c(u + v) - c(u) has the periods
+    of c, so comparing that domain against its translate decides the
+    question for the whole of Z^d.  Otherwise the sample is scanned, which
+    can only refute or stay unknown.
     """
     v = tuple(int(a) for a in v)
     if len(v) != c.dim:
@@ -567,17 +581,10 @@ def periodicity_test(c: Configuration, v, sample: Window | None = None) -> Perio
     if is_zero_vector(v):
         raise ZeroVectorError("the zero vector is not a period candidate")
 
-    if isinstance(c, Periodic):
-        if c.lattice.contains(v):
-            return PeriodicityResult("periodic")
-        for r in c.lattice.residues():
-            if c.value(r) != c.value(vec_add(r, v)):
-                return PeriodicityResult("not-periodic", witness=r)
-        return PeriodicityResult("periodic")
-
-    if sample is None or len(sample) == 0:
+    domain = c.exact_domain()
+    if domain is None and (sample is None or len(sample) == 0):
         raise EmptySampleError("non-periodic descriptors need a sample window")
-    for u in sample:
+    for u in sample if domain is None else domain:
         if c.value(u) != c.value(vec_add(u, v)):
             return PeriodicityResult("not-periodic", witness=u)
-    return PeriodicityResult("unknown")
+    return PeriodicityResult("unknown" if domain is None else "periodic")

@@ -20,7 +20,7 @@ from .errors import (
     ZeroPolynomialError,
     ZeroVectorError,
 )
-from .configurations import Configuration, Pattern, Periodic, window_values
+from .configurations import Configuration, Pattern, window_values
 from .lattice import (
     Window,
     canonical_sign,
@@ -300,17 +300,17 @@ class AnnihilationResult:
 def annihilates(f: LaurentPolynomial, c: Configuration, window: Window) -> AnnihilationResult:
     """Does f*c vanish?
 
-    For Periodic configurations f*c inherits the lattice periods, so
-    checking one fundamental domain settles the whole of Z^d and the answer
-    is exact.  Otherwise the window is scanned and a clean pass only
-    certifies the window itself.
+    f*c inherits the periods of c, so where c.exact_domain() is a window,
+    checking it settles the whole of Z^d and the answer is exact.
+    Otherwise the window is scanned and a clean pass only certifies the
+    window itself.
     """
-    exact = isinstance(c, Periodic)
-    domain = Window.from_points(c.lattice.residues()) if exact else window
-    for u, x in zip(domain, apply(f, c, domain).cells):
+    domain = c.exact_domain()
+    cells = window if domain is None else domain
+    for u, x in zip(cells, apply(f, c, cells).cells):
         if x != 0:
             return AnnihilationResult("no", witness=u)
-    return AnnihilationResult("exact" if exact else "window")
+    return AnnihilationResult("window" if domain is None else "exact")
 
 
 # --- Newton polygon and line factors -----------------------------------------

@@ -271,7 +271,7 @@ def prime_periodicity_check(tile: ClusterTile, cotiler, window: Window | None = 
     if window is None:
         # f(X^p)*c inherits the co-tiler's lattice periods, so one
         # fundamental domain checks the congruence everywhere
-        window = Window.from_points(list(cotiler.lattice.residues()))
+        window = config.exact_domain()
     pat = apply(fp, config, window)
     if any(v % p != 0 for v in pat.cells):
         raise VerificationFailedError(

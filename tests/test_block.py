@@ -125,13 +125,26 @@ def test_block_rejects_wrong_dimension_and_empty_boxes(variant):
         c.block((0, 2), (3, 1))
 
 
+def l_shape(rng, d):
+    """A corner plus an arm along the first and the last axis."""
+    corner = tuple(rng.randint(-6, 2) for _ in range(d))
+    cells = {corner}
+    for axis in {0, d - 1}:
+        for k in range(1, rng.randint(2, 8)):
+            cells.add(tuple(x + k * (i == axis) for i, x in enumerate(corner)))
+    return Window.from_points(cells)
+
+
 def test_window_values_and_extract_pattern_follow_window_order():
     rng = random.Random(11)
     for d in (1, 2, 3):
         for variant in VARIANTS:
             c = random_config(rng, d, variant)
             pts = [tuple(rng.randint(-8, 8) for _ in range(d)) for _ in range(rng.randint(1, 9))]
-            for window in (Window.box(*random_box(rng, d)), Window.from_points(pts)):
+            far = [tuple(rng.randint(-500, 500) for _ in range(d)) for _ in range(3)]
+            single = Window.from_points([tuple(rng.randint(-8, 8) for _ in range(d))])
+            for window in (Window.box(*random_box(rng, d)), Window.from_points(pts),
+                           Window.from_points(far), l_shape(rng, d), single):
                 want = [c.value(p) for p in window]
                 assert window_values(c, window) == want
                 anchor = tuple(rng.randint(-3, 3) for _ in range(d))
@@ -172,6 +185,19 @@ def test_apply_zero_polynomial():
     c = Mechanical((1, 2), QuadraticReal.sqrt(3))
     window = Window.box((-2, -2), (2, 2))
     assert apply(LaurentPolynomial(2, {}), c, window).values == {u: 0 for u in window}
+
+
+def test_window_values_cost_follows_the_cells_not_their_bounding_box():
+    # the bounding box of these 3 cells holds about 1.4 million
+    r2 = QuadraticReal.sqrt(2)
+    c = Sum([(1, Mechanical((1, 1), r2)), (-1, Mechanical((1, 0), r2)),
+             (-1, Mechanical((0, 1), r2))])
+    f = LaurentPolynomial.difference((1, 0)) * LaurentPolynomial.difference((0, 1))
+    window = Window.from_points([(0, 0), (1200, 3), (5, 1200)])
+    start = time.perf_counter()
+    pat = apply(f, c, window)
+    assert time.perf_counter() - start < 0.5
+    assert pat.values == apply_reference(f, c, window)
 
 
 # --- exact Mechanical floors --------------------------------------------------

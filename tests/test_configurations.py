@@ -150,14 +150,6 @@ def test_complexity_rejects_bad_shapes():
         pattern_complexity(c, Window.from_points([]))
 
 
-def test_stop_after_truncates_scan():
-    c = binary_irrational_2d()
-    shape = Window.box((0, 0), (2, 2))
-    res = pattern_complexity(c, shape, Window.box((0, 0), (60, 60)), stop_after=5)
-    assert res.count == 6
-    assert not res.exact
-
-
 def test_merge_letters_never_increases_complexity():
     rng = random.Random(11)
     c = checkerboard()

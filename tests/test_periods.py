@@ -28,14 +28,16 @@ from nivatk.configurations import (
     covering_pattern,
     extract_pattern,
     pattern_complexity,
+    periodicity_test,
     residue_representatives,
 )
 from nivatk.errors import VerificationFailedError, ZeroVectorError
-from nivatk.lattice import Lattice, Window, vec_add
+from nivatk.lattice import Lattice, Window, vec_add, vec_sub
+from nivatk.laurent import LaurentPolynomial, annihilates
 from nivatk.nivat import nivat_scan
 from nivatk.quadratic import QuadraticReal
 
-from test_block import VARIANTS, _triangular_generators, random_config
+from test_block import VARIANTS, _triangular_generators, random_box, random_config
 
 
 def random_cell(rng, d):
@@ -226,8 +228,7 @@ def test_pattern_complexity_with_and_without_representatives(request):
     shapes = (Window.box((0, 0), (1, 2)), Window.from_points([(0, 0), (1, 0), (0, 2)]))
 
     def call(c, sample):
-        return [pattern_complexity(c, shape, sample, stop_after=limit)
-                for shape in shapes for limit in (None, 2)]
+        return [pattern_complexity(c, shape, sample) for shape in shapes]
 
     got, want = run_both(request, call)
     assert got == want
@@ -294,3 +295,102 @@ def test_covering_pattern_keeps_one_box_for_dense_anchors():
     shape = Window.box((0, 0), (2, 1))
     covering_pattern(c, shape, anchors)
     assert c.cells == len(Window.box((-2, 3), (11, 8)))
+
+
+# --- one exact domain -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_exact_domain_is_the_residue_box_of_a_periodic_only(variant, d):
+    rng = random.Random(f"exact-domain/{variant}/{d}")
+    for _ in range(30):
+        c = random_config(rng, d, variant)
+        domain = c.exact_domain()
+        if variant == "periodic":
+            assert domain.is_box
+            assert domain == Window.from_points(c.lattice.residues())
+            assert list(domain) == list(c.lattice.residues())
+        else:
+            assert domain is None
+
+
+def test_exact_domain_is_none_for_certified_non_periodic_descriptors():
+    rng = random.Random("exact-domain/certified")
+    for _ in range(6):
+        inputs = list(periodic_inputs(rng))
+        assert inputs[0].exact_domain() is not None
+        for c in inputs[1:]:
+            assert c.periods() is not None and c.exact_domain() is None, c
+
+
+# the exact-answer sites written with one isinstance(c, Periodic) test each
+# and every value taken cell by cell: the labels exact_domain() must keep
+
+
+def isinstance_annihilates(f, c, window):
+    exact = isinstance(c, Periodic)
+    domain = Window.from_points(c.lattice.residues()) if exact else window
+    for u in domain:
+        if sum(a * c.value(vec_sub(u, e)) for e, a in f.terms.items()) != 0:
+            return "no", u
+    return ("exact" if exact else "window"), None
+
+
+def isinstance_complexity(c, shape, sample):
+    exact = isinstance(c, Periodic)
+    anchors = Window.from_points(c.lattice.residues()) if exact else sample
+    return len({tuple(c.value(vec_add(a, u)) for u in shape) for a in anchors}), exact
+
+
+def isinstance_periodicity(c, v, sample):
+    if isinstance(c, Periodic):
+        if c.lattice.contains(v):
+            return "periodic", None
+        for r in c.lattice.residues():
+            if c.value(r) != c.value(vec_add(r, v)):
+                return "not-periodic", r
+        return "periodic", None
+    for u in sample:
+        if c.value(u) != c.value(vec_add(u, v)):
+            return "not-periodic", u
+    return "unknown", None
+
+
+def label_cases(rng):
+    for d in (1, 2, 3):
+        for variant in VARIANTS:
+            for _ in range(4):
+                yield random_config(rng, d, variant)
+    for _ in range(4):
+        yield from periodic_inputs(rng)
+
+
+def test_labels_match_the_isinstance_sites():
+    rng = random.Random("labels")
+    seen = set()
+    for c in label_cases(rng):
+        d = c.dim
+        lattice = c.periods()
+        steps = [random_cell(rng, d) for _ in range(2)]
+        if lattice is not None:
+            steps += list(lattice.basis())
+        steps = [v for v in steps if any(v)]
+        windows = (Window.box(*random_box(rng, d)),
+                   Window.from_points([random_cell(rng, d) for _ in range(6)]))
+        polys = [LaurentPolynomial.difference(v) for v in steps]
+        polys.append(LaurentPolynomial(d, {random_cell(rng, d): 1, (0,) * d: -2}))
+        for window in windows:
+            for f in polys:
+                res = annihilates(f, c, window)
+                assert (res.status, res.witness) == isinstance_annihilates(f, c, window)
+                seen.add(res.status)
+            shape = Window.box(*random_box(rng, d))
+            res = pattern_complexity(c, shape, window)
+            assert (res.count, res.exact) == isinstance_complexity(c, shape, window)
+            seen.add(res.exact)
+            for v in steps:
+                res = periodicity_test(c, v, window)
+                assert (res.status, res.witness) == isinstance_periodicity(c, v, window)
+                seen.add(res.status)
+    assert seen == {"exact", "window", "no", True, False, "periodic", "not-periodic", "unknown"}
