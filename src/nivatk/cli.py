@@ -9,6 +9,7 @@ output.  Exit codes: 0 success, 1 failed check, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -311,7 +312,13 @@ def _cmd_examples(args) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first `run` call.
+
+    `parse_args` returns a fresh namespace and leaves no state on the
+    parser, so every call can share it.
+    """
     parser = argparse.ArgumentParser(
         prog="nivatk",
         description="Exact tools for low-pattern-complexity configurations.")

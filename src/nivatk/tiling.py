@@ -163,6 +163,39 @@ def _hnf_bases(dim: int, index: int):
             yield rows
 
 
+def _reach(start, free) -> set:
+    """The cells of `free` joined to `start` by unit steps along an axis."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        x, y = stack.pop()
+        for q in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+            if q in free and q not in seen:
+                seen.add(q)
+                stack.append(q)
+    return seen
+
+
+def _is_polyomino(tile: ClusterTile) -> bool:
+    """True when the tile is 2-D, edge-connected and has no holes.
+
+    A hole is an empty cell that no path of edge-adjacent empty cells joins
+    to the outside, which includes a cell closed off where the tile touches
+    itself only at a corner.
+    """
+    if tile.dim != 2:
+        return False
+    cells = set(tile.cells)
+    if len(_reach(tile.cells[0], cells)) != len(cells):
+        return False
+    # connected, so the bounding box is at most |tile| x |tile|: the hole
+    # test floods the empty cells of that box padded by one
+    w = max(x for x, _ in cells) + 1
+    h = max(y for _, y in cells) + 1
+    empty = {(x, y) for x in range(-1, w + 1) for y in range(-1, h + 1)} - cells
+    return len(_reach((-1, -1), empty)) == len(empty)
+
+
 def search_periodic_cotiler(tile: ClusterTile, max_index: int) -> PeriodicCoTiler | None:
     """Exhaustive search for a fully periodic co-tiler up to a lattice index.
 
@@ -171,12 +204,20 @@ def search_periodic_cotiler(tile: ClusterTile, max_index: int) -> PeriodicCoTile
     picks residues.  The first hit in that order is re-verified and
     returned; None certifies that no full-rank periodic co-tiler with
     index <= max_index exists.
+
+    For a polyomino (2-D, edge-connected, without holes) None certifies
+    more: no co-tiler exists at any index.  A polyomino that tiles the
+    plane by translation also has a lattice tiling (Wijshoff & van Leeuwen
+    1984; Beauquier & Nivat 1991), which is a co-tiler of index |tile| with
+    one residue, and the first index tries every such lattice.  So the
+    search stops after index |tile|, and the first hit is unchanged.
     """
     size = len(tile)
     if max_index < size:
         raise ValueError("max_index must be at least the tile size")
 
-    for index in range(size, max_index + 1, size):
+    last = size if _is_polyomino(tile) else max_index
+    for index in range(size, last + 1, size):
         for basis in sorted(_hnf_bases(tile.dim, index)):
             lat = Lattice(basis)
             cells = list(lat.residues())

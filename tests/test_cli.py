@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import nivatk
+from nivatk import cli
 from nivatk.cli import ConfigFile, read_config_file, run
 
 CHECKERBOARD = "periodic lattice{(2,0) (0,2)} values{(0,0):0 (0,1):1 (1,0):1 (1,1):0}\n"
@@ -241,3 +242,39 @@ def test_search_skips_a_certificate_true_only_on_the_window(capsys):
     assert out.err == "error: window exhausted after shrinking by step (0, 1)\n"
     assert run([*argv, "--window", "12x12"]) == 0
     assert capsys.readouterr().out == "found=false\n"
+
+
+def test_one_parser_serves_interleaved_calls(monkeypatch, capsys):
+    # a default, a usage error and --help leave nothing behind on the shared
+    # parser: each call answers as on a freshly built one.  The sample sees
+    # only zeros, so its certificate fails on a wider --verify window
+    annihilate = ["annihilate", "--config", "finite dim 2 cells{(6,6):1}",
+                  "--shape", "2x2", "--sample", "4x4"]
+    valid = ["complexity", "--config", CHECKERBOARD.strip(), "--shape", "2x2"]
+    calls = [
+        [*annihilate, "--verify", "9x9"],
+        annihilate,
+        ["complexity"],
+        valid,
+        ["--help"],
+        valid,
+        ["tile-search", "--help"],
+        ["tile-search", "--tile", "tile { (0,0) (0,1) (1,0) }", "--max-index", "3"],
+    ]
+
+    def outcomes():
+        got = []
+        for argv in calls:
+            code = run(argv)
+            got.append((code, capsys.readouterr().out))
+        return got
+
+    cli._build_parser.cache_clear()
+    shared = outcomes()
+    assert cli._build_parser.cache_info().misses == 1
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert outcomes() == shared
+    assert [code for code, _ in shared] == [1, 0, 2, 0, 0, 0, 0, 0]
+    assert shared[1][1] == "found=true\ng=1\nconstant=0\nf=X^(1,0) - 1\n"
+    assert shared[3][1] == shared[5][1] == "count=2 exact=true\n"
+    assert shared[4][1].startswith("usage: nivatk ")

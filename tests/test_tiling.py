@@ -1,5 +1,8 @@
+import time
+
 import pytest
 
+from nivatk import tiling
 from nivatk.errors import (
     DimensionMismatchError,
     NotPrimeError,
@@ -9,6 +12,7 @@ from nivatk.lattice import Lattice, Window
 from nivatk.laurent import apply
 from nivatk.tiling import (
     ClusterTile,
+    _is_polyomino,
     PeriodicCoTiler,
     prime_periodicity_check,
     search_periodic_cotiler,
@@ -162,3 +166,64 @@ def test_prime_periodicity_plain_configuration_needs_window():
     periods = prime_periodicity_check(
         tromino(), config, Window.box((-6, -6), (6, 6)))
     assert periods == [(0, 3), (3, -3), (3, 0)]
+
+
+def fixed_polyominoes(size):
+    """Every edge-connected tile of the size, once per translation class."""
+    grown = {ClusterTile([(0, 0)])}
+    for _ in range(size - 1):
+        grown = {
+            ClusterTile([*t.cells, (x + dx, y + dy)])
+            for t in grown for x, y in t.cells
+            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))
+            if (x + dx, y + dy) not in t.cells
+        }
+    return sorted(grown, key=lambda t: t.cells)
+
+
+def test_polyomino_exit_matches_the_exhaustive_search(monkeypatch):
+    tiles = [t for size in (3, 4, 5) for t in fixed_polyominoes(size)]
+    assert len(tiles) == 88
+    assert all(_is_polyomino(t) for t in tiles)
+    early = [repr(search_periodic_cotiler(t, 3 * len(t))) for t in tiles]
+    monkeypatch.setattr(tiling, "_is_polyomino", lambda tile: False)
+    full = [repr(search_periodic_cotiler(t, 3 * len(t))) for t in tiles]
+    assert early == full
+    assert early.count("None") == 16
+
+
+def test_search_stops_at_the_tile_size_for_a_polyomino(monkeypatch):
+    indices = []
+    real = tiling._hnf_bases
+
+    def spy(dim, index):
+        indices.append(index)
+        return real(dim, index)
+
+    monkeypatch.setattr(tiling, "_hnf_bases", spy)
+    u_pentomino = ClusterTile([(0, 0), (0, 1), (1, 0), (2, 0), (2, 1)])
+    assert search_periodic_cotiler(u_pentomino, 30) is None
+    assert indices == [5]
+    # a tile that is not a polyomino keeps the whole range
+    indices.clear()
+    assert search_periodic_cotiler(ClusterTile([(0,), (1,), (3,)]), 9) is None
+    assert indices == [3, 6, 9]
+
+
+@pytest.mark.parametrize("cells, polyomino", [
+    ([(0, 0), (1, 1)], False),                                  # corner-touching pair
+    ([(x, y) for x in range(3) for y in range(3) if (x, y) != (1, 1)], False),  # ring
+    ([(0, 0), (1, 0), (0, 1), (0, 2), (1, 2), (2, 2), (2, 1)], False),  # pinched
+    ([(0, 0), (0, 1), (1, 0)], True),                           # L-tromino
+    ([(0, 0), (1, 0), (2, 0), (3, 0)], True),                   # straight line
+    ([(0,), (1,)], False),                                      # 1-D
+    ([(0, 0, 0), (1, 0, 0)], False),                            # 3-D
+])
+def test_polyomino_classification(cells, polyomino):
+    assert _is_polyomino(ClusterTile(cells)) is polyomino
+
+
+def test_far_apart_cells_are_rejected_before_the_hole_test():
+    start = time.perf_counter()
+    assert not _is_polyomino(ClusterTile([(0, 0), (10**6, 0)]))
+    assert time.perf_counter() - start < 0.1
