@@ -11,6 +11,7 @@ integer combinations and letter-to-letter recodings.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -182,25 +183,38 @@ class Mechanical(Configuration):
         return _whole_space(self.dim) if zero else None
 
     def block(self, lo, hi) -> list:
-        """One exact floor per distinct m = <w, v> in the box, then a gather.
+        """One table of exact floors over the span of m = <w, v>, read by row slices.
 
-        Every row of the box (last coordinate varying) is an arithmetic run
-        of m.  Only the values of m that occur are floored, never a dense
-        range: for weights like (10**6, 1) that range is far larger than the
-        box.
+        Axes of extent 1 fold into a constant c, and the other weights share
+        a gcd g, so m = c + g*s with s = <w/g, v> on those axes.  Every row
+        of the box (last coordinate varying) is an arithmetic run of s,
+        hence a slice of the table of floors over s_lo..s_hi.  When that
+        span holds more values than the box has cells, as for weights like
+        (10**6, 1), only the values of s that occur are floored instead.
         """
-        *outer, last = _box(self, lo, hi)
-        *head, w = self.weights
-        starts = [0]
-        for wi, r in zip(head, outer):
+        ranges = _box(self, lo, hi)
+        const = sum(w * r.start for w, r in zip(self.weights, ranges) if len(r) == 1)
+        axes = [(w, r) for w, r in zip(self.weights, ranges) if len(r) > 1]
+        g = math.gcd(*(w for w, _ in axes))
+        if not g:
+            return self.alpha.floor_multiples([const]) * math.prod(map(len, ranges))
+        *outer, (w, last) = [(w // g, r) for w, r in axes]
+        n = len(last)
+        starts = [w * last.start]
+        for wi, r in outer:
             steps = [wi * x for x in r]
             starts = [s + k for s in starts for k in steps]
-        if w:
-            runs = [range(s + w * last.start, s + w * last.stop, w) for s in starts]
-            floor = self.alpha.floor_multiples(set(itertools.chain.from_iterable(runs)))
-        else:
-            runs = [itertools.repeat(s, len(last)) for s in starts]
-            floor = self.alpha.floor_multiples(set(starts))
+        reach = w * (n - 1)
+        span = range(min(starts) + min(reach, 0), max(starts) + max(reach, 0) + 1)
+        if len(span) <= len(starts) * n:
+            ms = range(const + g * span.start, const + g * span.stop, g)
+            table = self.alpha.floor_multiples(ms)
+            rows = ([table[i]] * n if not w else table[i:i + w * n if i + w * n >= 0 else None:w]
+                    for i in (s - span.start for s in starts))
+            return list(itertools.chain.from_iterable(rows))
+        runs = [range(s, s + w * n, w) if w else [s] * n for s in starts]
+        ss = sorted(set(itertools.chain.from_iterable(runs)))
+        floor = dict(zip(ss, self.alpha.floor_multiples([const + g * s for s in ss])))
         return list(map(floor.__getitem__, itertools.chain.from_iterable(runs)))
 
 
@@ -266,13 +280,7 @@ class Sum(Configuration):
         return out
 
     def block(self, lo, hi) -> list:
-        out = None
-        for k, c in self.terms:
-            b = c.block(lo, hi)
-            if k != 1:
-                b = map(k.__mul__, b)
-            out = list(b) if out is None else list(map(operator.add, out, b))
-        return out
+        return combine((k, c.block(lo, hi)) for k, c in self.terms)
 
 
 class ValueMap(Configuration):
@@ -296,6 +304,19 @@ class ValueMap(Configuration):
         inner = self.inner.block(lo, hi)
         recode = {x: self.mapping.get(x, self.default) for x in set(inner)}
         return list(map(recode.__getitem__, inner))
+
+
+def combine(terms) -> list:
+    """Elementwise sum of k * values over (k, values) pairs; 1 and -1 add or subtract unscaled."""
+    out = None
+    for k, values in terms:
+        if k not in (1, -1):
+            values, k = map(k.__mul__, values), 1
+        if out is None:
+            out = list(values if k == 1 else map(operator.neg, values))
+        else:
+            out = list(map(operator.add if k == 1 else operator.sub, out, values))
+    return out
 
 
 def _whole_space(dim: int) -> Lattice:
@@ -584,7 +605,8 @@ def periodicity_test(c: Configuration, v, sample: Window | None = None) -> Perio
     domain = c.exact_domain()
     if domain is None and (sample is None or len(sample) == 0):
         raise EmptySampleError("non-periodic descriptors need a sample window")
-    for u in sample if domain is None else domain:
-        if c.value(u) != c.value(vec_add(u, v)):
+    cells = sample if domain is None else domain
+    for u, x, y in zip(cells, window_values(c, cells), window_values(c, cells.shift(v))):
+        if x != y:
             return PeriodicityResult("not-periodic", witness=u)
     return PeriodicityResult("unknown" if domain is None else "periodic")

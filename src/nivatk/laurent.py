@@ -10,8 +10,8 @@ collects every line factor of one primitive direction.
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,7 +20,7 @@ from .errors import (
     ZeroPolynomialError,
     ZeroVectorError,
 )
-from .configurations import Configuration, Pattern, window_values
+from .configurations import Configuration, Pattern, combine, window_values
 from .lattice import (
     Window,
     canonical_sign,
@@ -272,20 +272,24 @@ def normalize_integer_primitive(f: LaurentPolynomial) -> LaurentPolynomial:
 def apply(f: LaurentPolynomial, c: Configuration, window: Window) -> Pattern:
     """Pattern of f*c on the window, where (f*c)_u = sum_v a_v c_{u-v}.
 
-    Each term reads c on its own translate window - v, so the cost follows
-    the window and the number of terms, not the spread of the exponents.
+    Term v reads c on the translate window - v.  On a box window every
+    term reads it by row slices out of one block of c on the box covering
+    all the translates; as in covering_pattern, each term reads its own
+    block instead when that box holds more cells than the translates
+    together, as for far-spread exponents.  An explicit window reads per
+    term through window_values, so the cost follows its cells, not its
+    bounding box.
     """
     if f.dim != c.dim or window.dim != c.dim:
         raise DimensionMismatchError("polynomial/configuration/window dimensions")
     if f.is_zero:
         return Pattern(window, [0] * len(window))
-    out = None
-    for e, a in f.terms.items():
-        col = window_values(c, window.shift(vec_neg(e)))
-        if a != 1:
-            col = map(a.__mul__, col)
-        out = list(col) if out is None else list(map(operator.add, out, col))
-    return Pattern(window, out)
+    read = functools.partial(window_values, c)
+    if window.is_box:
+        box = Window.box(vec_sub(window.lo, f.max_exponent()), vec_sub(window.hi, f.min_exponent()))
+        if len(box) <= len(f.terms) * len(window):
+            read = Pattern(box, c.block(box.lo, box.hi)).on
+    return Pattern(window, combine((a, read(window.shift(vec_neg(e)))) for e, a in f.terms.items()))
 
 
 @dataclass

@@ -8,7 +8,10 @@ at any magnitude.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
+import operator
 from fractions import Fraction
 
 
@@ -160,19 +163,24 @@ class QuadraticReal:
         """
         return (self.a + _floor_sqrt_multiple(self.b, self.n)) // self.q
 
-    def floor_multiples(self, ms) -> dict:
-        """{m: floor(m * self)} for the integers m, the batch form of floor()."""
+    def floor_multiples(self, ms) -> list:
+        """[floor(m * self) for m in ms], the batch form of floor(), for an ascending sequence ms.
+
+        b != 0 only with squarefree n > 1, so m*b*sqrt(n) is irrational for
+        every m != 0 and, where m*b < 0, floors to ~isqrt((m*b)^2 * n).
+        Those m form a prefix of ms (b > 0) or a suffix (b < 0).
+        """
         a, b, q = self.a, self.b, self.q
-        bbn = b * b * self.n
-        out = {}
-        for m in ms:
-            # floor(m*b*sqrt(n)) from t = (m*b)^2 * n, as _floor_sqrt_multiple
-            t = m * m * bbn
-            s = math.isqrt(t)
-            if m * b < 0:
-                s = -s if s * s == t else -s - 1
-            out[m] = (m * a + s) // q
-        return out
+        tops = map(a.__mul__, ms)
+        if b:
+            bbn = b * b * self.n
+            roots = list(map(math.isqrt, map(bbn.__mul__, map(operator.mul, ms, ms))))
+            neg = slice(bisect.bisect_left(ms, 0)) if b > 0 else slice(bisect.bisect(ms, 0), None)
+            roots[neg] = map(operator.invert, roots[neg])
+            if not a and q == 1:
+                return roots
+            tops = map(operator.add, tops, roots)
+        return list(map(operator.floordiv, tops, itertools.repeat(q)))
 
     def sign(self) -> int:
         a, b = self.a, self.b

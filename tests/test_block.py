@@ -260,4 +260,93 @@ def test_quadratic_floor_matches_oracle_up_to_1e30():
         alpha = QuadraticReal(a, b, n, q)
         want = floor_oracle(m * a, m * b if n else 0, n, q)
         assert (alpha * m).floor() == want, (a, b, n, q, m)
-        assert alpha.floor_multiples([m, -m]) == {m: want, -m: (alpha * -m).floor()}
+        ms = sorted((m, -m))
+        assert alpha.floor_multiples(ms) == [(alpha * x).floor() for x in ms]
+
+
+# --- batched floors and Mechanical row slices ----------------------------------
+
+ALPHAS = (
+    QuadraticReal.sqrt(2),
+    QuadraticReal(1, 1, 5, 2),
+    QuadraticReal(-3, 2, 7, 5),
+    QuadraticReal(3, -2, 7, 5),
+    QuadraticReal(0, -1, 3, 1),
+    QuadraticReal.from_fraction(Fraction(-7, 3)),
+    QuadraticReal.from_fraction(Fraction(5)),
+)
+
+
+@pytest.mark.parametrize("alpha", ALPHAS, ids=repr)
+def test_floor_multiples_matches_oracle_and_floor(alpha):
+    big = 10**15
+    for ms in (range(-40, 41), range(-9, 30, 3), range(-big - 6, -big + 6),
+               range(big - 6, big + 6), [-big, -big + 1, -3, 0, 0, 7, big - 1, big], [0], []):
+        got = alpha.floor_multiples(ms)
+        assert got == [(alpha * m).floor() for m in ms], (alpha, ms)
+        assert got == [floor_oracle(m * alpha.a, m * alpha.b, alpha.n, alpha.q) for m in ms]
+
+
+@pytest.fixture
+def floor_batches(monkeypatch):
+    """The length of every batch Mechanical.block asks QuadraticReal to floor."""
+    sizes = []
+    batch = QuadraticReal.floor_multiples
+
+    def recording(self, ms):
+        sizes.append(len(ms))
+        return batch(self, ms)
+
+    monkeypatch.setattr(QuadraticReal, "floor_multiples", recording)
+    return sizes
+
+
+BOXES_2D = [((-5, 3), (4, 3)), ((2, -7), (2, 6)), ((-3, -4), (5, 2)), ((7, 7), (7, 7)),
+            ((-10**15, 10**15 - 4), (-10**15 + 3, 10**15))]
+
+
+@pytest.mark.parametrize("weights", [(1, 1), (1, 0), (0, 1), (2, 4), (6, -9), (3, -1),
+                                     (-2, -5), (4, 0), (0, -3), (0, 0)])
+def test_mechanical_block_rows_match_value(weights, floor_batches):
+    for alpha in (QuadraticReal.sqrt(2), QuadraticReal(3, -2, 7, 5),
+                  QuadraticReal.from_fraction(Fraction(-7, 3))):
+        c = Mechanical(weights, alpha)
+        for lo, hi in BOXES_2D:
+            floor_batches.clear()
+            assert c.block(lo, hi) == reference(c, lo, hi), (weights, alpha, lo, hi)
+            assert max(floor_batches) <= len(Window.box(lo, hi))
+
+
+@pytest.mark.parametrize("weights", [(2, 4, 6), (1, -1, 0), (3, 0, -2), (0, 5, 1), (-4, 6, -10),
+                                     (10**6, 3, 0)])
+def test_mechanical_block_rows_match_value_in_3d(weights, floor_batches):
+    c = Mechanical(weights, QuadraticReal(1, 1, 5, 2))
+    for lo, hi in [((-2, 1, 3), (3, 4, 3)), ((0, -3, 5), (4, -3, 5)), ((-1, -1, -1), (2, 3, 4)),
+                   ((5, -2, 0), (5, -2, 7)), ((1, 2, 3), (1, 2, 3))]:
+        floor_batches.clear()
+        assert c.block(lo, hi) == reference(c, lo, hi), (weights, lo, hi)
+        assert max(floor_batches) <= len(Window.box(lo, hi))
+
+
+def test_mechanical_block_on_the_sturmian_layout():
+    # 10,011 x 1, as the Sturmian factor counts read it: one row of extent 1 per cell
+    r2 = QuadraticReal.sqrt(2)
+    for weights in ((1, 1), (1, 0), (-1, 3)):
+        c = Mechanical(weights, r2)
+        lo, hi = (-4000, 1), (6010, 1)
+        assert c.block(lo, hi) == reference(c, lo, hi)
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 6, 7])
+def test_mechanical_block_on_both_sides_of_the_dense_span(p, floor_batches):
+    # on a 4 x 5 box, s = <w/g, v> spans 3p + 5 or 4p + 4 values against 20
+    # cells: up to 20 the table covers the span, above it the 20 distinct
+    # values that occur are floored
+    for weights, span in (((p, 1), 3 * p + 5), ((-p, 1), 3 * p + 5),
+                          ((2 * p, -2), 3 * p + 5), ((1, p), 4 * p + 4)):
+        c = Mechanical(weights, QuadraticReal(-3, 2, 7, 5))
+        for lo in ((0, 0), (-7, 11)):
+            hi = (lo[0] + 3, lo[1] + 4)
+            floor_batches.clear()
+            assert c.block(lo, hi) == reference(c, lo, hi), (weights, lo)
+            assert floor_batches == [min(span, 20)]

@@ -10,18 +10,28 @@ dict reference kept here.
 
 import itertools
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
 from nivatk.annihilator import search_difference_annihilator
-from nivatk.configurations import CosetIndicator, Mechanical, Pattern, Periodic, Sum
+from nivatk.configurations import (
+    Configuration,
+    CosetIndicator,
+    Mechanical,
+    Pattern,
+    Periodic,
+    Sum,
+    combine,
+)
 from nivatk.decomposition import WindowDecomposition, _repeats, difference, integrate
 from nivatk.errors import EmptyResultError, WindowTooSmallError
 from nivatk.lattice import Window, canonical_sign, vec_add, vec_sub
 from nivatk.laurent import LaurentPolynomial, apply
 from nivatk.quadratic import QuadraticReal
 
-from test_block import VARIANTS, random_config, random_poly
+from test_block import VARIANTS, apply_reference, random_config, random_poly
 
 
 def random_window(rng, d, box_only=False, extent=None):
@@ -259,3 +269,85 @@ def test_search_matches_dict_reference(d):
         kinds.add(len(want) if isinstance(want, list) else want and want[0])
     # certificates of length one and two, no certificate, and exhausted windows
     assert kinds >= {1, 2, None, "WindowTooSmallError"}
+
+
+# --- the covering block of apply and the +-1 combiner -----------------------------------
+
+
+class CountingBlocks(Configuration):
+    """An inner configuration that records every box its block() is asked for."""
+
+    def __init__(self, inner):
+        self.inner, self.dim, self.boxes = inner, inner.dim, []
+
+    def value(self, v):
+        return self.inner.value(v)
+
+    def block(self, lo, hi):
+        self.boxes.append((tuple(lo), tuple(hi)))
+        return self.inner.block(lo, hi)
+
+
+def binary_irrational():
+    r2 = QuadraticReal.sqrt(2)
+    return Sum([(1, Mechanical((1, 1), r2)), (-1, Mechanical((1, 0), r2)),
+                (-1, Mechanical((0, 1), r2))])
+
+
+def test_apply_on_a_box_reads_one_covering_block():
+    c = CountingBlocks(binary_irrational())
+    f = LaurentPolynomial(2, {(2, 0): 1, (2, -1): -1, (1, 1): -1, (1, -1): 1, (0, 1): 1,
+                              (0, 0): -1})
+    window = Window.box((-3, 4), (9, 12))
+    got = apply(f, c, window)
+    # exponents 0..2 and -1..1 move the window by -2..0 and -1..1
+    assert c.boxes == [((-5, 3), (9, 13))]
+    assert got.values == apply_reference(f, c, window)
+    assert got.is_zero()
+
+
+def test_apply_keeps_per_term_blocks_for_far_spread_exponents():
+    c = CountingBlocks(binary_irrational())
+    f = LaurentPolynomial.difference((2000000, 0))
+    window = Window.box((0, 0), (2, 2))
+    start = time.perf_counter()
+    got = apply(f, c, window)
+    assert time.perf_counter() - start < 0.5
+    assert sorted(c.boxes) == [((-2000000, 0), (-1999998, 2)), ((0, 0), (2, 2))]
+    assert got.values == apply_reference(f, c, window)
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_apply_on_explicit_windows_matches_reference(d):
+    rng = random.Random(f"explicit-apply/{d}")
+    for k in range(20):
+        c = random_config(rng, d, VARIANTS[k % len(VARIANTS)])
+        f = random_poly(rng, d, integral=k % 2 == 0)
+        window = random_window(rng, d)
+        while window.is_box:
+            window = random_window(rng, d)
+        assert apply(f, c, window).values == apply_reference(f, c, window), (f, c, window)
+
+
+COEFFICIENT_ORDERS = [(1, -1, 3), (-1, 1, -2), (-1, -1, 0), (2, Fraction(1, 2), -1),
+                      (Fraction(-3, 4), 1, Fraction(5, 3)), (-5, Fraction(-1, 2), 1)]
+
+
+@pytest.mark.parametrize("coefficients", COEFFICIENT_ORDERS, ids=str)
+def test_apply_and_sum_combine_every_kind_of_coefficient(coefficients):
+    rng = random.Random(f"combine/{coefficients}")
+    window = Window.box((-4, 2), (3, 7))
+    for _ in range(6):
+        leaves = [random_config(rng, 2, rng.choice(VARIANTS)) for _ in coefficients]
+        grid = [(i, j) for i in range(-2, 3) for j in range(-2, 3)]
+        exponents = rng.sample(grid, len(coefficients))
+        f = LaurentPolynomial(2, dict(zip(exponents, coefficients)))
+        assert list(f.terms.values()) == [a for a in coefficients if a]
+        assert apply(f, leaves[0], window).values == apply_reference(f, leaves[0], window)
+        integral = [k for k in coefficients if Fraction(k).denominator == 1]
+        s = Sum(list(zip(integral, leaves)))
+        assert s.block(window.lo, window.hi) == [s.value(u) for u in window]
+        blocks = [c.block(window.lo, window.hi) for c in leaves]
+        assert combine(zip(coefficients, blocks)) == [
+            sum(k * b[i] for k, b in zip(coefficients, blocks)) for i in range(len(window))]
+
