@@ -1,7 +1,8 @@
 """Split a configuration into periodic components along prescribed directions.
 
-The solver works over exact rationals on a finite core window, so the
-components it reports are certificates, not floating-point estimates.
+The split is solved exactly on a finite core window, by a graph walk and,
+for three or more directions, fraction-free elimination, so the components
+it reports are certificates, not floating-point estimates.
 
 Run:  python3 demos/periodic_decomposition.py
 """
@@ -17,7 +18,8 @@ from nivatk import (
 
 
 def grid(pattern, lo, hi, row):
-    # component entries are Fractions; render via str
+    # component entries are ints, or Fractions where not integral; str
+    # renders both
     cells = [(i, row) for i in range(lo, hi + 1)]
     return " ".join(f"{str(pattern.values[c]):>4}" for c in cells)
 

@@ -3,14 +3,15 @@
 A configuration annihilated by a product of difference factors
 (X^v1 - 1)...(X^vm - 1) splits, on any finite core window, into a sum of
 m components where component i repeats with step vi.  `decompose` finds
-the canonical such split by exact rational elimination.
+the canonical such split exactly: a spanning-forest walk for one or two
+directions, and for more a difference-stencil reduction to the third and
+later directions, solved by fraction-free elimination, then a walk.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .configurations import Configuration, Pattern, window_values
 from .errors import (
@@ -21,7 +22,7 @@ from .errors import (
     WindowTooSmallError,
     ZeroVectorError,
 )
-from .lattice import Window, check_same_dim, is_zero_vector, vec_dot, vec_neg, vec_sub
+from .lattice import Window, check_same_dim, is_zero_vector, vec_add, vec_dot, vec_neg
 from .laurent import LaurentPolynomial, annihilates
 from .linalg import solve_sparse
 
@@ -43,8 +44,8 @@ def difference(p: Pattern, v) -> Pattern:
 
 
 def _line_order(cells, v):
-    """The cells (or their flat indices in a box), given in lexicographic
-    order, in an order where u - v comes before u."""
+    """The cells (or their flat indices in a box, or items keyed by them),
+    given in lexicographic order, in an order where u - v comes before u."""
     return cells if v > (0,) * len(v) else reversed(cells)
 
 
@@ -81,6 +82,15 @@ def _repeats(p: Pattern, v) -> bool:
 
 @dataclass
 class WindowDecomposition:
+    """The canonical split of a configuration on a core window.
+
+    components[i] is a Pattern on the core that repeats with step
+    vectors[i]; its values are ints, or Fractions where not integral.
+    residual_check says that the components sum to the configuration on
+    the core and each repeats along its step; integral that every value is
+    an integer.
+    """
+
     vectors: tuple
     components: tuple
     core: Window
@@ -103,14 +113,60 @@ def _halo_box(core: Window, vectors) -> Window:
     return Window.box(tuple(lo), tuple(hi))
 
 
+def _stencil_solve(core, vs, cols, ncols, rhs):
+    """The canonical solution for three or more directions, or None.
+
+    (X^v1 - 1)(X^v2 - 1) applied at each cell u whose u + v1, u + v2 and
+    u + v1 + v2 lie in the core cancels the unknowns of directions 1 and
+    2, leaving one row over the other directions' unknowns.  The stencils
+    lie in the left kernel of the first two directions' columns, so the
+    reduced system's pivot columns are among the full system's, and a
+    consistent back-solve of directions 1 and 2 on what is left of the
+    right hand side is the canonical solution.  None when either step is
+    inconsistent: the stencils need not span that kernel (a core with
+    gaps, parallel v1 and v2), and the full system decides.
+    """
+    v1, v2 = vs[0], vs[1]
+    off = max(cols[1]) + 1
+    rest = [[k - off for k in col] for col in cols[2:]]
+    index = {u: i for i, u in enumerate(core)}
+    # a shifted window iterates in the same order, so these are the
+    # indices of u + v1, u + v2 and u + v1 + v2, None outside the core
+    shifted = [map(index.get, core.shift(v)) for v in (v1, v2, vec_add(v1, v2))]
+    # distinct (row as frozen items, right hand side) pairs: a box core
+    # repeats each row many times, and a repeat changes no solution
+    system = {}
+    for i, j1, j2, j12 in zip(range(len(index)), *shifted):
+        if j1 is None or j2 is None or j12 is None:
+            continue
+        row = {}
+        for col in rest:
+            for k, s in ((col[i], 1), (col[j1], -1), (col[j2], -1), (col[j12], 1)):
+                row[k] = row.get(k, 0) + s
+        key = frozenset((k, s) for k, s in row.items() if s)
+        system[key, rhs[i] - rhs[j1] - rhs[j2] + rhs[j12]] = None
+    x3, _ = solve_sparse([dict(key) for key, _ in system], [b for _, b in system], ncols - off)
+    if x3 is None:
+        return None
+    known = map(sum, zip(*([x3[k] for k in col] for col in rest)))
+    x12, _ = solve_sparse([{a: 1, b: 1} for a, b in zip(cols[0], cols[1])],
+                          list(map(operator.sub, rhs, known)), off)
+    return None if x12 is None else x12 + x3
+
+
 def decompose(c: Configuration, vectors, core: Window, halo: Window | None = None) -> WindowDecomposition:
     """Split c on the core into one vi-periodic component per direction.
 
     Requires that the product of the difference factors annihilates c on the
     halo (checked; the default halo is the core grown by each step's extent).
     Unknowns are each component's values on the entry cells of its lines
-    through the core, ordered by component then cell; the system is solved
-    exactly with free unknowns pinned to zero, so the output is canonical.
+    through the core, ordered by component then cell.  The output is the
+    solution with free unknowns pinned to zero, which depends only on the
+    system's pivot columns, so it is canonical however it is found: by
+    `solve_sparse`'s graph walk for one or two directions, by
+    `_stencil_solve` for more, and by elimination on the whole system when
+    that reduction finds no solution.  Raises InfeasibleError, with the
+    rows that elimination leaves as 0 = nonzero, when there is none.
     """
     vs = []
     for v in vectors:
@@ -144,25 +200,26 @@ def decompose(c: Configuration, vectors, core: Window, halo: Window | None = Non
     ncols = 0
     for v in vs:
         entry = {}
-        for u in _line_order(core_cells, v):
-            entry[u] = entry.get(vec_sub(u, v), u)
+        # pairs (u, u - v), u - v read from the shifted window in step
+        for u, w in _line_order(list(zip(core_cells, core.shift(vec_neg(v)))), v):
+            entry[u] = entry.get(w, u)
         col_of = {r: ncols + k for k, r in enumerate(sorted(set(entry.values())))}
         ncols += len(col_of)
         cols.append([col_of[entry[u]] for u in core_cells])
 
-    rows = [dict.fromkeys(cs, 1) for cs in zip(*cols)]
     rhs = window_values(c, core)
-    solution, bad = solve_sparse(rows, rhs, ncols)
+    solution = _stencil_solve(core, vs, cols, ncols, rhs) if len(vs) > 2 else None
     if solution is None:
-        raise InfeasibleError(
-            "no windowed decomposition for these directions",
-            equations=[(core_cells[i], rhs[i]) for i in bad])
+        solution, bad = solve_sparse([dict.fromkeys(cs, 1) for cs in zip(*cols)], rhs, ncols)
+        if solution is None:
+            raise InfeasibleError(
+                "no windowed decomposition for these directions",
+                equations=[(core_cells[i], rhs[i]) for i in bad])
 
     components = [Pattern(core, map(solution.__getitem__, col)) for col in cols]
     ok = (list(map(sum, zip(*(p.cells for p in components)))) == rhs
           and all(_repeats(p, v) for p, v in zip(components, vs)))
-    integral = all(
-        Fraction(x).denominator == 1 for p in components for x in p.cells)
+    integral = all(x.denominator == 1 for x in solution)
     return WindowDecomposition(
         vectors=tuple(vs),
         components=tuple(components),

@@ -11,6 +11,13 @@ kernel vector of (A | -b) that is 1 at that column.  Pivot columns are
 scanned strictly left to right, so the pivot column set, and with it the
 canonical free-variables-zero solution and kernel basis, does not depend
 on which row serves as pivot.
+
+A system whose rows read x[u] + x[w] = b, x[u] = b or 0 = b is a graph
+on the columns.  For two families of lines the graph is bipartite and its
+incidence matrix totally unimodular (Heller & Tompkins), so no
+elimination is needed: `solve_sparse` first walks a spanning forest
+(`_solve_graph`) and eliminates only when that walk finds no solution.
+Solution values are ints where integral and Fractions where not.
 """
 
 from __future__ import annotations
@@ -53,10 +60,75 @@ def solve_sparse(rows, rhs, ncols):
     """Solve a sparse integer system, free variables pinned to zero.
 
     rows: list of {column: int coefficient}; rhs: rational right hand
-    sides.  A row with right hand side p/q is scaled by q and gets -p at
-    column ncols.  Returns (solution, inconsistent) where solution is a
-    list of Fractions or None, and inconsistent lists, ascending, the row
-    indices that reduced to 0 = nonzero.
+    sides.  Returns (solution, inconsistent) where solution is a list of
+    ints and Fractions (an int wherever the value is integral) or None,
+    and inconsistent lists, ascending, the row indices that reduced to
+    0 = nonzero under `_solve_echelon`'s pivot rule.
+    """
+    solution = _solve_graph(rows, rhs, ncols)
+    if solution is not None:
+        return solution, []
+    return _solve_echelon(rows, rhs, ncols)
+
+
+def _solve_graph(rows, rhs, ncols):
+    """The canonical solution of a system whose rows all have coefficients
+    1 and at most two entries, or None when there is none to find this way
+    (another row shape, an odd cycle, an inconsistent row).
+
+    Two-entry rows are edges between columns.  The pivot columns are the
+    columns of each connected component but its highest one when the
+    component is bipartite and has no one-entry row: there the signed sum
+    of the columns is the one dependency.  So each component is walked
+    from its highest column set to 0 and x[w] = b - x[u] is propagated
+    along a spanning tree; a one-entry row x[r] = b then moves r's side of
+    the tree by d = b - x[r] and the other side by -d, which keeps every
+    tree edge.  If the result satisfies every row, it sets every non-pivot
+    column to 0 and is the answer.
+    """
+    nbrs = [[] for _ in range(ncols)]
+    ends = {}
+    for row, b in zip(rows, rhs):
+        coeffs = tuple(row.values())
+        if coeffs == (1, 1):
+            u, w = row
+            nbrs[u].append((w, b))
+            nbrs[w].append((u, b))
+        elif coeffs == (1,):
+            (u,) = row
+            ends[u] = b
+        elif coeffs or b:
+            return None
+    x = [None] * ncols
+    odd = [False] * ncols
+    for top in range(ncols - 1, -1, -1):
+        if x[top] is not None:
+            continue
+        x[top] = 0
+        comp = [top]
+        for u in comp:  # breadth first: comp grows while it is walked
+            for w, b in nbrs[u]:
+                if x[w] is None:
+                    x[w] = b - x[u]
+                    odd[w] = not odd[u]
+                    comp.append(w)
+        root = next((u for u in comp if u in ends), None)
+        if root is not None:
+            d = ends[root] - x[root]
+            for u in comp:
+                x[u] += d if odd[u] == odd[root] else -d
+    for row, b in zip(rows, rhs):
+        if sum(map(x.__getitem__, row)) != b:
+            return None
+    return [v.numerator if v.denominator == 1 else v for v in x]
+
+
+def _solve_echelon(rows, rhs, ncols):
+    """`solve_sparse` by fraction-free elimination, for any integer rows.
+
+    A row with right hand side p/q is scaled by q and gets -p at column
+    ncols.  Same contract as `solve_sparse`; it is also the reference the
+    graph walk is tested against.
     """
     work = []
     for row, b in zip(rows, rhs):
@@ -69,7 +141,13 @@ def solve_sparse(rows, rhs, ncols):
     if inconsistent:
         return None, inconsistent
     y, den = _kernel_vector(work, pivot_of_col, ncols)
-    return [Fraction(y.get(c, 0), den) for c in range(ncols)], []
+    return [_exact(y.get(c, 0), den) for c in range(ncols)], []
+
+
+def _exact(n, den):
+    """n / den as an int when it is one, else as a Fraction."""
+    q, r = divmod(n, den)
+    return Fraction(n, den) if r else q
 
 
 def _echelon(work, ncols):

@@ -1,9 +1,12 @@
+import itertools
 import random
 
 import pytest
 
+from nivatk import decomposition
 from nivatk.configurations import (
     CosetIndicator,
+    FiniteSupport,
     Mechanical,
     Pattern,
     Periodic,
@@ -19,8 +22,8 @@ from nivatk.errors import (
     WindowTooSmallError,
     ZeroVectorError,
 )
-from nivatk.lattice import Lattice, Window, vec_add, vec_sub
-from nivatk.linalg import solve_sparse
+from nivatk.lattice import Lattice, Window, vec_add, vec_scale, vec_sub
+from nivatk.linalg import _solve_echelon
 from nivatk.quadratic import QuadraticReal
 
 
@@ -224,7 +227,8 @@ def test_decompose_random_periodic_sums():
 
 def walk_back_decomposition(c, vectors, core):
     """Reference: name each unknown by walking its cell's line back, one
-    cell at a time, while it stays in the core; solve the same system.
+    cell at a time, while it stays in the core; solve the whole system by
+    elimination.
 
     Returns the component value maps, or the InfeasibleError equations.
     """
@@ -241,7 +245,7 @@ def walk_back_decomposition(c, vectors, core):
             col_of[(i, r)] = len(col_of)
     rows = [{col_of[(i, entry(u, v))]: 1 for i, v in enumerate(vectors)} for u in cells]
     rhs = [c.value(u) for u in cells]
-    solution, bad = solve_sparse(rows, rhs, len(col_of))
+    solution, bad = _solve_echelon(rows, rhs, len(col_of))
     if solution is None:
         return [(cells[i], rhs[i]) for i in bad]
     return [{u: solution[col_of[(i, entry(u, v))]] for u in cells}
@@ -271,3 +275,118 @@ def test_decompose_explicit_core_with_gaps_matches_walk_back():
                 continue
             assert [comp.values for comp in dec.components] == want
             assert dec.residual_check
+
+
+def periodic_part(rng, v):
+    """A random configuration with period v: values on the residues of v
+    and scaled unit vectors along every axis but one where v is nonzero."""
+    axis = next(k for k, x in enumerate(v) if x)
+    units = [tuple(int(k == a) for k in range(len(v))) for a in range(len(v)) if a != axis]
+    lat = Lattice([v] + [vec_scale(rng.randint(1, 2), e) for e in units])
+    return Periodic(lat, {r: rng.randint(-3, 3) for r in lat.residues()})
+
+
+POOLS = {
+    2: [(1, 0), (0, 1), (1, 1), (1, -1), (0, -1), (-1, 1), (-1, -2), (2, 1)],
+    3: [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, -1, 1), (-1, 0, 1), (0, 0, -1)],
+}
+CORES = {2: Window.box((0, 0), (7, 7)), 3: Window.box((0, 0, 0), (3, 3, 3))}
+
+
+def random_steps(rng, dim, m):
+    """m steps from the pool, lexicographically negative ones included; at
+    times the second repeats the first or is its negative."""
+    vecs = [rng.choice(POOLS[dim]) for _ in range(m)]
+    if m > 1 and rng.random() < 0.3:
+        vecs[1] = rng.choice([vecs[0], tuple(-x for x in vecs[0])])
+    return vecs
+
+
+def record_stencil_solves(monkeypatch):
+    """Patch decomposition._stencil_solve to log each of its results."""
+    results = []
+    stencil = decomposition._stencil_solve
+
+    def recorded(*args):
+        results.append(stencil(*args))
+        return results[-1]
+
+    monkeypatch.setattr(decomposition, "_stencil_solve", recorded)
+    return results
+
+
+def parallel(u, v):
+    return all(a * d == b * c for (a, b), (c, d) in itertools.combinations(zip(u, v), 2))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_decompose_matches_the_full_system_oracle(dim, monkeypatch):
+    results = record_stencil_solves(monkeypatch)
+    rng = random.Random(53 + dim)
+    core = CORES[dim]
+    for trial in range(48):
+        m = trial % 4 + 1
+        vecs = random_steps(rng, dim, m)
+        c = Sum([(1, periodic_part(rng, v)) for v in vecs])
+        want = walk_back_decomposition(c, vecs, core)
+        dec = decompose(c, vecs, core)
+        assert [comp.values for comp in dec.components] == want
+        assert dec.residual_check
+        assert dec.integral == all(x.denominator == 1 for comp in want for x in comp.values())
+        if m > 2 and not parallel(vecs[0], vecs[1]):
+            # on a box the stencils of two independent steps answer alone
+            assert results[-1] is not None
+
+
+@pytest.mark.parametrize("vecs", [
+    [(0, 1), (0, 1)],
+    [(1, -1), (-1, 1)],
+    [(1, 1), (1, 1), (0, 1)],
+    [(1, 0), (-1, 0), (0, -1), (1, 1)],
+    [(0, 1, 0), (0, -1, 0), (1, 0, 1)],
+])
+def test_decompose_repeated_and_opposite_steps(vecs):
+    rng = random.Random(59)
+    c = Sum([(1, periodic_part(rng, v)) for v in vecs])
+    core = CORES[len(vecs[0])]
+    dec = decompose(c, vecs, core)
+    assert [comp.values for comp in dec.components] == walk_back_decomposition(c, vecs, core)
+
+
+def test_decompose_falls_back_when_the_stencil_back_solve_fails(monkeypatch):
+    # on a core with gaps the stencils need not span the kernel of the
+    # first two directions' rows; the full system then answers
+    r2 = QuadraticReal.sqrt(2)
+    c = Sum([
+        (1, Mechanical((1, 1), r2)),
+        (-1, Mechanical((1, 0), r2)),
+        (-1, Mechanical((0, 1), r2)),
+    ])
+    results = record_stencil_solves(monkeypatch)
+    rng = random.Random(37)
+    box = list(Window.box((0, 0), (7, 7)))
+    vectors = [(1, 0), (0, 1), (-1, 1)]
+    core = Window.from_points(rng.sample(box, 58))
+    dec = decompose(c, vectors, core)
+    assert results == [None]
+    assert [comp.values for comp in dec.components] == walk_back_decomposition(c, vectors, core)
+    assert dec.residual_check
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_decompose_infeasible_equations_match_the_oracle(dim, monkeypatch):
+    # every annihilated configuration decomposes on its core, so the check
+    # is switched off to hand the solver right hand sides it cannot meet
+    monkeypatch.setattr(decomposition, "annihilates", lambda f, c, window: True)
+    rng = random.Random(61 + dim)
+    core = CORES[dim]
+    cells = list(core)
+    for m in (1, 2, 3, 4):
+        for _ in range(3):
+            vecs = random_steps(rng, dim, m)
+            c = FiniteSupport({u: rng.randint(1, 3) for u in rng.sample(cells, 5)}, dim)
+            want = walk_back_decomposition(c, vecs, core)
+            assert isinstance(want, list) and isinstance(want[0], tuple)
+            with pytest.raises(InfeasibleError) as exc:
+                decompose(c, vecs, core)
+            assert exc.value.equations == want

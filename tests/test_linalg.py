@@ -2,7 +2,14 @@ import math
 import random
 from fractions import Fraction
 
-from nivatk.linalg import _echelon, integer_primitive, nullspace_basis, solve_sparse
+from nivatk.linalg import (
+    _echelon,
+    _solve_echelon,
+    _solve_graph,
+    integer_primitive,
+    nullspace_basis,
+    solve_sparse,
+)
 
 
 def rref(rows):
@@ -129,7 +136,8 @@ def test_solve_sparse_simple_system():
     rows = [{0: 1, 1: 1}, {1: 2}]
     sol, bad = solve_sparse(rows, [3, 4], 2)
     assert bad == []
-    assert sol == [Fraction(1), Fraction(2)]
+    assert sol == [1, 2]
+    _assert_exact_types(sol)
 
 
 def test_solve_sparse_reports_inconsistency():
@@ -220,9 +228,16 @@ def _check_against_references(rng, big, rational, trials):
         else:
             assert bad == []
             assert sol == expected
+            _assert_exact_types(sol)
             # and it really solves the system
             for row, b in zip(rows, rhs):
                 assert sum(c * sol[j] for j, c in row.items()) == b
+
+
+def _assert_exact_types(sol):
+    """An integral value is an int, any other a Fraction."""
+    for x in sol:
+        assert type(x) is (int if x.denominator == 1 else Fraction)
 
 
 def test_solve_sparse_matches_dense_reference():
@@ -272,3 +287,87 @@ def test_echelon_rows_stay_primitive():
         _echelon(work, ncols)
         for row in work:
             assert math.gcd(*row.values()) in (0, 1)
+
+
+def _random_graph_system(rng):
+    """Rows x[u] + x[w] = b, x[u] = b and 0 = b over a few columns, some
+    never used.  Edges join even to odd columns when `bipartite`, so no
+    cycle is odd.  The right hand sides come from a hidden integer or
+    rational solution, and at times one is then knocked off by 1.  The
+    last value says whether the system is bipartite and consistent."""
+    ncols = rng.randint(1, 9)
+    bipartite = rng.random() < 0.5
+    rows = []
+    for _ in range(rng.randint(0, 12)):
+        kind = rng.choice((0, 1, 2, 2, 2, 2))
+        if kind == 2 and ncols > 1:
+            u = rng.randrange(ncols)
+            w = rng.choice([j for j in range(ncols)
+                            if j != u and (not bipartite or (j - u) % 2)] or [None])
+            if w is not None:
+                rows.append({u: 1, w: 1})
+                continue
+        rows.append({rng.randrange(ncols): 1} if kind else {})
+    if rng.random() < 0.3:
+        hidden = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(ncols)]
+    else:
+        hidden = [rng.randint(-9, 9) for _ in range(ncols)]
+    rhs = [sum(hidden[j] for j in row) for row in rows]
+    broken = bool(rows) and rng.random() < 0.3
+    if broken:
+        i = rng.randrange(len(rows))
+        rhs[i] += 1
+    return rows, rhs, ncols, bipartite and not broken
+
+
+def test_solve_sparse_graph_systems_match_the_references():
+    rng = random.Random(43)
+    walked = infeasible = odd_fallbacks = 0
+    for _ in range(600):
+        rows, rhs, ncols, walkable = _random_graph_system(rng)
+        dense = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+        expected = _dense_reference(dense, rhs, ncols)
+        sol, bad = solve_sparse(rows, rhs, ncols)
+        assert (sol, bad) == _solve_echelon(rows, rhs, ncols)
+        if expected is None:
+            assert sol is None
+            assert bad == _inconsistent_reference(rows, rhs, ncols)
+            infeasible += 1
+            continue
+        assert bad == []
+        assert sol == expected
+        _assert_exact_types(sol)
+        # a consistent system without odd cycles never needs elimination
+        graph = _solve_graph(rows, rhs, ncols)
+        if walkable:
+            assert graph == sol
+            walked += 1
+        elif graph is None:
+            odd_fallbacks += 1
+    assert walked > 150 and infeasible > 50 and odd_fallbacks > 10
+
+
+def test_solve_graph_edge_cases():
+    # an isolated column and an empty row with right hand side 0
+    assert solve_sparse([{0: 1, 2: 1}, {}], [4, 0], 3) == ([4, 0, 0], [])
+    # an empty row with a nonzero right hand side is the inconsistent row
+    assert _solve_graph([{0: 1}, {}], [1, 2], 1) is None
+    assert solve_sparse([{0: 1}, {}], [1, 2], 1) == (None, [1])
+    # a path: its highest column is free, the others alternate from it
+    assert solve_sparse([{0: 1, 1: 1}, {1: 1, 2: 1}], [5, 7], 3) == ([-2, 7, 0], [])
+    # a one-entry row pins the component, whichever column it sits on
+    assert solve_sparse([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1}], [5, 7, 1], 3) == ([1, 4, 3], [])
+    # a triangle (odd cycle) has one solution, found by elimination
+    tri = [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}]
+    assert _solve_graph(tri, [3, 5, 4], 3) is None
+    assert solve_sparse(tri, [3, 5, 4], 3) == ([1, 2, 3], [])
+    # ... unless the walk from 0 happens to meet it
+    assert _solve_graph(tri, [3, 2, 1], 3) == [1, 2, 0]
+    # half-integers stay Fractions, integers come back as ints
+    sol, _ = solve_sparse(tri, [1, 1, 1], 3)
+    assert sol == [Fraction(1, 2)] * 3 and type(sol[0]) is Fraction
+    sol, _ = solve_sparse([{0: 1, 1: 1}], [Fraction(4, 2)], 2)
+    assert sol == [2, 0] and all(type(x) is int for x in sol)
+    # coefficients other than 1 are not a graph
+    assert _solve_graph([{0: 2}], [2], 1) is None
+    assert _solve_graph([{0: 1, 1: -1}], [0], 2) is None
