@@ -10,6 +10,7 @@ later directions, solved by fraction-free elimination, then a walk.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 
@@ -124,7 +125,8 @@ def _stencil_solve(core, vs, cols, ncols, rhs):
     consistent back-solve of directions 1 and 2 on what is left of the
     right hand side is the canonical solution.  None when either step is
     inconsistent: the stencils need not span that kernel (a core with
-    gaps, parallel v1 and v2), and the full system decides.
+    gaps), and the full system decides.  Parallel v1 and v2 rarely span
+    it, so `decompose` does not call this for them.
     """
     v1, v2 = vs[0], vs[1]
     off = max(cols[1]) + 1
@@ -154,6 +156,11 @@ def _stencil_solve(core, vs, cols, ncols, rhs):
     return None if x12 is None else x12 + x3
 
 
+def _parallel(u, v) -> bool:
+    """Is every 2x2 minor of the pair (u, v) zero?"""
+    return all(a * d == b * c for (a, b), (c, d) in itertools.combinations(zip(u, v), 2))
+
+
 def decompose(c: Configuration, vectors, core: Window, halo: Window | None = None) -> WindowDecomposition:
     """Split c on the core into one vi-periodic component per direction.
 
@@ -164,9 +171,10 @@ def decompose(c: Configuration, vectors, core: Window, halo: Window | None = Non
     solution with free unknowns pinned to zero, which depends only on the
     system's pivot columns, so it is canonical however it is found: by
     `solve_sparse`'s graph walk for one or two directions, by
-    `_stencil_solve` for more, and by elimination on the whole system when
-    that reduction finds no solution.  Raises InfeasibleError, with the
-    rows that elimination leaves as 0 = nonzero, when there is none.
+    `_stencil_solve` for more when v1 and v2 are not parallel, and by
+    elimination on the whole system otherwise or when that reduction finds
+    no solution.  Raises InfeasibleError, with the rows that elimination
+    leaves as 0 = nonzero, when there is none.
     """
     vs = []
     for v in vectors:
@@ -208,7 +216,8 @@ def decompose(c: Configuration, vectors, core: Window, halo: Window | None = Non
         cols.append([col_of[entry[u]] for u in core_cells])
 
     rhs = window_values(c, core)
-    solution = _stencil_solve(core, vs, cols, ncols, rhs) if len(vs) > 2 else None
+    by_stencils = len(vs) > 2 and not _parallel(vs[0], vs[1])
+    solution = _stencil_solve(core, vs, cols, ncols, rhs) if by_stencils else None
     if solution is None:
         solution, bad = solve_sparse([dict.fromkeys(cs, 1) for cs in zip(*cols)], rhs, ncols)
         if solution is None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 from .errors import (
     DimensionMismatchError,
@@ -21,11 +22,11 @@ from .errors import (
 
 
 def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(operator.add, u, v))
 
 
 def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(operator.sub, u, v))
 
 
 def vec_neg(v):
@@ -37,7 +38,7 @@ def vec_scale(k, v):
 
 
 def vec_dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(operator.mul, u, v))
 
 
 def vec_gcd(v) -> int:

@@ -27,6 +27,7 @@ from .lattice import (
     primitive_vector,
     unimodular_complement,
     vec_add,
+    vec_dot,
     vec_neg,
     vec_scale,
     vec_sub,
@@ -57,6 +58,16 @@ class LaurentPolynomial:
                     raise DimensionMismatchError(f"exponent {e} vs dimension {dim}")
                 clean[e] = a
         self.terms = clean
+
+    @classmethod
+    def _from_clean(cls, dim, terms):
+        """Trusted constructor for terms already in the checked form:
+        length-dim int tuples mapped to nonzero ints or non-integral
+        Fractions."""
+        f = object.__new__(cls)
+        f.dim = dim
+        f.terms = terms
+        return f
 
     # --- constructors ---
 
@@ -109,12 +120,12 @@ class LaurentPolynomial:
     def min_exponent(self):
         if self.is_zero:
             raise ZeroPolynomialError("zero polynomial has no support")
-        return tuple(min(e[i] for e in self.terms) for i in range(self.dim))
+        return tuple(map(min, zip(*self.terms)))
 
     def max_exponent(self):
         if self.is_zero:
             raise ZeroPolynomialError("zero polynomial has no support")
-        return tuple(max(e[i] for e in self.terms) for i in range(self.dim))
+        return tuple(map(max, zip(*self.terms)))
 
     def bbox(self):
         """Componentwise extents of the support box."""
@@ -173,7 +184,7 @@ class LaurentPolynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPolynomial(self.dim, {e: -a for e, a in self.terms.items()})
+        return LaurentPolynomial._from_clean(self.dim, {e: -a for e, a in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -185,16 +196,42 @@ class LaurentPolynomial:
         return -(self - other)
 
     def __mul__(self, other):
+        """The product, convolved on packed exponents (Kronecker substitution).
+
+        Each exponent less its factor's minimum is one int in mixed radix,
+        axis k of radix the product's span on it plus one, last axis
+        fastest.  Sums never carry, so keys add as exponents do and the
+        terms keep the insertion order of the exponent-tuple convolution.
+        """
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if not self.terms or not other.terms:
+            return LaurentPolynomial._from_clean(self.dim, {})
+        lo1, lo2 = self.min_exponent(), other.min_exponent()
+        lo = vec_add(lo1, lo2)
+        span = vec_sub(vec_add(self.max_exponent(), other.max_exponent()), lo)
+        strides = [1] * self.dim
+        for k in range(self.dim - 1, 0, -1):
+            strides[k - 1] = strides[k] * (span[k] + 1)
+        base1, base2 = vec_dot(lo1, strides), vec_dot(lo2, strides)
+        packed = [(vec_dot(e2, strides) - base2, a2) for e2, a2 in other.terms.items()]
         out = {}
         for e1, a1 in self.terms.items():
-            for e2, a2 in other.terms.items():
-                e = vec_add(e1, e2)
-                c = out.get(e)
-                out[e] = a1 * a2 if c is None else c + a1 * a2
-        return LaurentPolynomial(self.dim, out)
+            k1 = vec_dot(e1, strides) - base1
+            for k2, a2 in packed:
+                k = k1 + k2
+                c = out.get(k)
+                out[k] = a1 * a2 if c is None else c + a1 * a2
+        terms = {}
+        for k, c in out.items():
+            if c:
+                e = []
+                for s in strides:
+                    q, k = divmod(k, s)
+                    e.append(q)
+                terms[vec_add(lo, e)] = c.numerator if c.denominator == 1 else c
+        return LaurentPolynomial._from_clean(self.dim, terms)
 
     __rmul__ = __mul__
 
@@ -211,11 +248,18 @@ class LaurentPolynomial:
         return result
 
     def scale(self, c):
-        return LaurentPolynomial(self.dim, {e: a * c for e, a in self.terms.items()})
+        if type(c) is not int or not c:
+            return LaurentPolynomial(self.dim, {e: a * c for e, a in self.terms.items()})
+        scaled = ((e, a * c) for e, a in self.terms.items())
+        return LaurentPolynomial._from_clean(
+            self.dim, {e: b.numerator if b.denominator == 1 else b for e, b in scaled})
 
     def shift(self, v):
         """Multiply by the monomial X^v."""
-        return LaurentPolynomial(
+        v = tuple(map(int, v))
+        if len(v) != self.dim:
+            raise DimensionMismatchError(f"shift {v} vs dimension {self.dim}")
+        return LaurentPolynomial._from_clean(
             self.dim, {vec_add(e, v): a for e, a in self.terms.items()}
         )
 
@@ -224,7 +268,7 @@ class LaurentPolynomial:
         n = int(n)
         if n <= 0:
             raise ValueError("substitution power must be positive")
-        return LaurentPolynomial(
+        return LaurentPolynomial._from_clean(
             self.dim, {vec_scale(n, e): a for e, a in self.terms.items()}
         )
 

@@ -5,7 +5,7 @@ import pytest
 
 from nivatk.annihilator import find_annihilator
 from nivatk.configurations import CosetIndicator, Mechanical, Periodic, Sum
-from nivatk.errors import ZeroPolynomialError
+from nivatk.errors import DimensionMismatchError, ZeroPolynomialError
 from nivatk.lattice import Lattice, Window
 from nivatk.laurent import (
     LaurentPolynomial as LP,
@@ -62,6 +62,73 @@ def test_shift_and_scale():
     x = LP.variable(0, 2)
     assert x.shift((-2, 5)).terms == {(-1, 5): Fraction(1)}
     assert x.scale(Fraction(3, 2)).terms == {(1, 0): Fraction(3, 2)}
+    with pytest.raises(DimensionMismatchError):
+        x.shift((1, 2, 3))
+
+
+def reference_product(f, g):
+    """f*g by the exponent-tuple convolution, self outer and other inner,
+    through the checked constructor: the terms dict, in insertion order."""
+    out = {}
+    for e1, a1 in f.terms.items():
+        for e2, a2 in g.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + a1 * a2
+    return LP(f.dim, out).terms
+
+
+def assert_product(f, g, prod):
+    want = reference_product(f, g)
+    assert prod.dim == f.dim
+    assert list(prod.terms.items()) == list(want.items())
+    assert list(map(type, prod.terms.values())) == list(map(type, want.values()))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_packed_product_matches_the_tuple_convolution(dim):
+    rng = random.Random(67 + dim)
+    for _ in range(80):
+        f = rand_poly(rng, dim, max_terms=8, coord=rng.choice([1, 3, 40]))
+        g = rand_poly(rng, dim, max_terms=8, coord=rng.choice([1, 3, 40]))
+        if rng.random() < 0.5:
+            g = g.scale(Fraction(rng.randint(1, 6), rng.randint(1, 6)))
+        assert_product(f, g, f * g)
+        # repeated factors cancel and collide most
+        assert_product(f * g, g, (f * g) * g)
+    x = LP.variable(0, dim)
+    assert_product(x + 1, x - 1, (x + 1) * (x - 1))
+    assert ((x + 1) * (x - 1)).terms == {(2,) + (0,) * (dim - 1): 1, (0,) * dim: -1}
+
+
+def test_packed_product_wide_span_and_integral_fractions():
+    rng = random.Random(71)
+    wide = LP.difference((2_000_000, 0))
+    for _ in range(10):
+        g = rand_poly(rng, coord=5)
+        assert_product(wide, g, wide * g)
+        assert_product(g, wide, g * wide)
+        assert_product(wide * g, LP.difference((0, -3)), wide * g * LP.difference((0, -3)))
+    half, third = Fraction(1, 2), Fraction(2, 3)
+    f = LP(2, {(0, 0): half, (1, 0): Fraction(3, 2), (0, -1): half})
+    g = LP(2, {(0, 0): third, (0, 1): Fraction(4, 3)})
+    prod = f * g
+    assert_product(f, g, prod)
+    assert prod.terms[(1, 0)] == 1 and type(prod.terms[(1, 0)]) is int
+    assert prod.terms[(0, 0)] == 1 and type(prod.terms[(0, 0)]) is int
+    assert prod.terms[(0, 1)] == third
+
+
+def test_packed_product_zero_and_constant_factors():
+    rng = random.Random(73)
+    for dim in (1, 2, 3):
+        f = rand_poly(rng, dim).scale(Fraction(3, 4))
+        zero = LP.zero(dim)
+        for prod in (zero * f, f * zero, zero * zero, 0 * f, f * 0):
+            assert prod.is_zero and prod.dim == dim
+        for c in (3, -1, Fraction(4, 3), Fraction(8, 6)):
+            want = LP.constant(dim, c)
+            assert_product(f, want, f * c)
+            assert_product(f, want, c * f)
 
 
 def test_leading_term_is_graded_lex_max():
@@ -256,9 +323,11 @@ def test_coset_line_killed_by_matching_difference():
 
 
 def assert_coefficient_form(f):
-    """Every coefficient is an int, or a Fraction that is not integral."""
+    """Every exponent is a tuple of dim ints, and every coefficient is a
+    nonzero int or a Fraction that is not integral."""
     for e, a in f.terms.items():
-        assert type(a) is int or (type(a) is Fraction and a.denominator > 1), (e, a)
+        assert type(e) is tuple and len(e) == f.dim and all(type(x) is int for x in e), e
+        assert a and (type(a) is int or (type(a) is Fraction and a.denominator > 1)), (e, a)
 
 
 def test_coefficient_form_invariant():
@@ -280,6 +349,15 @@ def test_coefficient_form_invariant():
                     h ** 2, f ** 3, f.scale(half), h.scale(2), h.shift((1, -1)),
                     h.substitute_power(3), normalize_integer_primitive(h)):
             assert_coefficient_form(out)
+        # the operations that build their result without the checked constructor
+        for dim in (1, 2, 3):
+            k = rng.randint(-4, 4)
+            v = tuple(rng.randint(-5, 5) for _ in range(dim))
+            for p in (rand_poly(rng, dim), rand_poly(rng, dim).scale(half * rng.randint(1, 5))):
+                for out in (-p, p.shift(v), p.substitute_power(rng.randint(1, 4)),
+                            p.scale(k), p.scale(0), p.scale(2), p ** rng.randint(0, 3)):
+                    assert out.dim == dim
+                    assert_coefficient_form(out)
         prod = f.scale(half) * LP.difference((1, 1)) * (LP.monomial((2, 0), 3) - 2)
         if prod.is_zero:
             continue
