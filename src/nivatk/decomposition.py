@@ -10,7 +10,6 @@ later directions, solved by fraction-free elimination, then a walk.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 
@@ -23,7 +22,16 @@ from .errors import (
     WindowTooSmallError,
     ZeroVectorError,
 )
-from .lattice import Window, check_same_dim, is_zero_vector, vec_add, vec_dot, vec_neg
+from .lattice import (
+    Window,
+    canonical_sign,
+    check_same_dim,
+    is_zero_vector,
+    primitive_vector,
+    vec_add,
+    vec_dot,
+    vec_neg,
+)
 from .laurent import LaurentPolynomial, annihilates
 from .linalg import solve_sparse
 
@@ -156,11 +164,6 @@ def _stencil_solve(core, vs, cols, ncols, rhs):
     return None if x12 is None else x12 + x3
 
 
-def _parallel(u, v) -> bool:
-    """Is every 2x2 minor of the pair (u, v) zero?"""
-    return all(a * d == b * c for (a, b), (c, d) in itertools.combinations(zip(u, v), 2))
-
-
 def decompose(c: Configuration, vectors, core: Window, halo: Window | None = None) -> WindowDecomposition:
     """Split c on the core into one vi-periodic component per direction.
 
@@ -216,7 +219,7 @@ def decompose(c: Configuration, vectors, core: Window, halo: Window | None = Non
         cols.append([col_of[entry[u]] for u in core_cells])
 
     rhs = window_values(c, core)
-    by_stencils = len(vs) > 2 and not _parallel(vs[0], vs[1])
+    by_stencils = len(vs) > 2 and len({canonical_sign(primitive_vector(v)) for v in vs[:2]}) == 2
     solution = _stencil_solve(core, vs, cols, ncols, rhs) if by_stencils else None
     if solution is None:
         solution, bad = solve_sparse([dict.fromkeys(cs, 1) for cs in zip(*cols)], rhs, ncols)

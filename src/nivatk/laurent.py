@@ -248,11 +248,7 @@ class LaurentPolynomial:
         return result
 
     def scale(self, c):
-        if type(c) is not int or not c:
-            return LaurentPolynomial(self.dim, {e: a * c for e, a in self.terms.items()})
-        scaled = ((e, a * c) for e, a in self.terms.items())
-        return LaurentPolynomial._from_clean(
-            self.dim, {e: b.numerator if b.denominator == 1 else b for e, b in scaled})
+        return LaurentPolynomial(self.dim, {e: a * c for e, a in self.terms.items()})
 
     def shift(self, v):
         """Multiply by the monomial X^v."""
