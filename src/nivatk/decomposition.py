@@ -22,16 +22,7 @@ from .errors import (
     WindowTooSmallError,
     ZeroVectorError,
 )
-from .lattice import (
-    Window,
-    canonical_sign,
-    check_same_dim,
-    is_zero_vector,
-    primitive_vector,
-    vec_add,
-    vec_dot,
-    vec_neg,
-)
+from .lattice import Window, check_same_dim, is_zero_vector, vec_add, vec_dot, vec_neg
 from .laurent import LaurentPolynomial, annihilates
 from .linalg import solve_sparse
 
@@ -133,8 +124,7 @@ def _stencil_solve(core, vs, cols, ncols, rhs):
     consistent back-solve of directions 1 and 2 on what is left of the
     right hand side is the canonical solution.  None when either step is
     inconsistent: the stencils need not span that kernel (a core with
-    gaps), and the full system decides.  Parallel v1 and v2 rarely span
-    it, so `decompose` does not call this for them.
+    gaps, parallel v1 and v2), and the full system decides.
     """
     v1, v2 = vs[0], vs[1]
     off = max(cols[1]) + 1
@@ -174,10 +164,9 @@ def decompose(c: Configuration, vectors, core: Window, halo: Window | None = Non
     solution with free unknowns pinned to zero, which depends only on the
     system's pivot columns, so it is canonical however it is found: by
     `solve_sparse`'s graph walk for one or two directions, by
-    `_stencil_solve` for more when v1 and v2 are not parallel, and by
-    elimination on the whole system otherwise or when that reduction finds
-    no solution.  Raises InfeasibleError, with the rows that elimination
-    leaves as 0 = nonzero, when there is none.
+    `_stencil_solve` for more, and by elimination on the whole system when
+    that reduction finds no solution.  Raises InfeasibleError, with the
+    rows that elimination leaves as 0 = nonzero, when there is none.
     """
     vs = []
     for v in vectors:
@@ -219,8 +208,7 @@ def decompose(c: Configuration, vectors, core: Window, halo: Window | None = Non
         cols.append([col_of[entry[u]] for u in core_cells])
 
     rhs = window_values(c, core)
-    by_stencils = len(vs) > 2 and len({canonical_sign(primitive_vector(v)) for v in vs[:2]}) == 2
-    solution = _stencil_solve(core, vs, cols, ncols, rhs) if by_stencils else None
+    solution = _stencil_solve(core, vs, cols, ncols, rhs) if len(vs) > 2 else None
     if solution is None:
         solution, bad = solve_sparse([dict.fromkeys(cs, 1) for cs in zip(*cols)], rhs, ncols)
         if solution is None:
