@@ -20,9 +20,10 @@ from .configurations import (
     covering_pattern,
     extract_pattern,
     residue_representatives,
+    support_anchors,
     window_values,
 )
-from .decomposition import difference as pattern_difference
+from .decomposition import difference as pattern_difference, difference_vanishes
 from .errors import (
     DimensionMismatchError,
     EmptyResultError,
@@ -64,7 +65,8 @@ def find_annihilator(c: Configuration, shape: Window, sample: Window,
 
     Builds one augmented row (1, values of c on v + shape) per distinct
     pattern at the sample anchors v, keying one anchor per residue class
-    of c.periods() when c has that lattice.  Takes the exact rational
+    of c.periods() when c has that lattice and only the anchors near
+    c.support() when it has one (support_anchors).  Takes the exact rational
     kernel and keeps the canonical kernel vector: first in the
     reduced-echelon kernel basis, scaled to coprime integers, sign chosen
     so g's graded-lex leading coefficient is positive.  Returns None when the kernel is trivial, which certifies
@@ -76,7 +78,7 @@ def find_annihilator(c: Configuration, shape: Window, sample: Window,
     if len(sample) == 0:
         raise EmptySampleError("empty sample window")
 
-    keyed = residue_representatives(c, sample)
+    keyed = support_anchors(c, shape, residue_representatives(c, sample))
     keys = set(covering_pattern(c, shape, keyed).keys(shape, keyed))
     rows = sorted((1,) + tuple(itertools.chain.from_iterable(k)) for k in keys)
     kernel = nullspace_basis(rows)
@@ -252,17 +254,17 @@ def search_difference_annihilator(c: Configuration, max_factors: int,
         for idx in range(start, len(steps)):
             v = steps[idx]
             try:
-                nxt = pattern_difference(pat, v)
+                # a leaf tests the repeat by row slices, building no difference
+                nxt = difference_vanishes(pat, v) if depth == 1 else pattern_difference(pat, v)
             except EmptyResultError:
                 raise WindowTooSmallError(
                     f"window exhausted after shrinking by step {v}") from None
-            if depth == 1:
-                if nxt.is_zero() and verified(chain + [v], nxt.shape):
-                    return chain + [v]
-            else:
+            if depth > 1:
                 found = dfs(nxt, idx, depth - 1, chain + [v])
                 if found is not None:
                     return found
+            elif nxt and verified(chain + [v], pat.shape.intersect(pat.shape.shift(v))):
+                return chain + [v]
         return None
 
     for length in range(1, max_factors + 1):

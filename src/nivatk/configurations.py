@@ -15,6 +15,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     DimensionMismatchError,
@@ -24,6 +25,17 @@ from .errors import (
 )
 from .lattice import Lattice, Window, vec_add, vec_dot, vec_scale, is_zero_vector
 from .quadratic import QuadraticReal, _floor_sqrt_multiple
+
+
+class Support(NamedTuple):
+    """Cosets offset + span(basis) off whose union a configuration is its background.
+
+    Each coset is an (offset, basis) pair, basis a Lattice's triangular
+    basis rows, empty for a single cell.
+    """
+
+    cosets: tuple
+    background: int
 
 
 class Configuration:
@@ -49,6 +61,14 @@ class Configuration:
 
         Each variant certifies its lattice by construction.  None claims
         nothing: the configuration may still be periodic.
+        """
+        return None
+
+    def support(self) -> Support | None:
+        """Finitely many cosets of rank < d with c constant off their union, or None.
+
+        Each variant certifies its cosets by construction, as periods()
+        does its lattice.  None claims nothing.
         """
         return None
 
@@ -142,19 +162,15 @@ class CosetIndicator(Configuration):
     def periods(self) -> Lattice | None:
         return self._sub if self._sub.is_full_rank else None
 
-    def block(self, lo, hi) -> list:
-        """Enumerate offset + L inside the box, pivot coordinate by pivot coordinate.
+    def support(self) -> Support | None:
+        """The coset itself when L has rank < d; periods() covers full rank."""
+        if self._sub.is_full_rank:
+            return None
+        return Support(((self.offset, self._sub.basis()),), 0)
 
-        A basis row with pivot c is zero past c, so once the rows of higher
-        pivots are chosen, coordinate c pins the multiple of row c to a range.
-        """
+    def block(self, lo, hi) -> list:
         ranges = _box(self, lo, hi)
-        cells = [self.offset]
-        for row in reversed(self._sub.basis()):
-            c = max(i for i, x in enumerate(row) if x)
-            p = row[c]
-            cells = [vec_add(u, vec_scale(k, row)) for u in cells
-                     for k in range(-((u[c] - lo[c]) // p), (hi[c] - u[c]) // p + 1)]
+        cells = _coset_cells(self.offset, self._sub.basis(), lo, hi)
         return _placed(ranges, ((u, self.value_on) for u in cells))
 
 
@@ -246,6 +262,9 @@ class FiniteSupport(Configuration):
     def periods(self) -> Lattice | None:
         return None if self.assoc else _whole_space(self.dim)
 
+    def support(self) -> Support:
+        return Support(tuple((cell, ()) for cell in self.assoc), 0)
+
     def block(self, lo, hi) -> list:
         return _placed(_box(self, lo, hi), self.assoc.items())
 
@@ -279,6 +298,14 @@ class Sum(Configuration):
             out = lat if out is None else out.intersect(lat)
         return out
 
+    def support(self) -> Support | None:
+        """The union of the terms' cosets, None if any term has none."""
+        supports = [(k, c.support()) for k, c in self.terms]
+        if any(s is None for _, s in supports):
+            return None
+        return Support(tuple(itertools.chain.from_iterable(s.cosets for _, s in supports)),
+                       sum(k * s.background for k, s in supports))
+
     def block(self, lo, hi) -> list:
         return combine((k, c.block(lo, hi)) for k, c in self.terms)
 
@@ -299,6 +326,12 @@ class ValueMap(Configuration):
 
     def periods(self) -> Lattice | None:
         return self.inner.periods()
+
+    def support(self) -> Support | None:
+        inner = self.inner.support()
+        if inner is None:
+            return None
+        return Support(inner.cosets, self.mapping.get(inner.background, self.default))
 
     def block(self, lo, hi) -> list:
         inner = self.inner.block(lo, hi)
@@ -339,6 +372,23 @@ def _strides(ranges):
     for r in reversed(ranges[1:]):
         strides.append(strides[-1] * len(r))
     return tuple(reversed(strides))
+
+
+def _coset_cells(offset, basis, lo, hi) -> list:
+    """The cells of offset + span(basis) with every pivot coordinate in lo..hi.
+
+    basis is a Lattice's triangular basis: a row with pivot c is zero past
+    c, so once the rows of higher pivots are chosen, coordinate c pins the
+    multiple of row c to a range.  A coordinate without a pivot can still
+    fall outside the box; the callers drop those cells.
+    """
+    cells = [tuple(offset)]
+    for row in reversed(basis):
+        c = max(i for i, x in enumerate(row) if x)
+        p = row[c]
+        cells = [vec_add(u, vec_scale(k, row)) for u in cells
+                 for k in range(-((u[c] - lo[c]) // p), (hi[c] - u[c]) // p + 1)]
+    return cells
 
 
 def _placed(ranges, cells) -> list:
@@ -409,8 +459,12 @@ class Pattern:
         if self.strides is None or not window.is_box:
             return list(map(self.values.__getitem__, window))
         n = window.hi[-1] - window.lo[-1] + 1
-        starts = self.indices(Window.box(window.lo, window.hi[:-1] + window.lo[-1:]))
-        return list(itertools.chain.from_iterable(self.cells[b:b + n] for b in starts))
+        return list(itertools.chain.from_iterable(
+            self.cells[b:b + n] for b in self.row_starts(window)))
+
+    def row_starts(self, window: Window):
+        """Flat index in a box pattern of the first cell of each row of a box window."""
+        return self.indices(Window.box(window.lo, window.hi[:-1] + window.lo[-1:]))
 
     def keys(self, shape: Window, anchors: Window):
         """Yield one hashable pattern key per anchor, lazily, in anchor order.
@@ -538,6 +592,36 @@ def residue_representatives(c: Configuration, anchors: Window) -> Window:
     return Window.from_points(first.values())
 
 
+def support_anchors(c: Configuration, shape: Window, anchors: Window) -> Window:
+    """The anchors whose shape can meet c.support()'s cosets, plus the first other one.
+
+    Off the cosets c is its background, so every other anchor sees the
+    background pattern that the first one already shows: keying these
+    gives the same set of keys, and with it the same counts and early
+    exits.  They are enumerated, never scanned for: each coset cell u in
+    the anchors' bounding box grown by the shape's gives the anchors u - s,
+    s in the shape's bounding box, that lie in the anchors' bounding box.
+    Without a certified support, or when that keys every anchor, the
+    anchors come back unchanged.
+    """
+    support = c.support()
+    if support is None:
+        return anchors
+    (lo, hi), (slo, shi) = anchors.bounds(), shape.bounds()
+    near = set()
+    for offset, basis in support.cosets:
+        for u in _coset_cells(offset, basis, vec_add(lo, slo), vec_add(hi, shi)):
+            near.update(itertools.product(*(
+                range(max(a, x - t), min(b, x - s) + 1)
+                for x, a, b, s, t in zip(u, lo, hi, slo, shi))))
+    if not anchors.is_box:
+        near = {a for a in near if a in anchors}
+    far = next((a for a in anchors if a not in near), None)
+    if far is not None:
+        near.add(far)
+    return anchors if len(near) == len(anchors) else Window.from_points(near)
+
+
 def count_distinct(keys, limit: int) -> int:
     """Number of distinct keys, stopping as soon as it exceeds limit."""
     seen = set()
@@ -562,7 +646,8 @@ def pattern_complexity(c: Configuration, shape: Window,
     Where c.exact_domain() is a window it replaces the anchors: it covers
     every translate, so the count is exact.  Otherwise anchors range over
     the sample window, one per residue class of c.periods() when that
-    lattice exists, and the count is a certified lower bound.
+    lattice exists and only those near c.support() when that exists, and
+    the count is a certified lower bound.
     """
     if shape.dim != c.dim:
         raise DimensionMismatchError("shape vs configuration dimension")
@@ -573,7 +658,10 @@ def pattern_complexity(c: Configuration, shape: Window,
     if domain is None and (sample is None or len(sample) == 0):
         raise EmptySampleError("a sample window is required here")
     anchors = sample if domain is None else domain
-    keyed = residue_representatives(c, sample) if domain is None else domain
+    if domain is None:
+        keyed = support_anchors(c, shape, residue_representatives(c, sample))
+    else:
+        keyed = domain
 
     count = len(set(covering_pattern(c, shape, keyed).keys(shape, keyed)))
     return ComplexityResult(count, domain is not None, anchors)

@@ -30,11 +30,11 @@ def vec_sub(u, v):
 
 
 def vec_neg(v):
-    return tuple(-a for a in v)
+    return tuple(map(operator.neg, v))
 
 
 def vec_scale(k, v):
-    return tuple(k * a for a in v)
+    return tuple([k * a for a in v])
 
 
 def vec_dot(u, v):
@@ -293,7 +293,7 @@ class Window:
 
     def __init__(self, lo=None, hi=None, points=None):
         if points is not None:
-            pts = sorted({tuple(int(a) for a in p) for p in points})
+            pts = sorted({tuple(map(int, p)) for p in points})
             if not pts:
                 raise EmptyShapeError("empty explicit window")
             dims = {len(p) for p in pts}
@@ -302,14 +302,14 @@ class Window:
             self.dim = dims.pop()
             self._points = tuple(pts)
             self._ptset = frozenset(pts)
-            self.lo = tuple(min(p[i] for p in pts) for i in range(self.dim))
-            self.hi = tuple(max(p[i] for p in pts) for i in range(self.dim))
+            self.lo = tuple(map(min, zip(*pts)))
+            self.hi = tuple(map(max, zip(*pts)))
         else:
-            lo = tuple(int(a) for a in lo)
-            hi = tuple(int(a) for a in hi)
+            lo = tuple(map(int, lo))
+            hi = tuple(map(int, hi))
             if len(lo) != len(hi):
                 raise DimensionMismatchError("box corners of mixed dimension")
-            if any(a > b for a, b in zip(lo, hi)):
+            if any(map(operator.gt, lo, hi)):
                 raise EmptyShapeError(f"empty box {lo}..{hi}")
             self.dim = len(lo)
             self.lo, self.hi = lo, hi
@@ -360,9 +360,9 @@ class Window:
         if self.dim != other.dim:
             raise DimensionMismatchError("windows of mixed dimension")
         if self.is_box and other.is_box:
-            lo = tuple(max(a, c) for a, c in zip(self.lo, other.lo))
-            hi = tuple(min(b, d) for b, d in zip(self.hi, other.hi))
-            if any(a > b for a, b in zip(lo, hi)):
+            lo = tuple(map(max, self.lo, other.lo))
+            hi = tuple(map(min, self.hi, other.hi))
+            if any(map(operator.gt, lo, hi)):
                 return None
             return Window(lo=lo, hi=hi)
         pts = [p for p in self if p in other]

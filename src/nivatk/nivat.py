@@ -19,6 +19,7 @@ from .configurations import (
     covering_pattern,
     periodicity_test,
     residue_representatives,
+    support_anchors,
 )
 from .errors import (
     BlockTooSmallError,
@@ -178,10 +179,11 @@ def nivat_scan(c: Configuration, M_range, N_range, sample: Window) -> list:
     sample is accumulated until it exceeds M*N (verdict ExceedsMN) or the
     sample is exhausted (verdict Inconclusive, count = full sampled value).
     Inconclusive never asserts the threshold is met globally.  Only the
-    first anchor of each residue class of c.periods() is keyed, which
-    leaves every count unchanged.  One pattern covering the largest block
-    at every keyed anchor is filled once and shared by all block sizes;
-    rows come in M-major order.
+    first anchor of each residue class of c.periods() is keyed, and of
+    those only the ones whose largest block meets c.support() and one that
+    does not, which leaves every count unchanged.  One pattern covering
+    the largest block at every keyed anchor is filled once and shared by
+    all block sizes; rows come in M-major order.
     """
     Ms = [int(M) for M in M_range]
     Ns = [int(N) for N in N_range]
@@ -192,8 +194,9 @@ def nivat_scan(c: Configuration, M_range, N_range, sample: Window) -> list:
     if c.dim != 2 or sample.dim != 2:
         raise DimensionMismatchError("scan works on two-dimensional data")
 
-    anchors = residue_representatives(c, sample)
-    table = covering_pattern(c, Window.box((0, 0), (max(Ms) - 1, max(Ns) - 1)), anchors)
+    largest = Window.box((0, 0), (max(Ms) - 1, max(Ns) - 1))
+    anchors = support_anchors(c, largest, residue_representatives(c, sample))
+    table = covering_pattern(c, largest, anchors)
     rows = []
     for M in Ms:
         for N in Ns:

@@ -25,7 +25,13 @@ from nivatk.configurations import (
     Sum,
     combine,
 )
-from nivatk.decomposition import WindowDecomposition, _repeats, difference, integrate
+from nivatk.decomposition import (
+    WindowDecomposition,
+    _repeats,
+    difference,
+    difference_vanishes,
+    integrate,
+)
 from nivatk.errors import EmptyResultError, WindowTooSmallError
 from nivatk.lattice import Window, canonical_sign, vec_add, vec_sub
 from nivatk.laurent import LaurentPolynomial, apply
@@ -167,6 +173,14 @@ def test_component_sum_matches_dict_reference(seed):
         assert total.cells == tuple(sum(p[u] for p in parts) for u in window)
 
 
+def line_constant_values(rng, window, v):
+    """Random values constant along every line u + Zv."""
+    i0 = next(i for i, x in enumerate(v) if x)
+    line = {}
+    return {u: line.setdefault(vec_sub(u, tuple(u[i0] // v[i0] * x for x in v)),
+                               rng.randint(-3, 3)) for u in window}
+
+
 @pytest.mark.parametrize("seed", [9, 10])
 def test_period_check_matches_dict_reference(seed):
     seen = set()
@@ -175,15 +189,33 @@ def test_period_check_matches_dict_reference(seed):
         if rng.random() < 0.5:
             vals = random_values(rng, window)
         else:
-            # constant along every line u + Zv
-            i0 = next(i for i, x in enumerate(v) if x)
-            line = {}
-            vals = {u: line.setdefault(vec_sub(u, tuple(u[i0] // v[i0] * x for x in v)),
-                                       rng.randint(-3, 3)) for u in window}
+            vals = line_constant_values(rng, window, v)
         want = ref_repeats(vals, v)
         assert _repeats(Pattern(window, vals.values()), v) == want
         seen.add(want)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("seed", [13, 14])
+def test_row_slice_repeat_test_matches_the_difference(seed):
+    seen = set()
+    for rng, d, window in cases(seed, 120):
+        v = random_step(rng, d, 3)
+        if rng.random() < 0.5:
+            vals = random_values(rng, window)
+        else:
+            vals = line_constant_values(rng, window, v)
+        p = Pattern(window, vals.values())
+        try:
+            want = difference(p, v).is_zero()
+        except EmptyResultError:
+            with pytest.raises(EmptyResultError):
+                difference_vanishes(p, v)
+            seen.add((window.is_box, "empty"))
+            continue
+        assert difference_vanishes(p, v) == want, (window, v)
+        seen.add((window.is_box, want))
+    assert seen == {(box, x) for box in (True, False) for x in (True, False, "empty")}
 
 
 # --- the bounded difference search ---------------------------------------------
@@ -260,7 +292,12 @@ def test_search_matches_dict_reference(d):
         c = search_config(rng, d, bound)
         if rng.random() < 0.6:
             lo = tuple(rng.randint(-4, 0) for _ in range(d))
-            window = Window.box(lo, tuple(a + rng.randint(2, {1: 15, 2: 7, 3: 4}[d]) for a in lo))
+            hi = [a + rng.randint(2, {1: 15, 2: 7, 3: 4}[d]) for a in lo]
+            if k % 4 == 0:
+                # a thin axis, so that a leaf step can exhaust the window
+                axis = rng.randrange(d)
+                hi[axis] = lo[axis] + rng.randint(0, 1)
+            window = Window.box(lo, hi)
         else:
             window = random_window(rng, d, extent={1: 16, 2: 8, 3: 5}[d])
         args = (c, rng.randint(1, 3 if d < 3 else 2), bound, window)
