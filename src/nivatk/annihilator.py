@@ -115,6 +115,17 @@ def find_annihilator(c: Configuration, shape: Window, sample: Window,
         shape=shape, sample=sample, verified_on=verify)
 
 
+def _expansion_threshold(f: LaurentPolynomial, c_max: int) -> int:
+    """The coefficient-mass threshold s = c_max * (sum of |coefficients|)."""
+    if f.is_zero:
+        raise ZeroPolynomialError("expansion bound needs a nonzero polynomial")
+    if not f.has_integer_coefficients():
+        raise NonIntegerCoefficientsError("expansion bound needs integer coefficients")
+    if c_max < 0:
+        raise ValueError("c_max must be nonnegative")
+    return int(c_max * f.coefficient_abs_sum())
+
+
 def expansion_bound(f: LaurentPolynomial, c_max: int):
     """Coefficient-mass threshold s and modulus r = s! for power substitution.
 
@@ -122,13 +133,7 @@ def expansion_bound(f: LaurentPolynomial, c_max: int):
     power substitution X -> X^n with n coprime to r again annihilates.  The
     claim is exported for checking, not recomputed here.
     """
-    if f.is_zero:
-        raise ZeroPolynomialError("expansion bound needs a nonzero polynomial")
-    if not f.has_integer_coefficients():
-        raise NonIntegerCoefficientsError("expansion bound needs integer coefficients")
-    if c_max < 0:
-        raise ValueError("c_max must be nonnegative")
-    s = int(c_max * f.coefficient_abs_sum())
+    s = _expansion_threshold(f, c_max)
     return s, math.factorial(s)
 
 
@@ -155,7 +160,7 @@ def verify_expansion(f: LaurentPolynomial, c: Configuration, primes,
         raise VerificationFailedError(
             f"f*c is nonzero on the window at {base.witness}")
     c_max = max(map(abs, window_values(c, window)))
-    s, _ = expansion_bound(f, int(c_max))
+    s = _expansion_threshold(f, int(c_max))
 
     out = []
     for p in primes:
@@ -180,21 +185,8 @@ def build_radical_witness(f: LaurentPolynomial, r: int, v0) -> LaurentPolynomial
     and r is the matching substitution modulus; it reduces to a pure
     product of difference factors after monomial division.
     """
-    if f.is_zero:
-        raise ZeroPolynomialError("radical witness needs a nonzero polynomial")
-    if r < 1:
-        raise ValueError("substitution modulus must be >= 1")
-    v0 = tuple(int(x) for x in v0)
-    supp = f.support()
-    if v0 not in supp:
-        raise V0NotInSupportError(f"{v0} is not in the support of f")
-    g = LaurentPolynomial.monomial((1,) * f.dim)
-    rv0 = vec_scale(r, v0)
-    for v in supp:
-        if v == v0:
-            continue
-        g = g * LaurentPolynomial(f.dim, {vec_scale(r, v): 1, rv0: -1})
-    return g
+    monomial, vectors = radical_witness_normal_form(f, r, v0)
+    return LaurentPolynomial.difference_product(f.dim, vectors).shift(monomial)
 
 
 def radical_witness_normal_form(f: LaurentPolynomial, r: int, v0):
@@ -202,7 +194,8 @@ def radical_witness_normal_form(f: LaurentPolynomial, r: int, v0):
 
     Returns (monomial_exponent, vectors) with
     build_radical_witness(f, r, v0) = X^monomial * prod (X^w - 1) over the
-    vectors w = r*(v - v0), v running over the support minus v0.
+    vectors w = r*(v - v0), v running over the support minus v0: each
+    factor X^(r*v) - X^(r*v0) is X^(r*v0) * (X^w - 1).
     """
     if f.is_zero:
         raise ZeroPolynomialError("radical witness needs a nonzero polynomial")
@@ -246,9 +239,7 @@ def search_difference_annihilator(c: Configuration, max_factors: int,
     base = extract_pattern(c, zero, window)
 
     def verified(chain, dom: Window) -> bool:
-        product = math.prod(map(LaurentPolynomial.difference, chain),
-                            start=LaurentPolynomial.one(c.dim))
-        return bool(annihilates(product, c, dom))
+        return bool(annihilates(LaurentPolynomial.difference_product(c.dim, chain), c, dom))
 
     def dfs(pat, start: int, depth: int, chain: list):
         for idx in range(start, len(steps)):

@@ -134,12 +134,9 @@ def _cmd_search(args) -> int:
     if steps is None:
         print("found=false")
         return 0
-    product = LaurentPolynomial.one(c.dim)
-    for v in steps:
-        product = product * LaurentPolynomial.difference(v)
     print("found=true")
     print(f"steps={_fmt_vecs(steps)}")
-    print(f"product={format_poly(product)}")
+    print(f"product={format_poly(LaurentPolynomial.difference_product(c.dim, steps))}")
     return 0
 
 
@@ -290,9 +287,7 @@ def _example_4() -> str:
 
 def _example_5() -> str:
     c = parse_config(BINARY_IRRATIONAL_2D)
-    f = (LaurentPolynomial.difference((1, 0))
-         * LaurentPolynomial.difference((0, 1))
-         * LaurentPolynomial.difference((1, -1)))
+    f = LaurentPolynomial.difference_product(2, [(1, 0), (0, 1), (1, -1)])
     window = Window.box((0, 0), (199, 199))
     res = annihilates(f, c, window)
     values = set(c.block(window.lo, window.hi))

@@ -122,18 +122,6 @@ class WindowDecomposition:
         return Pattern(self.core, map(sum, zip(*(p.cells for p in self.components))))
 
 
-def _halo_box(core: Window, vectors) -> Window:
-    lo = list(core.lo)
-    hi = list(core.hi)
-    for v in vectors:
-        for k, x in enumerate(v):
-            if x < 0:
-                lo[k] += x
-            else:
-                hi[k] += x
-    return Window.box(tuple(lo), tuple(hi))
-
-
 def _stencil_solve(core, vs, cols, ncols, rhs):
     """The canonical solution for three or more directions, or None.
 
@@ -179,7 +167,7 @@ def decompose(c: Configuration, vectors, core: Window, halo: Window | None = Non
     """Split c on the core into one vi-periodic component per direction.
 
     Requires that the product of the difference factors annihilates c on the
-    halo (checked; the default halo is the core grown by each step's extent).
+    halo (checked; by default the core plus the product's exponent box).
     Unknowns are each component's values on the entry cells of its lines
     through the core, ordered by component then cell.  The output is the
     solution with free unknowns pinned to zero, which depends only on the
@@ -201,16 +189,17 @@ def decompose(c: Configuration, vectors, core: Window, halo: Window | None = Non
     if core.dim != c.dim:
         raise DimensionMismatchError("core dimension vs configuration")
 
-    needed = _halo_box(core, vs)
+    product = LaurentPolynomial.difference_product(c.dim, vs)
+    # the lowest terms in coordinate k are +-X^(sum of v with v_k < 0) times
+    # the nonzero product of the factors with v_k = 0, so the exponent box
+    # is sum min(0, v_k) .. sum max(0, v_k): the core grown by every step
+    needed = Window.box(vec_add(core.lo, product.min_exponent()),
+                        vec_add(core.hi, product.max_exponent()))
     if halo is None:
         halo = needed
-    else:
-        if not all(p in halo for p in needed):
-            raise WindowTooSmallError("halo must cover the core grown by every step extent")
+    elif not all(p in halo for p in needed):
+        raise WindowTooSmallError("halo must cover the core grown by every step extent")
 
-    product = LaurentPolynomial.one(c.dim)
-    for v in vs:
-        product = product * LaurentPolynomial.difference(v)
     ver = annihilates(product, c, halo)
     if not ver:
         raise VerificationFailedError(

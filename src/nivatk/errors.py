@@ -74,10 +74,6 @@ class ParallelDirectionsError(ValueError):
     """Two directions were required to be non-parallel."""
 
 
-class ZeroDenominatorError(ValueError):
-    """A bound's denominator vanished."""
-
-
 class BlockTooSmallError(ValueError):
     """Block dimensions fall below the polynomial's extent."""
 

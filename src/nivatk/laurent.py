@@ -18,7 +18,6 @@ from fractions import Fraction
 from .errors import (
     DimensionMismatchError,
     ZeroPolynomialError,
-    ZeroVectorError,
 )
 from .configurations import Configuration, Pattern, combine, window_values
 from .lattice import (
@@ -32,7 +31,7 @@ from .lattice import (
     vec_scale,
     vec_sub,
 )
-from .linalg import integer_primitive
+from .linalg import _exact, integer_primitive
 
 
 class LaurentPolynomial:
@@ -99,6 +98,11 @@ class LaurentPolynomial:
         """X^v - 1."""
         v = tuple(int(x) for x in v)
         return cls(len(v), {v: 1, (0,) * len(v): -1})
+
+    @classmethod
+    def difference_product(cls, dim, vectors):
+        """(X^v1 - 1)...(X^vm - 1), multiplied left to right; 1 when m = 0."""
+        return math.prod(map(cls.difference, vectors), start=cls.one(dim))
 
     # --- predicates and views ---
 
@@ -399,8 +403,6 @@ def newton_polygon_directions(f: LaurentPolynomial):
     dirs = set()
     for i, p in enumerate(hull):
         q = hull[(i + 1) % len(hull)]
-        if p == q:
-            continue
         dirs.add(canonical_sign(primitive_vector(vec_sub(q, p))))
     return tuple(sorted(dirs))
 
@@ -450,17 +452,11 @@ def _upoly_trim(p):
     return p
 
 
-def _exact_div(a, b):
-    """a / b, an int when b divides a."""
-    q, r = divmod(a, b)
-    return Fraction(a, b) if r else q
-
-
 def _upoly_divmod(a, b):
     a = list(a)
     q = [0] * max(0, len(a) - len(b) + 1)
     for i in range(len(a) - len(b), -1, -1):
-        c = _exact_div(a[i + len(b) - 1], b[-1])
+        c = _exact(a[i + len(b) - 1], b[-1])
         if c:
             q[i] = c
             for j, bj in enumerate(b):

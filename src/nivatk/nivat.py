@@ -28,7 +28,6 @@ from .errors import (
     NonPrimitiveError,
     ParallelDirectionsError,
     ZeroAreaError,
-    ZeroDenominatorError,
     ZeroVectorError,
 )
 from .lattice import (
@@ -85,8 +84,6 @@ def bound_two_directions(v1, v2, M: int, N: int) -> Fraction:
         raise ParallelDirectionsError(f"{v1} and {v2} are parallel")
     m1, n1 = abs(v1[0]), abs(v1[1])
     m2, n2 = abs(v2[0]), abs(v2[1])
-    if m1 * n2 + m2 * n1 == 0:
-        raise ZeroDenominatorError("degenerate direction pair")
     return _two_direction_value(m1, n1, m2, n2, M, N)
 
 
@@ -276,6 +273,9 @@ class PeriodicityClassReport:
     verified_periods: tuple = ()
 
 
+_LABELS = ("DoublyPeriodicCandidate", "OnePeriodicCandidate", "NonPeriodicCandidate")
+
+
 def periodicity_class(search_result=None, lf: LineFactorization | None = None,
                       config: Configuration | None = None, periods=(),
                       sample: Window | None = None) -> PeriodicityClassReport:
@@ -304,26 +304,15 @@ def periodicity_class(search_result=None, lf: LineFactorization | None = None,
             if periodicity_test(config, v, sample).status == "periodic":
                 confirmed.append(v)
 
+    count = None if dirs is None else len(dirs)
     if confirmed:
-        independent = _rank_at_least_2(confirmed)
-        if independent:
-            return PeriodicityClassReport(
-                "DoublyPeriodicCandidate", True,
-                len(dirs) if dirs is not None else None, tuple(confirmed))
-        return PeriodicityClassReport(
-            "OnePeriodicCandidate", True,
-            len(dirs) if dirs is not None else None, tuple(confirmed))
-
-    if dirs is None:
+        # exact periods read as a direction count of 0 when independent, else 1
+        k = 0 if _rank_at_least_2(confirmed) else 1
+    elif count is None:
         return PeriodicityClassReport("Unknown", False, None)
-    count = len(dirs)
-    if count == 0:
-        label = "DoublyPeriodicCandidate"
-    elif count == 1:
-        label = "OnePeriodicCandidate"
     else:
-        label = "NonPeriodicCandidate"
-    return PeriodicityClassReport(label, False, count)
+        k = count
+    return PeriodicityClassReport(_LABELS[min(k, 2)], bool(confirmed), count, tuple(confirmed))
 
 
 def _rank_at_least_2(vectors) -> bool:

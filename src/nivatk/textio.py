@@ -187,31 +187,24 @@ def _parse_cell_map(cur: _Cursor) -> dict:
 
 
 def _parse_alpha(cur: _Cursor) -> QuadraticReal:
+    """sqrt(n), quad(a, b, n, q) for (a + b*sqrt(n)) / q, or a rational."""
     tok = cur.peek()
-    if tok is not None and tok.kind == "name" and tok.text == "sqrt":
-        cur.next()
-        cur.expect("(")
-        n = _parse_int(cur)
-        cur.expect(")")
-        if n < 0 or not is_squarefree(n):
-            raise NonSquarefreeRadicandError(f"radicand {n} is not squarefree")
-        return QuadraticReal.sqrt(n)
-    if tok is not None and tok.kind == "name" and tok.text == "quad":
-        cur.next()
-        cur.expect("(")
-        a = _parse_int(cur)
-        cur.expect(",")
-        b = _parse_int(cur)
-        cur.expect(",")
-        n = _parse_int(cur)
-        cur.expect(",")
-        q = _parse_int(cur)
-        cur.expect(")")
-        if n < 0 or not is_squarefree(n):
-            raise NonSquarefreeRadicandError(f"radicand {n} is not squarefree")
-        return QuadraticReal(a, b, n, q)
-    r = _parse_rational(cur)
-    return QuadraticReal.from_fraction(r)
+    if tok is None or tok.kind != "name" or tok.text not in ("sqrt", "quad"):
+        return QuadraticReal.from_fraction(_parse_rational(cur))
+    cur.next()
+    cur.expect("(")
+    args = [_parse_int(cur)]
+    if tok.text == "sqrt":
+        args = [0, 1, args[0], 1]
+    else:
+        for _ in range(3):
+            cur.expect(",")
+            args.append(_parse_int(cur))
+    cur.expect(")")
+    n = args[2]
+    if n < 0 or not is_squarefree(n):
+        raise NonSquarefreeRadicandError(f"radicand {n} is not squarefree")
+    return QuadraticReal(*args)
 
 
 def _parse_descriptor(cur: _Cursor) -> Configuration:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -123,6 +124,26 @@ def test_verify_expansion_checkerboard():
     assert by_p[2].exact is None
 
 
+def test_verify_expansion_computes_no_factorial(monkeypatch):
+    c = Mechanical((1000, 0), QuadraticReal.sqrt(2))
+    f = LP.difference((0, 1))
+    window = Window.box((0, 0), (99, 3))
+    s = 2 * max(map(abs, c.block(window.lo, window.hi)))
+    assert s == 280014
+    x_minus_y = LP.variable(0, 2) - LP.variable(1, 2)  # annihilates the checkerboard
+    small = expansion_bound(x_minus_y, 1)[0]
+
+    def no_factorial(n):
+        raise AssertionError(f"factorial({n}) computed")
+
+    monkeypatch.setattr("nivatk.annihilator.math.factorial", no_factorial)
+    checks = verify_expansion(f, c, [2, 3], window)
+    assert [chk.threshold for chk in checks] == [s, s]
+    assert not any(chk.above_bound for chk in checks)
+    board = verify_expansion(x_minus_y, checkerboard(), [3], Window.box((0, 0), (5, 5)))
+    assert board[0].threshold == small
+
+
 def test_verify_expansion_rejects_composites_and_fractions():
     c = checkerboard()
     x = LP.variable(0, 2)
@@ -141,16 +162,34 @@ def test_radical_witness_construction():
     assert dict(w.terms) == {(3, 1): Fraction(1), (1, 3): Fraction(-1)}
 
 
+def direct_radical_witness(f, r, v0):
+    """X^(1,...,1) * prod over v in the support, v != v0, of X^(r*v) - X^(r*v0)."""
+    g = LP.monomial((1,) * f.dim)
+    rv0 = tuple(r * x for x in v0)
+    for v in f.support():
+        if v != v0:
+            g = g * LP(f.dim, {tuple(r * x for x in v): 1, rv0: -1})
+    return g
+
+
 def test_radical_witness_normal_form_identity():
     x = LP.variable(0, 2)
     y = LP.variable(1, 2)
     mono, vectors = radical_witness_normal_form(x - y, 2, (0, 1))
     assert mono == (1, 3)
     assert vectors == [(2, -2)]
-    rebuilt = LP.monomial(mono)
-    for v in vectors:
-        rebuilt = rebuilt * LP.difference(v)
-    assert (rebuilt - build_radical_witness(x - y, 2, (0, 1))).is_zero
+    assert build_radical_witness(x - y, 2, (0, 1)) == direct_radical_witness(x - y, 2, (0, 1))
+    rng = random.Random(11)
+    for dim in (1, 2, 3):
+        for _ in range(15):
+            f = LP(dim, {tuple(rng.randint(-2, 2) for _ in range(dim)): rng.randint(1, 3)
+                         for _ in range(rng.randint(1, 4))})
+            r = rng.randint(1, 3)
+            for v0 in f.support():
+                want = direct_radical_witness(f, r, v0)
+                assert build_radical_witness(f, r, v0) == want
+                mono, vectors = radical_witness_normal_form(f, r, v0)
+                assert want == LP.difference_product(dim, vectors).shift(mono)
 
 
 def test_radical_witness_monomial_input():

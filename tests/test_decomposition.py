@@ -25,6 +25,7 @@ from nivatk.errors import (
 from nivatk.lattice import Lattice, Window, vec_add, vec_scale, vec_sub
 from nivatk.linalg import _solve_echelon
 from nivatk.quadratic import QuadraticReal
+from test_laurent import rand_steps
 
 
 def checkerboard():
@@ -151,6 +152,45 @@ def test_decompose_explicit_halo_must_cover():
     core = Window.box((0, 0), (5, 5))
     with pytest.raises(WindowTooSmallError):
         decompose(c, [(1, 1)], core, halo=Window.box((0, 0), (2, 2)))
+
+
+def old_halo_box(core, vectors):
+    """The core grown by each step's extent, coordinate by coordinate."""
+    lo, hi = list(core.lo), list(core.hi)
+    for v in vectors:
+        for k, x in enumerate(v):
+            if x < 0:
+                lo[k] += x
+            else:
+                hi[k] += x
+    return Window.box(tuple(lo), tuple(hi))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_default_halo_is_the_core_grown_by_every_step(dim, monkeypatch):
+    rng = random.Random(60 + dim)
+    c = Periodic(Lattice([tuple(int(i == j) for j in range(dim)) for i in range(dim)]),
+                 {(0,) * dim: 7})
+    seen = []
+    real = decomposition.annihilates
+    monkeypatch.setattr(decomposition, "annihilates",
+                        lambda f, c, w: seen.append(w) or real(f, c, w))
+    for _ in range(12):
+        vs = rand_steps(rng, dim, rng.randint(1, 4))
+        lo = tuple(rng.randint(-3, 3) for _ in range(dim))
+        core = Window.box(lo, tuple(x + rng.randint(0, 2) for x in lo))
+        want = old_halo_box(core, vs)
+        seen.clear()
+        dec = decompose(c, vs, core)
+        assert seen == [want]
+        assert decompose(c, vs, core, halo=want) == dec
+        # one cell short on either side of any axis the halo spans
+        for k in (k for k in range(dim) if want.lo[k] < want.hi[k]):
+            for side, step in ((0, 1), (1, -1)):
+                short = [list(want.lo), list(want.hi)]
+                short[side][k] += step
+                with pytest.raises(WindowTooSmallError):
+                    decompose(c, vs, core, halo=Window.box(*map(tuple, short)))
 
 
 def test_decompose_three_directions_on_irrational_sum():

@@ -48,6 +48,38 @@ def test_constructors():
     assert LP.difference((1, 0)).terms == {(1, 0): Fraction(1), (0, 0): Fraction(-1)}
 
 
+def rand_steps(rng, dim, m):
+    """m nonzero steps with small coordinates, zeros among them, and some
+    repeating or negating an earlier step."""
+    steps = []
+    while len(steps) < m:
+        if steps and rng.random() < 0.3:
+            v = rng.choice(steps)
+            steps.append(v if rng.random() < 0.5 else tuple(-x for x in v))
+            continue
+        v = tuple(rng.choice((-2, -1, 0, 0, 1, 2)) for _ in range(dim))
+        if any(v):
+            steps.append(v)
+    return steps
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_difference_product_matches_the_loop(dim):
+    rng = random.Random(40 + dim)
+    cases = [[], [(1,) * dim], [(1,) * dim, (1,) * dim], [(1,) * dim, (-1,) * dim]]
+    cases += [rand_steps(rng, dim, rng.randint(1, 5)) for _ in range(40)]
+    for steps in cases:
+        want = LP.one(dim)
+        for v in steps:
+            want = want * LP.difference(v)
+        got = LP.difference_product(dim, steps)
+        assert got.dim == dim
+        assert list(got.terms.items()) == list(want.terms.items())
+    assert LP.difference_product(dim, []).terms == {(0,) * dim: 1}
+    with pytest.raises(DimensionMismatchError):
+        LP.difference_product(dim, [(1,) * (dim + 1)])
+
+
 def test_ring_axioms_on_random_inputs():
     rng = random.Random(3)
     for _ in range(50):

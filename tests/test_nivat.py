@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -74,6 +76,20 @@ def test_bound_two_directions_known_values_and_symmetry():
     a = bound_two_directions((1, 0), (1, -1), 3, 3)
     b = bound_two_directions((1, -1), (1, 0), 3, 3)
     assert a == b == 18
+
+
+def test_bound_two_directions_every_primitive_pair():
+    prims = [v for v in itertools.product(range(-4, 5), repeat=2) if math.gcd(*v) == 1]
+    pairs = 0
+    for (m1, n1), (m2, n2) in itertools.product(prims, repeat=2):
+        if m1 * n2 == n1 * m2:
+            continue
+        pairs += 1
+        for M, N in ((0, 0), (3, 2)):
+            a1, b1, a2, b2 = abs(m1), abs(n1), abs(m2), abs(n2)
+            want = Fraction((M * b1 + a1 * N) * (M * b2 + a2 * N), a1 * b2 + a2 * b1)
+            assert bound_two_directions((m1, n1), (m2, n2), M, N) == want
+    assert pairs > 2000
 
 
 def test_bound_two_directions_input_checks():
@@ -219,6 +235,35 @@ def test_periodicity_class_three_directions_proxy():
     assert rep.label == "NonPeriodicCandidate"
     assert not rep.certain
     assert rep.direction_count == 3
+
+
+SQUARE_LINES = LP.difference((1, 0)) * LP.difference((0, 1))  # directions (0,1), (1,0)
+
+
+@pytest.mark.parametrize("kwargs, label, certain, count, periods", [
+    (dict(search_result=[]), "DoublyPeriodicCandidate", False, 0, ()),
+    (dict(search_result=[(2, 0)]), "OnePeriodicCandidate", False, 1, ()),
+    (dict(search_result=[(1, 0), (0, 3)]), "NonPeriodicCandidate", False, 2, ()),
+    (dict(lf=True), "NonPeriodicCandidate", False, 2, ()),
+    (dict(lf=True, search_result=[(1, 0), (1, 1)]), "OnePeriodicCandidate", False, 1, ()),
+    (dict(lf=True, search_result=[(1, 1)]), "DoublyPeriodicCandidate", False, 0, ()),
+    (dict(search_result=[(1, 0), (0, 1), (1, -1)], periods=[(1, 0)]),
+     "NonPeriodicCandidate", False, 3, ()),
+    (dict(search_result=[(1, 0), (0, 1), (1, -1)], periods=[(1, 1), (2, 2), (1, 0)]),
+     "OnePeriodicCandidate", True, 3, ((1, 1), (2, 2))),
+    (dict(periods=[(1, 0), (1, -1), (1, 1)]),
+     "DoublyPeriodicCandidate", True, None, ((1, -1), (1, 1))),
+    (dict(), "Unknown", False, None, ()),
+])
+def test_periodicity_class_every_label_branch(kwargs, label, certain, count, periods):
+    kwargs = dict(kwargs)
+    if kwargs.pop("lf", False):
+        kwargs["lf"] = line_factorization(SQUARE_LINES)
+    if "periods" in kwargs:
+        kwargs["config"] = checkerboard()
+    rep = periodicity_class(**kwargs)
+    assert (rep.label, rep.certain, rep.direction_count, rep.verified_periods) == (
+        label, certain, count, periods)
 
 
 def test_periodicity_class_no_information():
