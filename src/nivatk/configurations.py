@@ -458,13 +458,12 @@ class Pattern:
         """The values on a window inside this one, in that window's order."""
         if self.strides is None or not window.is_box:
             return list(map(self.values.__getitem__, window))
-        n = window.hi[-1] - window.lo[-1] + 1
-        return list(itertools.chain.from_iterable(
-            self.cells[b:b + n] for b in self.row_starts(window)))
+        starts, n = self.rows(window)
+        return list(itertools.chain.from_iterable(self.cells[b:b + n] for b in starts))
 
-    def row_starts(self, window: Window):
-        """Flat index in a box pattern of the first cell of each row of a box window."""
-        return self.indices(Window.box(window.lo, window.hi[:-1] + window.lo[-1:]))
+    def rows(self, window: Window):
+        """Flat indices in a box pattern of a box window's cells: row starts and length (_rows)."""
+        return _rows(window, self.strides, -vec_dot(self.shape.lo, self.strides))
 
     def keys(self, shape: Window, anchors: Window):
         """Yield one hashable pattern key per anchor, lazily, in anchor order.
@@ -474,14 +473,15 @@ class Pattern:
         flattened it is the sequence of values in shape order.  Every
         anchor + shape must lie inside the box.
         """
-        return _slice_keys(self.cells, self.strides, shape, self.indices(anchors))
+        if anchors.is_box:
+            return _slice_keys(self.cells, self.strides, shape, *self.rows(anchors))
+        return _slice_keys(self.cells, self.strides, shape, self.indices(anchors), 1)
 
     def indices(self, window: Window):
         """Flat index in a box pattern of every cell of the window, lazily, in window order."""
         if window.is_box:
-            return map(sum, itertools.product(*(
-                range((a - l) * s, (b - l) * s + 1, s)
-                for a, b, l, s in zip(window.lo, window.hi, self.shape.lo, self.strides))))
+            starts, n = self.rows(window)
+            return itertools.chain.from_iterable(range(b, b + n) for b in starts)
         origin = vec_dot(self.shape.lo, self.strides)
         return (vec_dot(p, self.strides) - origin for p in window)
 
@@ -512,26 +512,47 @@ def window_values(c: Configuration, window: Window) -> list:
     """
     if window.is_box:
         return c.block(window.lo, window.hi)
-    runs = []
-    for p in window:
-        if runs and runs[-1][1][:-1] == p[:-1] and runs[-1][1][-1] + 1 == p[-1]:
-            runs[-1][1] = p
-        else:
-            runs.append([p, p])
-    return list(itertools.chain.from_iterable(c.block(lo, hi) for lo, hi in runs))
+    # along a run, the last coordinate less the cell's position stays the same
+    runs = itertools.groupby(enumerate(window), lambda e: (e[1][:-1], e[1][-1] - e[0]))
+    return list(itertools.chain.from_iterable(
+        c.block(g[0][1], g[-1][1]) for g in (list(g) for _, g in runs)))
 
 
-def _slice_keys(cells: tuple, strides, shape: Window, bases):
-    """Pattern keys read from a flat row-major layout, one per base index."""
-    runs = []
-    for u in shape:
-        off = vec_dot(u, strides)
-        if runs and runs[-1][1] == off:
-            runs[-1][1] = off + 1
-        else:
-            runs.append([off, off + 1])
-    for b in bases:
-        yield tuple([cells[b + start:b + stop] for start, stop in runs])
+def _rows(box: Window, strides, shift: int = 0):
+    """Flat indices shift + <p, strides> of the box's cells: row starts, in order, and row length.
+
+    strides are row-major, the last 1.  A trailing axis whose indices fill
+    the stride of the axis before it continues that axis without a gap, so
+    it folds into it: a box spanning every axis but the first is one row.
+    """
+    *outer, last = (range(a * s, (b + 1) * s, s) for a, b, s in zip(box.lo, box.hi, strides))
+    while outer and len(last) == outer[-1].step:
+        prev = outer.pop()
+        last = range(prev.start + last.start, prev[-1] + last.stop)
+    return map(sum, itertools.product(*outer, [last.start + shift])), len(last)
+
+
+def _slice_keys(cells: tuple, strides, shape: Window, starts, n: int):
+    """Keys at the anchors whose base indices are rows of n consecutive ints from starts.
+
+    A key holds one slice per run of shape cells consecutive in shape order
+    and in the layout.  When rows are longer than every run, zipping one
+    slice along the row per run cell gives the run's part of every key of
+    the row, with no Python code per anchor; shorter rows, which that would
+    cut into more slices, are read anchor by anchor.
+    """
+    if shape.is_box:
+        offsets, width = _rows(shape, strides)
+        runs = [range(b, b + width) for b in offsets]
+    else:  # an offset less its position is fixed along a run
+        groups = itertools.groupby(enumerate(map(vec_dot, shape, itertools.repeat(strides))),
+                                   lambda p: p[1] - p[0])
+        runs = [range(g[0][1], g[-1][1] + 1) for g in (list(g) for _, g in groups)]
+    if n > max(map(len, runs)):
+        return itertools.chain.from_iterable(
+            zip(*[zip(*[cells[b + o:b + o + n] for o in r]) for r in runs]) for b in starts)
+    bases = starts if n == 1 else itertools.chain.from_iterable(range(b, b + n) for b in starts)
+    return (tuple([cells[b + r.start:b + r.stop] for r in runs]) for b in bases)
 
 
 class _AnchorBlocks:
@@ -553,7 +574,7 @@ class _AnchorBlocks:
         self.cells = tuple(cells)
 
     def keys(self, shape: Window, anchors: Window):
-        return _slice_keys(self.cells, self.strides, shape, map(self.bases.__getitem__, anchors))
+        return _slice_keys(self.cells, self.strides, shape, map(self.bases.__getitem__, anchors), 1)
 
 
 def covering_pattern(c: Configuration, shape: Window, anchors: Window):

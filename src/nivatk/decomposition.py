@@ -89,8 +89,8 @@ def difference_vanishes(p: Pattern, v) -> bool:
     if p.strides is None:
         return difference(p, v).is_zero()
     cells, k = p.cells, vec_dot(v, p.strides)
-    n = dom.hi[-1] - dom.lo[-1] + 1
-    return all(cells[b - k:b - k + n] == cells[b:b + n] for b in p.row_starts(dom))
+    starts, n = p.rows(dom)
+    return all(cells[b - k:b - k + n] == cells[b:b + n] for b in starts)
 
 
 def _repeats(p: Pattern, v) -> bool:

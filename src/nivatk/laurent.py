@@ -95,9 +95,9 @@ class LaurentPolynomial:
 
     @classmethod
     def difference(cls, v):
-        """X^v - 1."""
+        """X^v - 1; the zero polynomial when v = 0."""
         v = tuple(int(x) for x in v)
-        return cls(len(v), {v: 1, (0,) * len(v): -1})
+        return cls(len(v), {v: 1, (0,) * len(v): -1} if any(v) else {})
 
     @classmethod
     def difference_product(cls, dim, vectors):

@@ -10,6 +10,7 @@ always a certified lower bound, never an upper one.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,7 +37,6 @@ from .lattice import (
     is_zero_vector,
     primitive_vector,
     vec_scale,
-    vec_sub,
 )
 from .laurent import LaurentPolynomial, LineFactorization
 
@@ -213,24 +213,27 @@ def scan_csv(rows) -> str:
     return "\n".join(out) + "\n"
 
 
-def _line_rep(anchor, step):
-    i0 = next(k for k, x in enumerate(step) if x != 0)
-    t = anchor[i0] // step[i0]
-    return vec_sub(anchor, vec_scale(t, step))
-
-
 def _line_groups(c: Configuration, shape: Window, v, sample: Window) -> dict:
-    """Pattern keys of the sample anchors, grouped by line w + Zv."""
+    """Pattern keys of the sample anchors, grouped by line w + Zv.
+
+    Anchor a lies on the line of w = a - (a[i] // step[i]) * step, with i
+    the first axis where step is nonzero.
+    """
     v = tuple(int(x) for x in v)
     if len(v) != c.dim or shape.dim != c.dim or sample.dim != c.dim:
         raise DimensionMismatchError("direction/shape/sample vs configuration")
     if is_zero_vector(v):
         raise ZeroVectorError("census direction must be nonzero")
     step = canonical_sign(v)
+    i = next(k for k, x in enumerate(step) if x)
+    cols = list(zip(*sample))
+    ts = list(map(operator.floordiv, cols[i], itertools.repeat(step[i])))
+    reps = zip(*(map(operator.sub, col, map(operator.mul, ts, itertools.repeat(x)))
+                 for col, x in zip(cols, step)))
     keys = covering_pattern(c, shape, sample).keys(shape, sample)
     groups: dict = {}
-    for a, key in zip(sample, keys):
-        groups.setdefault(_line_rep(a, step), set()).add(key)
+    for rep, key in set(zip(reps, keys)):
+        groups.setdefault(rep, set()).add(key)
     return groups
 
 

@@ -48,6 +48,14 @@ def test_constructors():
     assert LP.difference((1, 0)).terms == {(1, 0): Fraction(1), (0, 0): Fraction(-1)}
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_difference_of_the_zero_step_is_zero(dim):
+    zero = (0,) * dim
+    assert LP.difference(zero).is_zero and LP.difference(zero).dim == dim
+    assert LP.difference_product(dim, [(1,) + zero[1:], zero]).is_zero
+    assert LP.difference_product(dim, [zero, (-2,) * dim]) == LP.zero(dim)
+
+
 def rand_steps(rng, dim, m):
     """m nonzero steps with small coordinates, zeros among them, and some
     repeating or negating an earlier step."""

@@ -9,6 +9,8 @@ dict reference kept here.
 """
 
 import itertools
+import math
+import operator
 import random
 import time
 from fractions import Fraction
@@ -23,6 +25,7 @@ from nivatk.configurations import (
     Pattern,
     Periodic,
     Sum,
+    _rows,
     combine,
 )
 from nivatk.decomposition import (
@@ -118,6 +121,42 @@ def test_values_view_and_on_follow_window_order(seed):
             lo = tuple(rng.randint(a, b) for a, b in zip(window.lo, window.hi))
             box = Window.box(lo, tuple(rng.randint(a, b) for a, b in zip(lo, window.hi)))
             assert p.on(box) == [vals[u] for u in box]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_indices_fold_the_trailing_axes_a_window_spans(d):
+    """Flat indices against their brute-force positions in the box, for windows
+    spanning 0, 1 or 2 trailing axes in full, axes of extent 1 and negative lo."""
+    rng = random.Random(80 + d)
+    seen = set()
+    for _ in range(80):
+        lo = tuple(rng.randint(-5, 2) for _ in range(d))
+        box = Window.box(lo, tuple(a + rng.choice((0, 0, 1, 2, 3)) for a in lo))
+        p = Pattern(box, range(len(box)))  # the value of a cell is its flat index
+        full = rng.randint(0, min(2, d))
+        wlo, whi = [], []
+        for i, (a, b) in enumerate(zip(box.lo, box.hi)):
+            x = a if i >= d - full else rng.randint(a, b)
+            wlo.append(x)
+            whi.append(b if i >= d - full else rng.randint(x, b))
+        window = Window.box(wlo, whi)
+        want = [p.values[u] for u in window]
+        assert list(p.indices(window)) == want
+        starts, n = p.rows(window)
+        starts = list(starts)
+        assert [b + k for b in starts for k in range(n)] == want
+        # the axes spanned in full from the last one back fold into the one before
+        spans = [a == x and b == y for a, b, x, y in zip(box.lo, box.hi, wlo, whi)]
+        m = d - next((k for k, f in enumerate(reversed(spans)) if not f), d)
+        extents = [y - x + 1 for x, y in zip(wlo, whi)]
+        assert len(starts) == math.prod(extents[:max(m - 1, 0)])
+        assert n * len(starts) == len(window)
+        shift = rng.randint(-9, 9)
+        starts, n = _rows(window, p.strides, shift)
+        flat = [sum(map(operator.mul, u, p.strides)) + shift for u in window]
+        assert [b + k for b in starts for k in range(n)] == flat
+        seen.add((full, n == len(window)))
+    assert {f for f, _ in seen} == set(range(min(2, d) + 1))
 
 
 @pytest.mark.parametrize("seed", [3, 4])

@@ -16,13 +16,24 @@ from nivatk.configurations import (
     CosetIndicator,
     FiniteSupport,
     Mechanical,
+    Pattern,
     Periodic,
     Sum,
     ValueMap,
+    _AnchorBlocks,
     pattern_complexity,
 )
 from nivatk.errors import VerificationFailedError
-from nivatk.lattice import Lattice, Window, canonical_sign, vec_neg, vec_scale, vec_sub
+from nivatk.lattice import (
+    Lattice,
+    Window,
+    canonical_sign,
+    vec_add,
+    vec_dot,
+    vec_neg,
+    vec_scale,
+    vec_sub,
+)
 from nivatk.laurent import LaurentPolynomial, annihilates, apply
 from nivatk.linalg import integer_primitive, nullspace_basis
 from nivatk.nivat import disjoint_pattern_line_count, line_pattern_census, nivat_scan
@@ -120,6 +131,23 @@ def ref_count(keys, limit=None):
     return len(seen)
 
 
+def ref_slice_keys(table, shape, anchors):
+    """Keys read anchor by anchor: one slice per run of shape cells consecutive
+    in shape order and in the table, the runs found cell by cell."""
+    runs = []
+    for u in shape:
+        off = vec_dot(u, table.strides)
+        if runs and runs[-1][1] == off:
+            runs[-1][1] = off + 1
+        else:
+            runs.append([off, off + 1])
+    if isinstance(table, Pattern):
+        bases = [vec_dot(vec_sub(a, table.shape.lo), table.strides) for a in anchors]
+    else:
+        bases = [table.bases[a] for a in anchors]
+    return [tuple(table.cells[b + start:b + stop] for start, stop in runs) for b in bases]
+
+
 def ref_groups(c, shape, v, anchors):
     step = canonical_sign(v)
     i0 = next(k for k, x in enumerate(step) if x != 0)
@@ -213,3 +241,79 @@ def test_find_annihilator_matches_reference(seed):
             assert got is want
         else:
             assert (got.g, got.constant, got.f) == want
+
+
+def flat_shape(rng, d, flat):
+    """A box or L-shaped shape with extent 1 on its last `flat` axes."""
+    corner = tuple(rng.randint(-2, 1) for _ in range(d))
+    free = range(d - flat)
+    if rng.random() < 0.6 or not free:
+        return Window.box(corner, tuple(x + (rng.randint(0, 2) if i in free else 0)
+                                        for i, x in enumerate(corner)))
+    pts = [corner]
+    for axis in free:
+        pts += [tuple(x + k * (i == axis) for i, x in enumerate(corner)) for k in (1, 2)]
+    return Window.from_points(pts)
+
+
+def flat_anchors(rng, d, flat):
+    """A box or point set of anchors, one cell wide on its last `flat` axes."""
+    lo = tuple(rng.randint(-5, 2) for _ in range(d))
+    reach = [0 if i >= d - flat else {1: 12, 2: 6, 3: 4}[d] - 1 for i in range(d)]
+    if rng.random() < 0.6:
+        return Window.box(lo, tuple(a + rng.randint(0, r) for a, r in zip(lo, reach)))
+    return Window.from_points([tuple(a + rng.randint(0, r) for a, r in zip(lo, reach))
+                               for _ in range(rng.randint(1, 15))])
+
+
+@pytest.mark.parametrize("seed", [91, 92])
+def test_keys_with_extent_one_trailing_axes_match_reference(seed):
+    """Shapes and anchors of extent 1 on trailing axes make the layout's rows
+    fold; box tables and anchor blocks give the per-anchor keys and values."""
+    rng = random.Random(seed)
+    for k in range(60):
+        d = 1 + k % 3
+        c = random_config(rng, d, VARIANTS[(k // 3) % len(VARIANTS)])
+        shape = flat_shape(rng, d, rng.randint(0, d - 1))
+        anchors = flat_anchors(rng, d, rng.randint(0, d - 1))
+        want = ref_keys(c, shape, anchors)
+        (alo, ahi), (slo, shi) = anchors.bounds(), shape.bounds()
+        box = Window.box(vec_add(alo, slo), vec_add(ahi, shi))
+        tables = (Pattern(box, c.block(box.lo, box.hi)),
+                  _AnchorBlocks(c, Window.box(slo, shi), anchors))
+        for table in tables:
+            got = list(table.keys(shape, anchors))
+            assert got == ref_slice_keys(table, shape, anchors)
+            assert [tuple(itertools.chain.from_iterable(key)) for key in got] == want
+
+
+CENSUS_STEPS = [(2, 0), (0, -2), (0, 1), (-3, 0), (2, 2, 0), (0, 0, 3), (0, -1, 2)]
+
+
+@pytest.mark.parametrize("v", CENSUS_STEPS)
+def test_line_census_on_awkward_steps_matches_reference(v):
+    """Non-primitive steps, steps whose first nonzero coordinate is not the
+    first, and anchors below zero, in boxes and explicit samples."""
+    d = len(v)
+    rng = random.Random(repr(v))
+    step = canonical_sign(v)
+    i0 = next(k for k, x in enumerate(step) if x)
+    for k in range(12):
+        c = random_config(rng, d, VARIANTS[k % len(VARIANTS)])
+        shape = random_shape(rng, d)
+        lo = tuple(rng.randint(-9, -3) for _ in range(d))
+        if k % 2:
+            anchors = Window.box(lo, tuple(a + rng.randint(2, {2: 7, 3: 4}[d]) for a in lo))
+        else:
+            anchors = Window.from_points([tuple(a + rng.randint(0, 8) for a in lo)
+                                          for _ in range(rng.randint(1, 25))])
+        groups = ref_groups(c, shape, v, anchors)
+        census = line_pattern_census(c, shape, v, anchors)
+        assert census == sorted((rep, len(keys)) for rep, keys in groups.items())
+        assert all(0 <= rep[i0] < step[i0] for rep, _ in census)
+        used, kept = set(), 0
+        for rep in sorted(groups):
+            if not groups[rep] & used:
+                used |= groups[rep]
+                kept += 1
+        assert disjoint_pattern_line_count(c, shape, v, anchors) == kept
