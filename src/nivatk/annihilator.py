@@ -65,7 +65,7 @@ def find_annihilator(c: Configuration, shape: Window, sample: Window,
 
     Builds one augmented row (1, values of c on v + shape) per distinct
     pattern at the sample anchors v, keying one anchor per residue class
-    of c.periods() when c has that lattice and only the anchors near
+    of c.periods() when that lattice is full rank and only the anchors near
     c.support() when it has one (support_anchors).  Takes the exact rational
     kernel and keeps the canonical kernel vector: first in the
     reduced-echelon kernel basis, scaled to coprime integers, sign chosen
@@ -78,7 +78,7 @@ def find_annihilator(c: Configuration, shape: Window, sample: Window,
     if len(sample) == 0:
         raise EmptySampleError("empty sample window")
 
-    keyed = support_anchors(c, shape, residue_representatives(c, sample))
+    keyed = support_anchors(c, shape, sample)
     keys = set(covering_pattern(c, shape, keyed).keys(shape, keyed))
     rows = sorted((1,) + tuple(itertools.chain.from_iterable(k)) for k in keys)
     kernel = nullspace_basis(rows)

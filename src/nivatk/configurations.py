@@ -23,7 +23,7 @@ from .errors import (
     EmptyShapeError,
     ZeroVectorError,
 )
-from .lattice import Lattice, Window, vec_add, vec_dot, vec_scale, is_zero_vector
+from .lattice import Lattice, Window, kernel_rows, vec_add, vec_dot, vec_scale, is_zero_vector
 from .quadratic import QuadraticReal, _floor_sqrt_multiple
 
 
@@ -57,7 +57,7 @@ class Configuration:
         return list(map(self.value, itertools.product(*_box(self, lo, hi))))
 
     def periods(self) -> Lattice | None:
-        """A full rank lattice of periods p, c(v + p) = c(v) for every v, or None.
+        """A lattice of periods p, c(v + p) = c(v) for every v, of any rank, or None.
 
         Each variant certifies its lattice by construction.  None claims
         nothing: the configuration may still be periodic.
@@ -159,8 +159,8 @@ class CosetIndicator(Configuration):
         diff = tuple(a - b for a, b in zip(v, self.offset))
         return self.value_on if self._sub.contains(diff) else 0
 
-    def periods(self) -> Lattice | None:
-        return self._sub if self._sub.is_full_rank else None
+    def periods(self) -> Lattice:
+        return self._sub
 
     def support(self) -> Support | None:
         """The coset itself when L has rank < d; periods() covers full rank."""
@@ -194,9 +194,12 @@ class Mechanical(Configuration):
         return (m * a.a + _floor_sqrt_multiple(m * a.b, a.n)) // a.q
 
     def periods(self) -> Lattice | None:
-        """Z^d when <w, v> * alpha is 0 everywhere."""
-        zero = not any(self.weights) or self.alpha.a == self.alpha.b == 0
-        return _whole_space(self.dim) if zero else None
+        """Z^d when <w, v> * alpha is 0 everywhere, else w-perp; None in d = 1, where that is {0}."""
+        if not any(self.weights) or self.alpha.a == self.alpha.b == 0:
+            return _whole_space(self.dim)
+        rows = kernel_rows([tuple(int(i == j) for j in range(self.dim)) + (w,)
+                            for i, w in enumerate(self.weights)], self.dim)
+        return Lattice(rows) if rows else None
 
     def block(self, lo, hi) -> list:
         """One table of exact floors over the span of m = <w, v>, read by row slices.
@@ -289,13 +292,16 @@ class Sum(Configuration):
         return sum(k * c.value(v) for k, c in self.terms)
 
     def periods(self) -> Lattice | None:
-        """The intersection of the terms' lattices, None if any term has none."""
+        """The intersection of the terms' lattices, None if any term has none or it is {0}."""
         out = None
         for _, c in self.terms:
             lat = c.periods()
             if lat is None:
                 return None
-            out = lat if out is None else out.intersect(lat)
+            try:
+                out = lat if out is None else out.intersect(lat)
+            except ZeroVectorError:
+                return None
         return out
 
     def support(self) -> Support | None:
@@ -599,10 +605,10 @@ def residue_representatives(c: Configuration, anchors: Window) -> Window:
     Anchors in one class see the same pattern of every shape, so keying
     only these gives the same sequence of first-seen keys, and with it the
     same counts and early exits.  The scan stops once every class has been
-    seen.  Without a certified lattice the anchors come back unchanged.
+    seen.  Without a full rank periods() the anchors come back unchanged.
     """
     lattice = c.periods()
-    if lattice is None:
+    if lattice is None or not lattice.is_full_rank:
         return anchors
     classes = lattice.index()
     first = {}
@@ -613,8 +619,9 @@ def residue_representatives(c: Configuration, anchors: Window) -> Window:
     return Window.from_points(first.values())
 
 
-def support_anchors(c: Configuration, shape: Window, anchors: Window) -> Window:
-    """The anchors whose shape can meet c.support()'s cosets, plus the first other one.
+def support_anchors(c: Configuration, shape: Window, sample: Window) -> Window:
+    """Of the sample's residue_representatives, those whose shape can meet
+    c.support()'s cosets, plus the first other one.
 
     Off the cosets c is its background, so every other anchor sees the
     background pattern that the first one already shows: keying these
@@ -623,8 +630,11 @@ def support_anchors(c: Configuration, shape: Window, anchors: Window) -> Window:
     the anchors' bounding box grown by the shape's gives the anchors u - s,
     s in the shape's bounding box, that lie in the anchors' bounding box.
     Without a certified support, or when that keys every anchor, the
-    anchors come back unchanged.
+    representatives come back unchanged.
     """
+    anchors = residue_representatives(c, sample)
+    if len(anchors) == len(sample):
+        anchors = sample
     support = c.support()
     if support is None:
         return anchors
@@ -667,25 +677,21 @@ def pattern_complexity(c: Configuration, shape: Window,
     Where c.exact_domain() is a window it replaces the anchors: it covers
     every translate, so the count is exact.  Otherwise anchors range over
     the sample window, one per residue class of c.periods() when that
-    lattice exists and only those near c.support() when that exists, and
-    the count is a certified lower bound.
+    lattice is full rank and only those near c.support() when that exists
+    (support_anchors), and the count is a certified lower bound.
     """
-    if shape.dim != c.dim:
-        raise DimensionMismatchError("shape vs configuration dimension")
+    if shape.dim != c.dim or (sample is not None and sample.dim != c.dim):
+        raise DimensionMismatchError("shape/sample vs configuration dimension")
     if len(shape) == 0:
         raise EmptyShapeError("empty shape")
 
     domain = c.exact_domain()
     if domain is None and (sample is None or len(sample) == 0):
         raise EmptySampleError("a sample window is required here")
-    anchors = sample if domain is None else domain
-    if domain is None:
-        keyed = support_anchors(c, shape, residue_representatives(c, sample))
-    else:
-        keyed = domain
+    keyed = support_anchors(c, shape, sample) if domain is None else domain
 
     count = len(set(covering_pattern(c, shape, keyed).keys(shape, keyed)))
-    return ComplexityResult(count, domain is not None, anchors)
+    return ComplexityResult(count, domain is not None, sample if domain is None else domain)
 
 
 # --- periodicity ------------------------------------------------------------
@@ -706,8 +712,8 @@ def periodicity_test(c: Configuration, v, sample: Window | None = None) -> Perio
     can only refute or stay unknown.
     """
     v = tuple(int(a) for a in v)
-    if len(v) != c.dim:
-        raise DimensionMismatchError("vector vs configuration dimension")
+    if len(v) != c.dim or (sample is not None and sample.dim != c.dim):
+        raise DimensionMismatchError("vector/sample vs configuration dimension")
     if is_zero_vector(v):
         raise ZeroVectorError("the zero vector is not a period candidate")
 

@@ -138,7 +138,7 @@ def _triangular_basis(generators, dim):
     Coordinates are processed from last to first; the pivot row for
     coordinate c has zeros at every coordinate after c and a positive entry
     at c.  Entries of later pivot rows below an earlier pivot are reduced
-    into [0, pivot).  Returns a dict coordinate -> pivot row.
+    into [0, pivot).  Returns a dict coordinate -> pivot row, last first.
     """
     rows = [tuple(g) for g in generators if not is_zero_vector(g)]
     pivots = {}
@@ -175,6 +175,17 @@ def _triangular_basis(generators, dim):
             r = vec_sub(r, vec_scale(q, base))
         pivots[c2] = r
     return pivots
+
+
+def kernel_rows(rows, d: int) -> list:
+    """First d coordinates of a basis of the integer combinations of rows that are 0 past d.
+
+    Those are the triangular basis rows with pivot below d (the Hermite
+    normal form argument of Cohen, A Course in Computational Algebraic
+    Number Theory, 2.4); empty when the only such combination is 0.
+    """
+    pivots = _triangular_basis(rows, len(rows[0]))
+    return [pivots[c][:d] for c in sorted(pivots) if c < d]
 
 
 class Lattice:
@@ -222,25 +233,14 @@ class Lattice:
         return n
 
     def contains(self, v) -> bool:
-        if len(v) != self.dim:
-            raise DimensionMismatchError(f"vector {v} vs dimension {self.dim}")
-        v = tuple(v)
-        for c in sorted(self._pivots, reverse=True):
-            row = self._pivots[c]
-            if v[c] % row[c] != 0:
-                return False
-            v = vec_sub(v, vec_scale(v[c] // row[c], row))
-        return is_zero_vector(v)
+        return is_zero_vector(self.reduce(v))
 
     def reduce(self, v):
-        """Canonical residue of v: each pivot coordinate lands in [0, pivot)."""
-        if not self.is_full_rank:
-            raise RankDeficientError("reduction requires a full rank lattice")
+        """Canonical representative of v + L, at any rank: each pivot coordinate,
+        from the last down, lands in [0, pivot), and the others are left to vary."""
         if len(v) != self.dim:
             raise DimensionMismatchError(f"vector {v} vs dimension {self.dim}")
-        v = tuple(v)
-        for c in range(self.dim - 1, -1, -1):
-            row = self._pivots[c]
+        for c, row in self._pivots.items():
             v = vec_sub(v, vec_scale(v[c] // row[c], row))
         return v
 
@@ -248,19 +248,15 @@ class Lattice:
         """The lattice of vectors lying in both, by an integer kernel.
 
         The rows (g | g) for the generators g of self and (0 | h) for those
-        of other span the pairs (x, x + y) with x in self and y in other.
-        Triangularised with the second half last, the basis rows with a zero
-        second half span the pairs with x = -y, whose first halves are the
-        intersection (the Hermite normal form argument of Cohen, A Course
-        in Computational Algebraic Number Theory, 2.4).  Raises
-        ZeroVectorError when the intersection is {0}.
+        of other span the pairs (x, x + y) with x in self and y in other;
+        those with x + y = 0 have the intersection as first halves
+        (kernel_rows).  Raises ZeroVectorError when the intersection is {0}.
         """
         if other.dim != self.dim:
             raise DimensionMismatchError(f"lattices of dimension {self.dim} and {other.dim}")
         d = self.dim
         rows = [g + g for g in self.generators] + [(0,) * d + h for h in other.generators]
-        pivots = _triangular_basis(rows, 2 * d)
-        return Lattice([pivots[c][:d] for c in sorted(pivots) if c < d])
+        return Lattice(kernel_rows(rows, d))
 
     def residues(self):
         """Canonical residue cells, the integer box under the pivot entries."""

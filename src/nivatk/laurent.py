@@ -19,7 +19,7 @@ from .errors import (
     DimensionMismatchError,
     ZeroPolynomialError,
 )
-from .configurations import Configuration, Pattern, combine, window_values
+from .configurations import Configuration, Pattern, Sum, combine, window_values
 from .lattice import (
     Window,
     canonical_sign,
@@ -313,20 +313,42 @@ def normalize_integer_primitive(f: LaurentPolynomial) -> LaurentPolynomial:
 # --- action on configurations ------------------------------------------------
 
 
+def coset_certificate(f: LaurentPolynomial, c: Configuration) -> bool:
+    """True when c's period lattices prove f * c = 0 on all of Z^d; False claims nothing.
+
+    A Sum is read term by term; any other descriptor is one atom, whose
+    value at u - e depends only on the coset e + L of its periods(), of
+    any rank.  So f * c vanishes when f's coefficients sum to 0 on every
+    coset (Kari and Szabados, arXiv 1510.00177, the converse half of the
+    decomposition theorem).  An atom without a lattice certifies nothing.
+    """
+    if isinstance(c, Sum):
+        return all(coset_certificate(f, t) for _, t in c.terms)
+    lattice = c.periods()
+    if lattice is None:
+        return False
+    sums = {}
+    for e, a in f.terms.items():
+        r = lattice.reduce(e)
+        sums[r] = sums.get(r, 0) + a
+    return not any(sums.values())
+
+
 def apply(f: LaurentPolynomial, c: Configuration, window: Window) -> Pattern:
     """Pattern of f*c on the window, where (f*c)_u = sum_v a_v c_{u-v}.
 
-    Term v reads c on the translate window - v.  On a box window every
-    term reads it by row slices out of one block of c on the box covering
-    all the translates; as in covering_pattern, each term reads its own
-    block instead when that box holds more cells than the translates
-    together, as for far-spread exponents.  An explicit window reads per
-    term through window_values, so the cost follows its cells, not its
-    bounding box.
+    Zeros when coset_certificate holds, tried where c.exact_domain() is
+    None.  Otherwise term v reads c on the translate window - v.  On a box
+    window every term reads it by row slices out of one block of c on the
+    box covering all the translates; as in covering_pattern, each term
+    reads its own block instead when that box holds more cells than the
+    translates together, as for far-spread exponents.  An explicit window
+    reads per term through window_values, so the cost follows its cells,
+    not its bounding box.
     """
     if f.dim != c.dim or window.dim != c.dim:
         raise DimensionMismatchError("polynomial/configuration/window dimensions")
-    if f.is_zero:
+    if f.is_zero or (c.exact_domain() is None and coset_certificate(f, c)):
         return Pattern(window, [0] * len(window))
     read = functools.partial(window_values, c)
     if window.is_box:
@@ -350,10 +372,14 @@ def annihilates(f: LaurentPolynomial, c: Configuration, window: Window) -> Annih
 
     f*c inherits the periods of c, so where c.exact_domain() is a window,
     checking it settles the whole of Z^d and the answer is exact.
-    Otherwise the window is scanned and a clean pass only certifies the
-    window itself.
+    Otherwise coset_certificate, which reads no cell, or else a clean
+    scan of the window certifies the window itself.
     """
+    if f.dim != c.dim or window.dim != c.dim:
+        raise DimensionMismatchError("polynomial/configuration/window dimensions")
     domain = c.exact_domain()
+    if domain is None and coset_certificate(f, c):
+        return AnnihilationResult("window")
     cells = window if domain is None else domain
     for u, x in zip(cells, apply(f, c, cells).cells):
         if x != 0:

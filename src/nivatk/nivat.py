@@ -19,7 +19,6 @@ from .configurations import (
     count_distinct,
     covering_pattern,
     periodicity_test,
-    residue_representatives,
     support_anchors,
 )
 from .errors import (
@@ -192,7 +191,7 @@ def nivat_scan(c: Configuration, M_range, N_range, sample: Window) -> list:
         raise DimensionMismatchError("scan works on two-dimensional data")
 
     largest = Window.box((0, 0), (max(Ms) - 1, max(Ns) - 1))
-    anchors = support_anchors(c, largest, residue_representatives(c, sample))
+    anchors = support_anchors(c, largest, sample)
     table = covering_pattern(c, largest, anchors)
     rows = []
     for M in Ms:
