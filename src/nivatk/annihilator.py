@@ -27,7 +27,6 @@ from .decomposition import difference as pattern_difference, difference_vanishes
 from .errors import (
     DimensionMismatchError,
     EmptyResultError,
-    EmptySampleError,
     NonIntegerCoefficientsError,
     NotPrimeError,
     V0NotInSupportError,
@@ -75,8 +74,6 @@ def find_annihilator(c: Configuration, shape: Window, sample: Window,
     if shape.dim != c.dim or sample.dim != c.dim or verify.dim != c.dim:
         raise DimensionMismatchError("shape/sample/verify vs configuration")
     shape_pts = list(shape)
-    if len(sample) == 0:
-        raise EmptySampleError("empty sample window")
 
     keyed = support_anchors(c, shape, sample)
     keys = set(covering_pattern(c, shape, keyed).keys(shape, keyed))
@@ -168,9 +165,8 @@ def verify_expansion(f: LaurentPolynomial, c: Configuration, primes,
         if not is_prime(p):
             raise NotPrimeError(f"{p} is not prime")
         fp = substitute_power(f, p)
-        pat = apply(fp, c, window)
-        modp_ok = all(v % p == 0 for v in pat.cells)
         exact = annihilates(fp, c, window) if p > s else None
+        modp_ok = bool(exact) or all(v % p == 0 for v in apply(fp, c, window).cells)
         out.append(ExpansionCheck(
             prime=p, threshold=s, above_bound=p > s,
             modp_ok=modp_ok, exact=exact))

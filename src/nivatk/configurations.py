@@ -23,7 +23,7 @@ from .errors import (
     EmptyShapeError,
     ZeroVectorError,
 )
-from .lattice import Lattice, Window, kernel_rows, vec_add, vec_dot, vec_scale, is_zero_vector
+from .lattice import Lattice, Window, kernel_rows, vec_add, vec_dot, vec_neg, vec_scale, is_zero_vector
 from .quadratic import QuadraticReal, _floor_sqrt_multiple
 
 
@@ -682,11 +682,9 @@ def pattern_complexity(c: Configuration, shape: Window,
     """
     if shape.dim != c.dim or (sample is not None and sample.dim != c.dim):
         raise DimensionMismatchError("shape/sample vs configuration dimension")
-    if len(shape) == 0:
-        raise EmptyShapeError("empty shape")
 
     domain = c.exact_domain()
-    if domain is None and (sample is None or len(sample) == 0):
+    if domain is None and sample is None:
         raise EmptySampleError("a sample window is required here")
     keyed = support_anchors(c, shape, sample) if domain is None else domain
 
@@ -703,25 +701,28 @@ class PeriodicityResult:
     witness: tuple | None = None
 
 
+_PERIODICITY_STATUS = {"exact": "periodic", "window": "unknown", "no": "not-periodic"}
+
+
 def periodicity_test(c: Configuration, v, sample: Window | None = None) -> PeriodicityResult:
     """Is v a translation period of c?
 
-    Where c.exact_domain() is a window, c(u + v) - c(u) has the periods
-    of c, so comparing that domain against its translate decides the
-    question for the whole of Z^d.  Otherwise the sample is scanned, which
-    can only refute or stay unknown.
+    (X^(-v) - 1) * c is c(u + v) - c(u) at u, so this is annihilates() on
+    the sample, or on c.exact_domain() without one, sharing its exact
+    domain and coset certificate: exact reads periodic, window unknown and
+    no not-periodic, the witness the first u with c(u + v) != c(u).
     """
+    # laurent imports this module, so it is imported here
+    from .laurent import LaurentPolynomial, annihilates
+
     v = tuple(int(a) for a in v)
     if len(v) != c.dim or (sample is not None and sample.dim != c.dim):
         raise DimensionMismatchError("vector/sample vs configuration dimension")
     if is_zero_vector(v):
         raise ZeroVectorError("the zero vector is not a period candidate")
 
-    domain = c.exact_domain()
-    if domain is None and (sample is None or len(sample) == 0):
+    window = sample or c.exact_domain()
+    if window is None:
         raise EmptySampleError("non-periodic descriptors need a sample window")
-    cells = sample if domain is None else domain
-    for u, x, y in zip(cells, window_values(c, cells), window_values(c, cells.shift(v))):
-        if x != y:
-            return PeriodicityResult("not-periodic", witness=u)
-    return PeriodicityResult("unknown" if domain is None else "periodic")
+    res = annihilates(LaurentPolynomial.difference(vec_neg(v)), c, window)
+    return PeriodicityResult(_PERIODICITY_STATUS[res.status], witness=res.witness)

@@ -41,13 +41,6 @@ def vec_dot(u, v):
     return sum(map(operator.mul, u, v))
 
 
-def vec_gcd(v) -> int:
-    g = 0
-    for a in v:
-        g = math.gcd(g, a)
-    return g
-
-
 def is_zero_vector(v) -> bool:
     return all(a == 0 for a in v)
 
@@ -70,7 +63,7 @@ def canonical_sign(v):
 
 def primitive_vector(v):
     """Divide out the coordinate gcd.  Raises on the zero vector."""
-    g = vec_gcd(v)
+    g = math.gcd(*v)
     if g == 0:
         raise ZeroVectorError("zero vector has no primitive form")
     return tuple(a // g for a in v)

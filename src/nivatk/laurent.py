@@ -288,10 +288,9 @@ class LaurentPolynomial:
     __hash__ = None
 
     def __repr__(self):
-        try:
-            from .textio import format_poly
-        except ImportError:
-            return f"LaurentPolynomial({self.terms!r})"
+        # textio imports this module, so it is imported here
+        from .textio import format_poly
+
         return format_poly(self)
 
 

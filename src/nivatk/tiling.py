@@ -3,7 +3,8 @@
 A tile D tiles the grid with a co-tiler set C when every cell is d + c for
 exactly one pair (d, c).  For fully periodic C, one fundamental domain
 decides the question exactly, which makes both verification and bounded
-search finite and deterministic.
+search finite and deterministic: the search is an exact cover of each
+candidate lattice's residues by tile translates.
 """
 
 from __future__ import annotations
@@ -200,10 +201,15 @@ def search_periodic_cotiler(tile: ClusterTile, max_index: int) -> PeriodicCoTile
     """Exhaustive search for a fully periodic co-tiler up to a lattice index.
 
     Candidate lattices are enumerated by increasing index (multiples of the
-    tile size) and lexicographic basis; for each, exact-cover backtracking
-    picks residues.  The first hit in that order is re-verified and
-    returned; None certifies that no full-rank periodic co-tiler with
-    index <= max_index exists.
+    tile size) and lexicographic basis.  For each, an exact cover on
+    bitmasks over the indices of lat.residues() picks residues: at the
+    lowest uncovered residue t it tries r = t - d for d in tile.cells, in
+    that order and without repeats, and takes the translate r + tile only
+    when its |tile| residues are distinct and none is covered yet.  Such
+    translates are disjoint, so a full cover has index // |tile| of them.
+    The first hit in that order is re-verified and returned; None
+    certifies that no full-rank periodic co-tiler with index <= max_index
+    exists.
 
     For a polyomino (2-D, edge-connected, without holes) None certifies
     more: no co-tiler exists at any index.  A polyomino that tiles the
@@ -221,51 +227,24 @@ def search_periodic_cotiler(tile: ClusterTile, max_index: int) -> PeriodicCoTile
         for basis in sorted(_hnf_bases(tile.dim, index)):
             lat = Lattice(basis)
             cells = list(lat.residues())
-            order = {cell: k for k, cell in enumerate(cells)}
-            need = index // size
+            bit = {cell: 1 << k for k, cell in enumerate(cells)}
 
-            placements = {}
-            for cell in cells:
-                opts = []
-                for d in tile.cells:
-                    r = lat.reduce(vec_sub(cell, d))
-                    if r not in opts:
-                        opts.append(r)
-                placements[cell] = opts
+            def solve(covered):
+                if covered == (1 << index) - 1:
+                    return []
+                target = cells[(~covered & (covered + 1)).bit_length() - 1]
+                for r in dict.fromkeys(lat.reduce(vec_sub(target, d)) for d in tile.cells):
+                    hit = 0
+                    for d in tile.cells:
+                        hit |= bit[lat.reduce(vec_add(d, r))]
+                    if hit.bit_count() == size and not hit & covered:
+                        rest = solve(covered | hit)
+                        if rest is not None:
+                            return [r, *rest]
+                return None
 
-            covered = [False] * index
-            chosen = []
-
-            def cover(r):
-                hit = []
-                for d in tile.cells:
-                    k = order[lat.reduce(vec_add(d, r))]
-                    if covered[k]:
-                        for kk in hit:
-                            covered[kk] = False
-                        return None
-                    covered[k] = True
-                    hit.append(k)
-                return hit
-
-            # exact cover: always extend at the first uncovered cell
-            def solve():
-                if all(covered):
-                    return len(chosen) == need
-                target = cells[covered.index(False)]
-                for r in placements[target]:
-                    hit = cover(r)
-                    if hit is None:
-                        continue
-                    chosen.append(r)
-                    if solve():
-                        return True
-                    chosen.pop()
-                    for k in hit:
-                        covered[k] = False
-                return False
-
-            if solve():
+            chosen = solve(0)
+            if chosen is not None:
                 found = PeriodicCoTiler(lat, chosen)
                 check = verify_cotiler(tile, found)
                 if not check:

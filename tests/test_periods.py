@@ -35,6 +35,7 @@ from nivatk.configurations import (
 )
 from nivatk.errors import (
     DimensionMismatchError,
+    EmptySampleError,
     RankDeficientError,
     VerificationFailedError,
     ZeroVectorError,
@@ -394,6 +395,26 @@ def test_a_window_of_the_wrong_dimension_is_refused(call):
               CosetIndicator((0, 1), [(1, 0)], 3)):
         with pytest.raises(DimensionMismatchError):
             call(c, Window.box((0, 0, 0), (2, 2, 2)))
+
+
+def test_periodicity_test_reads_no_cell_under_the_coset_certificate():
+    # both terms are invariant under (1, -1): X^(-1,1) - 1 sums to 0 on their cosets
+    r2 = QuadraticReal.sqrt(2)
+    c = Recorder(Sum([(1, Mechanical((1, 1), r2)), (1, CosetIndicator((0, 0), [(1, -1)]))]))
+    res = periodicity_test(c, (1, -1), Window.box((0, 0), (19, 19)))
+    assert (res.status, res.witness, c.cells) == ("unknown", None, 0)
+
+
+def test_periodicity_test_checks_dimension_then_zero_vector_then_sample():
+    c = CosetIndicator((0, 0), [(1, 0)])
+    with pytest.raises(DimensionMismatchError):
+        periodicity_test(c, (0, 0), Window.box((0, 0, 0), (1, 1, 1)))
+    with pytest.raises(DimensionMismatchError):
+        periodicity_test(c, (0, 0, 0))
+    with pytest.raises(ZeroVectorError):
+        periodicity_test(c, (0, 0))
+    with pytest.raises(EmptySampleError):
+        periodicity_test(c, (1, 0))
 
 
 # the exact-answer sites written with one isinstance(c, Periodic) test each
