@@ -16,10 +16,13 @@ from fractions import Fraction
 
 from .configurations import (
     Configuration,
+    Periodic,
     count_distinct,
     covering_pattern,
     periodicity_test,
+    residue_representatives,
     support_anchors,
+    window_values,
 )
 from .errors import (
     BlockTooSmallError,
@@ -216,7 +219,12 @@ def _line_groups(c: Configuration, shape: Window, v, sample: Window) -> dict:
     """Pattern keys of the sample anchors, grouped by line w + Zv.
 
     Anchor a lies on the line of w = a - (a[i] // step[i]) * step, with i
-    the first axis where step is nonzero.
+    the first axis where step is nonzero.  Anchors of one residue class of
+    c.periods() show one pattern, so with a full rank lattice only the
+    first of each class is keyed; a Periodic fill of class numbers names
+    every anchor's class, and the distinct (line, class) pairs are grouped.
+    That fill lists every residue, so an index above the sample's size
+    keys every anchor instead, as does a lattice below full rank.
     """
     v = tuple(int(x) for x in v)
     if len(v) != c.dim or shape.dim != c.dim or sample.dim != c.dim:
@@ -229,9 +237,19 @@ def _line_groups(c: Configuration, shape: Window, v, sample: Window) -> dict:
     ts = list(map(operator.floordiv, cols[i], itertools.repeat(step[i])))
     reps = zip(*(map(operator.sub, col, map(operator.mul, ts, itertools.repeat(x)))
                  for col, x in zip(cols, step)))
-    keys = covering_pattern(c, shape, sample).keys(shape, sample)
+    lattice = c.periods()
+    if lattice is None or not lattice.is_full_rank or lattice.index() > len(sample):
+        pairs = set(zip(reps, covering_pattern(c, shape, sample).keys(shape, sample)))
+    else:
+        firsts = residue_representatives(c, sample)
+        keyed = dict(zip(map(lattice.reduce, firsts),
+                         covering_pattern(c, shape, firsts).keys(shape, firsts)))
+        residues = lattice.residues()
+        classes = Periodic(lattice, {r: k for k, r in enumerate(residues)})
+        names = [keyed.get(r) for r in residues]
+        pairs = {(rep, names[k]) for rep, k in set(zip(reps, window_values(classes, sample)))}
     groups: dict = {}
-    for rep, key in set(zip(reps, keys)):
+    for rep, key in pairs:
         groups.setdefault(rep, set()).add(key)
     return groups
 

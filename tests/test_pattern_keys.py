@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+import nivatk.nivat
 from nivatk.annihilator import find_annihilator
 from nivatk.configurations import (
     CosetIndicator,
@@ -21,6 +22,7 @@ from nivatk.configurations import (
     Sum,
     ValueMap,
     _AnchorBlocks,
+    covering_pattern,
     pattern_complexity,
 )
 from nivatk.errors import VerificationFailedError
@@ -317,3 +319,74 @@ def test_line_census_on_awkward_steps_matches_reference(v):
                 used |= groups[rep]
                 kept += 1
         assert disjoint_pattern_line_count(c, shape, v, anchors) == kept
+
+
+def census_configs(rng, d):
+    """Full rank periods() that are not a bare Periodic, then rank < d ones."""
+    def board():
+        lat = Lattice(_triangular_generators(rng, d, d))
+        return Periodic(lat, {r: rng.randint(0, 2) for r in lat.residues()})
+
+    full = [Sum([(1, board()), (rng.choice((-1, 2)), board())]),
+            ValueMap(board(), {0: 1, 1: 0}, 2),
+            CosetIndicator(tuple(rng.randint(-3, 3) for _ in range(d)),
+                           _triangular_generators(rng, d, d), 3)]
+    rank_low = [Mechanical(tuple(rng.randint(-2, 2) for _ in range(d - 1)) + (1,),
+                           QuadraticReal.sqrt(2)),
+                CosetIndicator(tuple(rng.randint(-3, 3) for _ in range(d)),
+                               _triangular_generators(rng, d, 1), 2)]
+    return full, rank_low
+
+
+@pytest.fixture
+def keyed_anchors(monkeypatch):
+    """The anchors of every covering_pattern the census builds, call by call."""
+    seen = []
+
+    def recording(c, shape, anchors):
+        seen.append(anchors)
+        return covering_pattern(c, shape, anchors)
+
+    monkeypatch.setattr(nivatk.nivat, "covering_pattern", recording)
+    return seen
+
+
+@pytest.mark.parametrize("v", CENSUS_STEPS)
+def test_line_census_by_residue_class_matches_reference(v, keyed_anchors):
+    """Descriptors with a full rank periods() key one anchor per class; the
+    others key every anchor.  Counts and greedy counts match the reference."""
+    d = len(v)
+    rng = random.Random(f"census/classes/{v}")
+    for k in range(4):
+        full, rank_low = census_configs(rng, d)
+        lo = tuple(rng.randint(-9, -3) for _ in range(d))
+        if k % 2:
+            sample = Window.box(lo, tuple(a + {2: 9, 3: 4}[d] for a in lo))
+        else:
+            sample = Window.from_points([tuple(a + rng.randint(0, 8) for a in lo)
+                                         for _ in range(rng.randint(20, 40))])
+        shape = random_shape(rng, d)
+        for c in full + rank_low:
+            groups = ref_groups(c, shape, v, sample)
+            keyed_anchors.clear()
+            assert line_pattern_census(c, shape, v, sample) == sorted(
+                (rep, len(keys)) for rep, keys in groups.items())
+            used, kept = set(), 0
+            for rep in sorted(groups):
+                if not groups[rep] & used:
+                    used |= groups[rep]
+                    kept += 1
+            assert disjoint_pattern_line_count(c, shape, v, sample) == kept
+            lattice = c.periods()
+            if c in full and lattice.index() <= len(sample):
+                assert all(len(a) <= lattice.index() for a in keyed_anchors)
+            else:
+                assert all(a == sample for a in keyed_anchors)
+
+
+def test_line_census_keys_one_anchor_per_class_on_the_readme_board(keyed_anchors):
+    c = Periodic(Lattice([(2, 0), (1, 1)]), {(0, 0): 0, (1, 0): 1})
+    sample = Window.box((0, 0), (59, 59))
+    census = line_pattern_census(c, Window.box((0, 0), (2, 2)), (2, 1), sample)
+    assert sum(n for _, n in census) > len(census)
+    assert [len(a) for a in keyed_anchors] == [2]
