@@ -17,6 +17,7 @@ from fractions import Fraction
 from .configurations import (
     Configuration,
     Periodic,
+    _strides,
     count_distinct,
     covering_pattern,
     periodicity_test,
@@ -38,7 +39,9 @@ from .lattice import (
     canonical_sign,
     is_zero_vector,
     primitive_vector,
+    vec_dot,
     vec_scale,
+    vec_sub,
 )
 from .laurent import LaurentPolynomial, LineFactorization
 
@@ -71,8 +74,8 @@ def bound_two_directions(v1, v2, M: int, N: int) -> Fraction:
     lower bound on the complexity of the (M+m1+m2) x (N+n1+n2) block.
     Symmetric in the two directions.
     """
-    v1 = tuple(int(x) for x in v1)
-    v2 = tuple(int(x) for x in v2)
+    v1 = tuple(map(operator.index, v1))
+    v2 = tuple(map(operator.index, v2))
     if len(v1) != 2 or len(v2) != 2:
         raise DimensionMismatchError("two-direction bound is two-dimensional")
     if M < 0 or N < 0:
@@ -184,8 +187,8 @@ def nivat_scan(c: Configuration, M_range, N_range, sample: Window) -> list:
     the largest block at every keyed anchor is filled once and shared by
     all block sizes; rows come in M-major order.
     """
-    Ms = [int(M) for M in M_range]
-    Ns = [int(N) for N in N_range]
+    Ms = list(map(operator.index, M_range))
+    Ns = list(map(operator.index, N_range))
     if not Ms or not Ns:
         raise ValueError("scan ranges must be nonempty")
     if min(Ms) < 1 or min(Ns) < 1:
@@ -219,38 +222,60 @@ def _line_groups(c: Configuration, shape: Window, v, sample: Window) -> dict:
     """Pattern keys of the sample anchors, grouped by line w + Zv.
 
     Anchor a lies on the line of w = a - (a[i] // step[i]) * step, with i
-    the first axis where step is nonzero.  Anchors of one residue class of
-    c.periods() show one pattern, so with a full rank lattice only the
-    first of each class is keyed; a Periodic fill of class numbers names
-    every anchor's class, and the distinct (line, class) pairs are grouped.
-    That fill lists every residue, so an index above the sample's size
-    keys every anchor instead, as does a lattice below full rank.
+    the first axis where step is nonzero.  Each anchor gets a label in
+    sample order: with a full rank c.periods() of index at most the
+    sample's size, a Periodic fill of class numbers, each class keyed once
+    at its first anchor and named once per line; otherwise its own key.
+    A box sample meets a line in one run, one strided slice of the labels;
+    an explicit sample groups its labels anchor by anchor.
     """
-    v = tuple(int(x) for x in v)
+    v = tuple(map(operator.index, v))
     if len(v) != c.dim or shape.dim != c.dim or sample.dim != c.dim:
         raise DimensionMismatchError("direction/shape/sample vs configuration")
     if is_zero_vector(v):
         raise ZeroVectorError("census direction must be nonzero")
     step = canonical_sign(v)
     i = next(k for k, x in enumerate(step) if x)
-    cols = list(zip(*sample))
-    ts = list(map(operator.floordiv, cols[i], itertools.repeat(step[i])))
-    reps = zip(*(map(operator.sub, col, map(operator.mul, ts, itertools.repeat(x)))
-                 for col, x in zip(cols, step)))
-    lattice = c.periods()
+    lattice, names = c.periods(), None
     if lattice is None or not lattice.is_full_rank or lattice.index() > len(sample):
-        pairs = set(zip(reps, covering_pattern(c, shape, sample).keys(shape, sample)))
+        labels = list(covering_pattern(c, shape, sample).keys(shape, sample))
     else:
         firsts = residue_representatives(c, sample)
         keyed = dict(zip(map(lattice.reduce, firsts),
                          covering_pattern(c, shape, firsts).keys(shape, firsts)))
         residues = lattice.residues()
-        classes = Periodic(lattice, {r: k for k, r in enumerate(residues)})
+        labels = window_values(Periodic(lattice, {r: k for k, r in enumerate(residues)}), sample)
         names = [keyed.get(r) for r in residues]
-        pairs = {(rep, names[k]) for rep, k in set(zip(reps, window_values(classes, sample)))}
-    groups: dict = {}
-    for rep, key in pairs:
-        groups.setdefault(rep, set()).add(key)
+    points, groups = sample, {}
+    if sample.is_box:
+        # a line enters the box at the anchor a with a - step outside it: a
+        # cell outside box & (box + step), listed by its first axis k outside
+        lo, hi = sample.bounds()
+        ranges = [range(a, b + 1) for a, b in zip(lo, hi)]
+        inner = [range(max(a, a + x), min(b, b + x) + 1) for a, b, x in zip(lo, hi, step)]
+        points = list(itertools.chain.from_iterable(itertools.product(
+            *inner[:k], [y for y in ranges[k] if y not in inner[k]], *ranges[k + 1:])
+            for k in range(c.dim)))
+    cols = list(zip(*points))
+    ts = list(map(operator.floordiv, cols[i], itertools.repeat(step[i])))
+    reps = zip(*(map(operator.sub, col, map(operator.mul, ts, itertools.repeat(x)))
+                 for col, x in zip(cols, step)))
+    if sample.is_box:
+        strides = _strides(ranges)
+        fstep = vec_dot(step, strides)
+        starts = map(vec_dot, map(vec_sub, points, itertools.repeat(lo)), itertools.repeat(strides))
+        # moves after the first anchor: the fewest any axis allows before leaving the box
+        ends = (b if x > 0 else a for a, b, x in zip(lo, hi, step))
+        moves = map(min, zip(*(map(operator.floordiv, map(operator.sub, itertools.repeat(e), col),
+                                   itertools.repeat(x)) for e, col, x in zip(ends, cols, step) if x)))
+        # sample order is lexicographic, so fstep > 0 once a line has two anchors
+        for rep, start, n in zip(reps, starts, moves):
+            groups[rep] = set(labels[start:start + (n + 1) * fstep:fstep]) if n else {labels[start]}
+    else:
+        for rep, label in set(zip(reps, labels)):
+            groups.setdefault(rep, set()).add(label)
+    if names is not None:
+        groups = {rep: set(map(names.__getitem__, ks)) for rep, ks in groups.items()}
     return groups
 
 

@@ -99,6 +99,11 @@ def test_bound_two_directions_input_checks():
         bound_two_directions((2, 0), (0, 1), 3, 3)
 
 
+def test_bound_two_directions_rejects_non_integral_directions():
+    with pytest.raises(TypeError):
+        bound_two_directions((1.5, 1), (1, -1), 3, 3)
+
+
 def test_corollary_report_plain_bbox_bound():
     f = LP(2, {(2, 2): Fraction(1), (0, 0): Fraction(1)})
     rep = corollary_report(f, None, 5, 5)
@@ -181,6 +186,11 @@ def test_scan_constant_configuration():
     assert rows[0].verdict == "Inconclusive"
 
 
+def test_scan_rejects_non_integral_block_extents():
+    with pytest.raises(TypeError):
+        nivat_scan(checkerboard(), [2.7], [2], Window.box((0, 0), (10, 10)))
+
+
 def test_line_pattern_census_axis_line():
     c = CosetIndicator((0, 0), [(1, 0)], 1)
     census = line_pattern_census(c, Window.box((0, 0), (1, 1)), (1, 0),
@@ -213,6 +223,13 @@ def test_census_dimension_checks():
             census(board, Window.box((0, 0, 0), (1, 1, 1)), (1, 0), sample)
         with pytest.raises(DimensionMismatchError):
             census(board, Window.box((0, 0), (1, 1)), (1, 0, 0), sample)
+
+
+def test_census_rejects_non_integral_directions():
+    board = Periodic(Lattice([(2, 0), (1, 1)]), {(0, 0): 0, (1, 0): 1})
+    for census in (line_pattern_census, disjoint_pattern_line_count):
+        with pytest.raises(TypeError):
+            census(board, Window.box((0, 0), (1, 1)), (1.5, 0), Window.box((0, 0), (5, 5)))
 
 
 def test_periodicity_class_confirmed_doubly_periodic():

@@ -160,6 +160,16 @@ def ref_groups(c, shape, v, anchors):
     return groups
 
 
+def ref_census(groups):
+    """The census and the greedy disjoint line count of reference groups."""
+    used, kept = set(), 0
+    for rep in sorted(groups):
+        if not groups[rep] & used:
+            used |= groups[rep]
+            kept += 1
+    return sorted((rep, len(keys)) for rep, keys in groups.items()), kept
+
+
 def ref_find_annihilator(c, shape, sample, verify):
     shape_pts = list(shape)
     rows = sorted({(1,) + key for key in ref_keys(c, shape, sample)})
@@ -223,14 +233,8 @@ def test_line_census_matches_reference(seed):
         v = tuple(rng.randint(-2, 2) for _ in range(d))
         if not any(v):
             v = (1,) + v[1:]
-        groups = ref_groups(c, shape, v, anchors)
-        assert line_pattern_census(c, shape, v, anchors) == sorted(
-            (rep, len(keys)) for rep, keys in groups.items())
-        used, kept = set(), 0
-        for rep in sorted(groups):
-            if not groups[rep] & used:
-                used |= groups[rep]
-                kept += 1
+        census, kept = ref_census(ref_groups(c, shape, v, anchors))
+        assert line_pattern_census(c, shape, v, anchors) == census
         assert disjoint_pattern_line_count(c, shape, v, anchors) == kept
 
 
@@ -289,7 +293,12 @@ def test_keys_with_extent_one_trailing_axes_match_reference(seed):
             assert [tuple(itertools.chain.from_iterable(key)) for key in got] == want
 
 
-CENSUS_STEPS = [(2, 0), (0, -2), (0, 1), (-3, 0), (2, 2, 0), (0, 0, 3), (0, -1, 2)]
+# The residue-class test's boxes are 13 wide in 1-D, 10 in 2-D and 5 in 3-D.
+# On them (1, -10) and (0, 1, -5) leave the box in one move with a flat step
+# <step, strides> of 0, and (1, -13) and (1, -6, 0) with a negative one, so
+# every line holds one anchor; (13,) leaves the 1-D box with a positive one.
+CENSUS_STEPS = [(2, 0), (0, -2), (0, 1), (-3, 0), (2, 2, 0), (0, 0, 3), (0, -1, 2),
+                (1, -1), (1, -10), (1, -13), (0, 1, -5), (1, -6, 0), (2,), (-1,), (13,)]
 
 
 @pytest.mark.parametrize("v", CENSUS_STEPS)
@@ -305,19 +314,13 @@ def test_line_census_on_awkward_steps_matches_reference(v):
         shape = random_shape(rng, d)
         lo = tuple(rng.randint(-9, -3) for _ in range(d))
         if k % 2:
-            anchors = Window.box(lo, tuple(a + rng.randint(2, {2: 7, 3: 4}[d]) for a in lo))
+            anchors = Window.box(lo, tuple(a + rng.randint(2, {1: 9, 2: 7, 3: 4}[d]) for a in lo))
         else:
             anchors = Window.from_points([tuple(a + rng.randint(0, 8) for a in lo)
                                           for _ in range(rng.randint(1, 25))])
-        groups = ref_groups(c, shape, v, anchors)
-        census = line_pattern_census(c, shape, v, anchors)
-        assert census == sorted((rep, len(keys)) for rep, keys in groups.items())
+        census, kept = ref_census(ref_groups(c, shape, v, anchors))
+        assert line_pattern_census(c, shape, v, anchors) == census
         assert all(0 <= rep[i0] < step[i0] for rep, _ in census)
-        used, kept = set(), 0
-        for rep in sorted(groups):
-            if not groups[rep] & used:
-                used |= groups[rep]
-                kept += 1
         assert disjoint_pattern_line_count(c, shape, v, anchors) == kept
 
 
@@ -332,9 +335,10 @@ def census_configs(rng, d):
             CosetIndicator(tuple(rng.randint(-3, 3) for _ in range(d)),
                            _triangular_generators(rng, d, d), 3)]
     rank_low = [Mechanical(tuple(rng.randint(-2, 2) for _ in range(d - 1)) + (1,),
-                           QuadraticReal.sqrt(2)),
-                CosetIndicator(tuple(rng.randint(-3, 3) for _ in range(d)),
-                               _triangular_generators(rng, d, 1), 2)]
+                           QuadraticReal.sqrt(2))]
+    if d > 1:
+        rank_low.append(CosetIndicator(tuple(rng.randint(-3, 3) for _ in range(d)),
+                                       _triangular_generators(rng, d, 1), 2))
     return full, rank_low
 
 
@@ -354,28 +358,25 @@ def keyed_anchors(monkeypatch):
 @pytest.mark.parametrize("v", CENSUS_STEPS)
 def test_line_census_by_residue_class_matches_reference(v, keyed_anchors):
     """Descriptors with a full rank periods() key one anchor per class; the
-    others key every anchor.  Counts and greedy counts match the reference."""
+    others key every anchor.  Counts and greedy counts match the reference,
+    and a box sample, read line by line, gives what its cells as an explicit
+    sample, read anchor by anchor, give."""
     d = len(v)
     rng = random.Random(f"census/classes/{v}")
     for k in range(4):
         full, rank_low = census_configs(rng, d)
         lo = tuple(rng.randint(-9, -3) for _ in range(d))
         if k % 2:
-            sample = Window.box(lo, tuple(a + {2: 9, 3: 4}[d] for a in lo))
+            box = Window.box(lo, tuple(a + {1: 12, 2: 9, 3: 4}[d] for a in lo))
+            samples = [box, Window.from_points(box)]
         else:
-            sample = Window.from_points([tuple(a + rng.randint(0, 8) for a in lo)
-                                         for _ in range(rng.randint(20, 40))])
+            samples = [Window.from_points([tuple(a + rng.randint(0, 8) for a in lo)
+                                           for _ in range(rng.randint(20, 40))])]
         shape = random_shape(rng, d)
-        for c in full + rank_low:
-            groups = ref_groups(c, shape, v, sample)
+        for c, sample in itertools.product(full + rank_low, samples):
+            census, kept = ref_census(ref_groups(c, shape, v, sample))
             keyed_anchors.clear()
-            assert line_pattern_census(c, shape, v, sample) == sorted(
-                (rep, len(keys)) for rep, keys in groups.items())
-            used, kept = set(), 0
-            for rep in sorted(groups):
-                if not groups[rep] & used:
-                    used |= groups[rep]
-                    kept += 1
+            assert line_pattern_census(c, shape, v, sample) == census
             assert disjoint_pattern_line_count(c, shape, v, sample) == kept
             lattice = c.periods()
             if c in full and lattice.index() <= len(sample):
