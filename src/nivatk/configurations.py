@@ -180,7 +180,7 @@ class Mechanical(Configuration):
     __slots__ = ("dim", "weights", "alpha")
 
     def __init__(self, weights, alpha: QuadraticReal):
-        self.weights = tuple(int(a) for a in weights)
+        self.weights = tuple(map(operator.index, weights))
         self.dim = len(self.weights)
         if not isinstance(alpha, QuadraticReal):
             alpha = QuadraticReal.from_fraction(Fraction(alpha))
@@ -202,39 +202,8 @@ class Mechanical(Configuration):
         return Lattice(rows) if rows else None
 
     def block(self, lo, hi) -> list:
-        """One table of exact floors over the span of m = <w, v>, read by row slices.
-
-        Axes of extent 1 fold into a constant c, and the other weights share
-        a gcd g, so m = c + g*s with s = <w/g, v> on those axes.  Every row
-        of the box (last coordinate varying) is an arithmetic run of s,
-        hence a slice of the table of floors over s_lo..s_hi.  When that
-        span holds more values than the box has cells, as for weights like
-        (10**6, 1), only the values of s that occur are floored instead.
-        """
-        ranges = _box(self, lo, hi)
-        const = sum(w * r.start for w, r in zip(self.weights, ranges) if len(r) == 1)
-        axes = [(w, r) for w, r in zip(self.weights, ranges) if len(r) > 1]
-        g = math.gcd(*(w for w, _ in axes))
-        if not g:
-            return self.alpha.floor_multiples([const]) * math.prod(map(len, ranges))
-        *outer, (w, last) = [(w // g, r) for w, r in axes]
-        n = len(last)
-        starts = [w * last.start]
-        for wi, r in outer:
-            steps = [wi * x for x in r]
-            starts = [s + k for s in starts for k in steps]
-        reach = w * (n - 1)
-        span = range(min(starts) + min(reach, 0), max(starts) + max(reach, 0) + 1)
-        if len(span) <= len(starts) * n:
-            ms = range(const + g * span.start, const + g * span.stop, g)
-            table = self.alpha.floor_multiples(ms)
-            rows = ([table[i]] * n if not w else table[i:i + w * n if i + w * n >= 0 else None:w]
-                    for i in (s - span.start for s in starts))
-            return list(itertools.chain.from_iterable(rows))
-        runs = [range(s, s + w * n, w) if w else [s] * n for s in starts]
-        ss = sorted(set(itertools.chain.from_iterable(runs)))
-        floor = dict(zip(ss, self.alpha.floor_multiples([const + g * s for s in ss])))
-        return list(map(floor.__getitem__, itertools.chain.from_iterable(runs)))
+        """Exact floors of <w, v> * alpha read by row slices: the one-atom case of _mechanical_blocks."""
+        return next(_mechanical_blocks(self.alpha, [self.weights], _box(self, lo, hi)))
 
 
 class FiniteSupport(Configuration):
@@ -313,7 +282,16 @@ class Sum(Configuration):
                        sum(k * s.background for k, s in supports))
 
     def block(self, lo, hi) -> list:
-        return combine((k, c.block(lo, hi)) for k, c in self.terms)
+        """The terms' blocks combined; Mechanical terms of one alpha share floors (_mechanical_blocks)."""
+        ranges = _box(self, lo, hi)
+        atoms = {}
+        for k, c in self.terms:
+            if isinstance(c, Mechanical):
+                atoms.setdefault(c.alpha, []).append((k, c.weights))
+        return combine(itertools.chain(
+            ((k, c.block(lo, hi)) for k, c in self.terms if not isinstance(c, Mechanical)),
+            *(zip([k for k, _ in group], _mechanical_blocks(alpha, [w for _, w in group], ranges))
+              for alpha, group in atoms.items())))
 
 
 class ValueMap(Configuration):
@@ -356,6 +334,53 @@ def combine(terms) -> list:
         else:
             out = list(map(operator.add if k == 1 else operator.sub, out, values))
     return out
+
+
+def _mechanical_blocks(alpha: QuadraticReal, weightings, ranges):
+    """Yield the block of Mechanical(w, alpha) on the box of ranges for each w in weightings.
+
+    Along a row of the box (last coordinate varying) m = <w, v> is an
+    arithmetic run, so every row is a slice of a table of exact floors over
+    the span of m, stepped by the gcd of the weights on axes of extent more
+    than 1.  Atoms whose span holds no more values than the box has cells
+    share one table over the union of their spans, stepped by the gcd of
+    their steps and of the differences of their starts, unless it is longer
+    than their spans together.  An atom whose span holds more, as for
+    weights like (10**6, 1), floors only the values of m that occur.
+    """
+    cells = math.prod(map(len, ranges))
+    rows, spans = [], []
+    for weights in weightings:
+        const = sum(w * r.start for w, r in zip(weights, ranges) if len(r) == 1)
+        *outer, (w, last) = [(w, r) for w, r in zip(weights, ranges) if len(r) > 1] or [(0, range(1))]
+        starts = [const + w * last.start]
+        for wi, r in outer:
+            steps = [wi * x for x in r]
+            starts = [s + k for s in starts for k in steps]
+        reach = w * (len(last) - 1)
+        rows.append((starts, w, len(last)))
+        spans.append(range(min(starts) + min(reach, 0), max(starts) + max(reach, 0) + 1,
+                           math.gcd(w, *(wi for wi, _ in outer)) or 1))
+    dense = [i for i, span in enumerate(spans) if len(span) <= cells]
+    if len(dense) > 1:
+        start = min(spans[i].start for i in dense)
+        union = range(start, max(spans[i][-1] for i in dense) + 1, math.gcd(
+            *(spans[i].step for i in dense), *(spans[i].start - start for i in dense)))
+        if len(union) <= sum(len(spans[i]) for i in dense):
+            for i in dense:
+                spans[i] = union
+    floors = {span: alpha.floor_multiples(span) for span in {spans[i] for i in dense}}
+    for (starts, w, n), span in zip(rows, spans):
+        if span in floors:
+            table, k = floors[span], w // span.step
+            yield list(itertools.chain.from_iterable(
+                [table[j]] * n if not k else table[j:j + k * n if j + k * n >= 0 else None:k]
+                for j in ((s - span.start) // span.step for s in starts)))
+        else:
+            runs = [range(s, s + w * n, w) if w else [s] * n for s in starts]
+            ms = sorted(set(itertools.chain.from_iterable(runs)))
+            floor = dict(zip(ms, alpha.floor_multiples(ms)))
+            yield list(map(floor.__getitem__, itertools.chain.from_iterable(runs)))
 
 
 def _whole_space(dim: int) -> Lattice:
@@ -715,7 +740,7 @@ def periodicity_test(c: Configuration, v, sample: Window | None = None) -> Perio
     # laurent imports this module, so it is imported here
     from .laurent import LaurentPolynomial, annihilates
 
-    v = tuple(int(a) for a in v)
+    v = tuple(map(operator.index, v))
     if len(v) != c.dim or (sample is not None and sample.dim != c.dim):
         raise DimensionMismatchError("vector/sample vs configuration dimension")
     if is_zero_vector(v):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -96,7 +97,7 @@ class LaurentPolynomial:
     @classmethod
     def difference(cls, v):
         """X^v - 1; the zero polynomial when v = 0."""
-        v = tuple(int(x) for x in v)
+        v = tuple(map(operator.index, v))
         return cls(len(v), {v: 1, (0,) * len(v): -1} if any(v) else {})
 
     @classmethod

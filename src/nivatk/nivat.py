@@ -345,7 +345,7 @@ def periodicity_class(search_result=None, lf: LineFactorization | None = None,
         if config is None:
             raise ValueError("period vectors need the configuration to verify against")
         for v in periods:
-            v = tuple(int(x) for x in v)
+            v = tuple(map(operator.index, v))
             if periodicity_test(config, v, sample).status == "periodic":
                 confirmed.append(v)
 

@@ -5,7 +5,9 @@ pattern reads from; value(v) is the reference.  Seeded random descriptors
 of all six variants, nested sums and recodings included, are compared
 cell by cell against value() on boxes with negative coordinates and
 extent-1 axes in dimensions 1 to 3.  Mechanical floors are also checked
-against an integer-only oracle at extreme weights and coordinates.
+against an integer-only oracle at extreme weights and coordinates, and the
+one table of floors that a Sum's Mechanical terms of one alpha share
+against value() and against the terms' own blocks.
 """
 
 import random
@@ -21,6 +23,7 @@ from nivatk.configurations import (
     Periodic,
     Sum,
     ValueMap,
+    combine,
     extract_pattern,
     window_values,
 )
@@ -350,3 +353,63 @@ def test_mechanical_block_on_both_sides_of_the_dense_span(p, floor_batches):
             floor_batches.clear()
             assert c.block(lo, hi) == reference(c, lo, hi), (weights, lo)
             assert floor_batches == [min(span, 20)]
+
+
+# --- one table of floors per alpha in a Sum -------------------------------------
+
+SHARED_ALPHAS = ALPHAS[:3] + (QuadraticReal(3, -2, 7, 5), QuadraticReal(0, -1, 3, 1),
+                              QuadraticReal.from_fraction(Fraction(-7, 3)))
+
+
+def mechanical_sum(rng, d):
+    """2 to 4 Mechanical terms of one alpha, with weights of gcds 1 to 6 and
+    zeros among weights and coefficients, plus terms of another alpha and
+    other variants."""
+    alpha, other = rng.sample(SHARED_ALPHAS, 2)
+    base = rng.choice((1, 2, 3))
+    terms = [(rng.randint(-3, 3), Mechanical(tuple(g * rng.randint(-2, 2) for _ in range(d)), alpha))
+             for g in rng.choices((base, base, 2 * base), k=rng.randint(2, 4))]
+    for _ in range(rng.randint(0, 2)):
+        extra = (Mechanical(tuple(rng.randint(-3, 3) for _ in range(d)), other)
+                 if rng.random() < 0.5 else random_config(rng, d, rng.choice(LEAVES)))
+        terms.insert(rng.randint(0, len(terms)), (rng.randint(-3, 3), extra))
+    return Sum(terms)
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_sum_shares_floors_per_alpha_and_matches_value(d, floor_batches):
+    rng = random.Random(f"shared-floors/{d}")
+    shared = 0
+    for _ in range(60):
+        c = mechanical_sum(rng, d)
+        for _ in range(3):
+            lo, hi = random_box(rng, d)
+            floor_batches.clear()
+            got = c.block(lo, hi)
+            assert got == reference(c, lo, hi), (c.terms, lo, hi)
+            shared += len(floor_batches) < sum(isinstance(t, Mechanical) for _, t in c.terms)
+            # each term on its own, Mechanical terms each flooring their own table
+            assert got == combine((k, t.block(lo, hi)) for k, t in c.terms)
+    assert shared >= 36  # one box in five at least reads a shared table
+
+
+def test_sturmian_block_floors_once_per_row(floor_batches):
+    r2 = QuadraticReal.sqrt(2)
+    sturmian = Sum([(1, Mechanical((1, 1), r2)), (-1, Mechanical((1, 0), r2))])
+    for lo, hi in (((-7, -4000), (-7, 6010)), ((-4000, 1), (6010, 1))):
+        floor_batches.clear()
+        assert sturmian.block(lo, hi) == reference(sturmian, lo, hi)
+        assert len(floor_batches) == 1
+
+
+def test_sum_of_sparse_span_atoms_keeps_the_cost_of_one():
+    # one table over the union of these spans would hold about 10**8 values
+    r2 = QuadraticReal.sqrt(2)
+    c = Sum([(1, Mechanical((10**6, 1), r2)), (-1, Mechanical((10**6, 2), r2))])
+    start = time.perf_counter()
+    got = c.block((0, 0), (49, 49))
+    assert time.perf_counter() - start < 0.5
+    assert len(got) == 2500
+    box = list(Window.box((0, 0), (49, 49)))[::97]
+    assert got[::97] == [mechanical_oracle(c.terms[0][1], p) - mechanical_oracle(c.terms[1][1], p)
+                         for p in box]

@@ -79,6 +79,12 @@ def test_mechanical_matches_floor_differences():
             assert c.value((i, j)) == math.floor((i + j) * math.sqrt(2))
 
 
+def test_mechanical_rejects_non_integral_weights():
+    # int() would read (1.5, 1) as (1, 1)
+    with pytest.raises(TypeError):
+        Mechanical((1.5, 1), QuadraticReal.sqrt(2))
+
+
 def test_binary_irrational_values_are_bits():
     c = binary_irrational_2d()
     values = {c.value((i, j)) for i in range(-30, 30) for j in range(-30, 30)}
@@ -189,6 +195,12 @@ def test_periodicity_test_periodic_descriptor_is_exact():
     bad = periodicity_test(c, (1, 0))
     assert bad.status == "not-periodic"
     assert bad.witness is not None
+
+
+def test_periodicity_test_rejects_non_integral_vectors():
+    # int() would read (2.9, 0.5) as the period (2, 0)
+    with pytest.raises(TypeError):
+        periodicity_test(checkerboard(), (2.9, 0.5))
 
 
 def test_periodicity_test_sampled_refutation_and_unknown():

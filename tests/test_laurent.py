@@ -48,6 +48,12 @@ def test_constructors():
     assert LP.difference((1, 0)).terms == {(1, 0): Fraction(1), (0, 0): Fraction(-1)}
 
 
+def test_difference_rejects_non_integral_steps():
+    # int() would read (1.7, 0) as (1, 0)
+    with pytest.raises(TypeError):
+        LP.difference((1.7, 0))
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_difference_of_the_zero_step_is_zero(dim):
     zero = (0,) * dim

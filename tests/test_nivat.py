@@ -241,6 +241,13 @@ def test_periodicity_class_confirmed_doubly_periodic():
     assert set(rep.verified_periods) == {(2, 0), (0, 2)}
 
 
+def test_periodicity_class_rejects_non_integral_periods():
+    # int() would certify (2, 0), a period the caller never gave
+    with pytest.raises(TypeError):
+        periodicity_class(config=checkerboard(), periods=[(2.9, 0.5)],
+                          sample=Window.box((0, 0), (5, 5)))
+
+
 def test_periodicity_class_single_period():
     rep = periodicity_class(config=checkerboard(), periods=[(1, 1)])
     assert rep.label == "OnePeriodicCandidate"
