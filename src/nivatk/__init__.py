@@ -30,7 +30,6 @@ from .configurations import (
     Sum,
     ValueMap,
     extract_pattern,
-    merge_letters,
     pattern_complexity,
     periodicity_test,
 )
@@ -45,7 +44,6 @@ from .laurent import (
     line_content,
     line_factorization,
     newton_polygon_directions,
-    substitute_power,
 )
 from .nivat import (
     BoundReport,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .configurations import (
@@ -40,7 +41,6 @@ from .laurent import (
     LaurentPolynomial,
     annihilates,
     apply,
-    substitute_power,
 )
 from .linalg import nullspace_basis
 from .quadratic import is_prime
@@ -164,7 +164,7 @@ def verify_expansion(f: LaurentPolynomial, c: Configuration, primes,
         p = int(p)
         if not is_prime(p):
             raise NotPrimeError(f"{p} is not prime")
-        fp = substitute_power(f, p)
+        fp = f.substitute_power(p)
         exact = annihilates(fp, c, window) if p > s else None
         modp_ok = bool(exact) or all(v % p == 0 for v in apply(fp, c, window).cells)
         out.append(ExpansionCheck(
@@ -197,7 +197,7 @@ def radical_witness_normal_form(f: LaurentPolynomial, r: int, v0):
         raise ZeroPolynomialError("radical witness needs a nonzero polynomial")
     if r < 1:
         raise ValueError("substitution modulus must be >= 1")
-    v0 = tuple(int(x) for x in v0)
+    v0 = tuple(map(operator.index, v0))
     supp = f.support()
     if v0 not in supp:
         raise V0NotInSupportError(f"{v0} is not in the support of f")

@@ -12,7 +12,6 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import dataclass
 
 from .annihilator import find_annihilator, search_difference_annihilator
 from .configurations import Configuration, pattern_complexity
@@ -38,28 +37,11 @@ from .tiling import (
     verify_cotiler,
 )
 
-__all__ = ["ConfigFile", "read_config_file", "parse_config", "run", "main"]
-
-
-@dataclass
-class ConfigFile:
-    """A parsed configuration plus file-level metadata."""
-
-    name: str
-    dim: int
-    config: Configuration
+__all__ = ["parse_config", "run", "main"]
 
 
 def _strip_comments(text: str) -> str:
     return "\n".join(line.split("#", 1)[0] for line in text.splitlines())
-
-
-def read_config_file(path: str) -> ConfigFile:
-    with open(path, encoding="utf-8") as fh:
-        text = _strip_comments(fh.read())
-    c = parse_config(text)
-    name = os.path.splitext(os.path.basename(path))[0]
-    return ConfigFile(name=name, dim=c.dim, config=c)
 
 
 def _text_or_file(arg: str) -> str:

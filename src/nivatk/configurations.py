@@ -146,7 +146,7 @@ class CosetIndicator(Configuration):
     __slots__ = ("dim", "offset", "generators", "value_on", "_sub")
 
     def __init__(self, offset, generators, value: int = 1):
-        self.offset = tuple(int(a) for a in offset)
+        self.offset = tuple(map(operator.index, offset))
         self.dim = len(self.offset)
         self._sub = Lattice(generators)
         if self._sub.dim != self.dim:
@@ -212,7 +212,7 @@ class FiniteSupport(Configuration):
     __slots__ = ("dim", "assoc")
 
     def __init__(self, assoc: dict, dim=None):
-        table = {tuple(int(a) for a in cell): int(val) for cell, val in assoc.items()}
+        table = {tuple(map(operator.index, cell)): int(val) for cell, val in assoc.items()}
         table = {cell: val for cell, val in table.items() if val != 0}
         if table:
             dims = {len(cell) for cell in table}
@@ -295,7 +295,11 @@ class Sum(Configuration):
 
 
 class ValueMap(Configuration):
-    """Recode the letters of an inner configuration through a finite map."""
+    """Recode the letters of an inner configuration through a finite map.
+
+    Merging letters never increases pattern counts: equal inner patterns
+    recode to equal patterns.
+    """
 
     __slots__ = ("dim", "inner", "mapping", "default")
 
@@ -432,11 +436,6 @@ def _placed(ranges, cells) -> list:
     return out
 
 
-def merge_letters(c: Configuration, mapping: dict, default: int) -> ValueMap:
-    """Letter merging wrapper; never increases pattern counts."""
-    return ValueMap(c, mapping, default)
-
-
 # --- patterns ---------------------------------------------------------------
 
 
@@ -470,10 +469,6 @@ class Pattern:
             self._values = dict(zip(self.shape, self.cells))
         return self._values
 
-    def key(self):
-        """Value sequence in window iteration order; translates compare equal."""
-        return self.cells
-
     def is_zero(self) -> bool:
         return not any(self.cells)
 
@@ -481,9 +476,6 @@ class Pattern:
         """The single value taken, or None when not constant."""
         vals = set(self.cells)
         return vals.pop() if len(vals) == 1 else None
-
-    def max_abs(self):
-        return max(map(abs, self.cells))
 
     def on(self, window: Window) -> list:
         """The values on a window inside this one, in that window's order."""

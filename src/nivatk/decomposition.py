@@ -179,7 +179,7 @@ def decompose(c: Configuration, vectors, core: Window, halo: Window | None = Non
     """
     vs = []
     for v in vectors:
-        v = tuple(int(x) for x in v)
+        v = tuple(map(operator.index, v))
         check_same_dim(core.lo, v)
         if is_zero_vector(v):
             raise ZeroVectorError("period direction must be nonzero")

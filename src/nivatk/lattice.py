@@ -117,14 +117,6 @@ def _extended_gcd(a, b):
     return old_r, old_s, old_t
 
 
-def parallelogram_area(u, v) -> int:
-    """|u1*v2 - u2*v1| for 2d vectors.  Zero for collinear input."""
-    check_same_dim(u, v)
-    if len(u) != 2:
-        raise DimensionMismatchError("parallelogram area is defined for d = 2")
-    return abs(u[0] * v[1] - u[1] * v[0])
-
-
 def _triangular_basis(generators, dim):
     """Bring integer row vectors to a canonical triangular basis.
 
@@ -187,7 +179,7 @@ class Lattice:
     __slots__ = ("dim", "generators", "_pivots")
 
     def __init__(self, generators):
-        generators = [tuple(int(a) for a in g) for g in generators]
+        generators = [tuple(map(operator.index, g)) for g in generators]
         if not generators:
             raise ZeroVectorError("a lattice needs at least one generator")
         dims = {len(g) for g in generators}
@@ -282,7 +274,7 @@ class Window:
 
     def __init__(self, lo=None, hi=None, points=None):
         if points is not None:
-            pts = sorted({tuple(map(int, p)) for p in points})
+            pts = sorted({tuple(map(operator.index, p)) for p in points})
             if not pts:
                 raise EmptyShapeError("empty explicit window")
             dims = {len(p) for p in pts}
@@ -294,8 +286,8 @@ class Window:
             self.lo = tuple(map(min, zip(*pts)))
             self.hi = tuple(map(max, zip(*pts)))
         else:
-            lo = tuple(map(int, lo))
-            hi = tuple(map(int, hi))
+            lo = tuple(map(operator.index, lo))
+            hi = tuple(map(operator.index, hi))
             if len(lo) != len(hi):
                 raise DimensionMismatchError("box corners of mixed dimension")
             if any(map(operator.gt, lo, hi)):

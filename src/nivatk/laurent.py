@@ -53,7 +53,7 @@ class LaurentPolynomial:
                 if a.denominator == 1:
                     a = a.numerator
             if a:
-                e = tuple(map(int, e))
+                e = tuple(map(operator.index, e))
                 if len(e) != dim:
                     raise DimensionMismatchError(f"exponent {e} vs dimension {dim}")
                 clean[e] = a
@@ -85,14 +85,8 @@ class LaurentPolynomial:
 
     @classmethod
     def monomial(cls, exponent, coeff=1):
-        exponent = tuple(int(x) for x in exponent)
+        exponent = tuple(map(operator.index, exponent))
         return cls(len(exponent), {exponent: coeff})
-
-    @classmethod
-    def variable(cls, index, dim):
-        e = [0] * dim
-        e[index] = 1
-        return cls.monomial(tuple(e))
 
     @classmethod
     def difference(cls, v):
@@ -148,23 +142,6 @@ class LaurentPolynomial:
             raise ZeroPolynomialError("zero polynomial has no leading term")
         e = max(self.terms, key=lambda t: (sum(t), t))
         return e, self.terms[e]
-
-    def line_direction(self):
-        """Primitive canonical direction when the support is collinear with
-        at least two points, else None."""
-        pts = self.support()
-        if len(pts) < 2:
-            return None
-        d = primitive_vector(vec_sub(pts[1], pts[0]))
-        for p in pts[2:]:
-            dp = vec_sub(p, pts[0])
-            if any(
-                dp[i] * d[j] != dp[j] * d[i]
-                for i in range(self.dim)
-                for j in range(i + 1, self.dim)
-            ):
-                return None
-        return canonical_sign(d)
 
     # --- arithmetic ---
 
@@ -252,12 +229,9 @@ class LaurentPolynomial:
             k >>= 1
         return result
 
-    def scale(self, c):
-        return LaurentPolynomial(self.dim, {e: a * c for e, a in self.terms.items()})
-
     def shift(self, v):
         """Multiply by the monomial X^v."""
-        v = tuple(map(int, v))
+        v = tuple(map(operator.index, v))
         if len(v) != self.dim:
             raise DimensionMismatchError(f"shift {v} vs dimension {self.dim}")
         return LaurentPolynomial._from_clean(
@@ -293,10 +267,6 @@ class LaurentPolynomial:
         from .textio import format_poly
 
         return format_poly(self)
-
-
-def substitute_power(f: LaurentPolynomial, n: int) -> LaurentPolynomial:
-    return f.substitute_power(n)
 
 
 def normalize_integer_primitive(f: LaurentPolynomial) -> LaurentPolynomial:
@@ -513,7 +483,7 @@ def line_content(f: LaurentPolynomial, v) -> LaurentPolynomial:
         raise DimensionMismatchError("line content needs d = 2")
     if f.is_zero:
         raise ZeroPolynomialError("zero polynomial")
-    vv = primitive_vector(tuple(int(x) for x in v))
+    vv = primitive_vector(tuple(map(operator.index, v)))
     coords, _ = _line_coordinates(vv)
     levels = _levels(f, coords)
     step = _step(levels)
@@ -533,7 +503,7 @@ def divide_by_line(f: LaurentPolynomial, phi: LaurentPolynomial, v) -> LaurentPo
     """Exact quotient f / phi for a line polynomial phi of direction v."""
     if f.dim != 2:
         raise DimensionMismatchError("line division needs d = 2")
-    v = primitive_vector(tuple(int(x) for x in v))
+    v = primitive_vector(tuple(map(operator.index, v)))
     coords, (w1, w2) = _line_coordinates(v)
     phi_levels = _levels(phi, coords)
     if len(phi_levels) != 1:
@@ -562,10 +532,6 @@ class LineFactorization:
     monomial: tuple
     factors: tuple  # ((direction, LaurentPolynomial), ...)
     remainder: LaurentPolynomial
-
-    @property
-    def line_direction_count(self) -> int:
-        return len(self.factors)
 
     @property
     def directions(self):

@@ -103,7 +103,6 @@ class BoundReport:
     N: int
     bbox_f: tuple
     bounds: list
-    applicable: tuple
     directions: tuple
     alpha: Fraction | None = None
     best: tuple | None = None
@@ -132,7 +131,6 @@ def corollary_report(f: LaurentPolynomial, lf: LineFactorization | None,
 
     base = Fraction((M - m) * (N - n))
     bounds = [("cor-a", base)]
-    applicable = ["cor-a"]
     conditional = []
     dirs = tuple(lf.directions) if lf is not None else ()
 
@@ -145,22 +143,18 @@ def corollary_report(f: LaurentPolynomial, lf: LineFactorization | None,
         val = _two_direction_value(m1, n1, m2, n2, M - m1 - m2, N - n1 - n2)
         bounds.append(("cor-b-pair", val))
         pair_bounds.append(((v1, v2), val))
-    if pair_bounds:
-        applicable.append("cor-b-pair")
 
     alpha = None
     if pair_bounds and base > 0:
         alpha = max(val for _, val in pair_bounds) / base
 
-    if lf is not None and lf.line_direction_count >= 3:
+    if lf is not None and len(lf.factors) >= 3:
         bounds.append(("cor-c", 2 * base))
-        applicable.append("cor-c")
         conditional.append("cor-c")
 
     best = max(bounds, key=lambda b: b[1])
     return BoundReport(
-        M=M, N=N, bbox_f=(m, n), bounds=bounds,
-        applicable=tuple(applicable), directions=dirs,
+        M=M, N=N, bbox_f=(m, n), bounds=bounds, directions=dirs,
         alpha=alpha, best=best, conditional=tuple(conditional),
         pair_bounds=tuple(pair_bounds))
 

@@ -10,6 +10,7 @@ candidate lattice's residues by tile translates.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .configurations import Periodic, periodicity_test
@@ -21,7 +22,7 @@ from .errors import (
     VerificationFailedError,
 )
 from .lattice import Lattice, Window, canonical_sign, vec_add, vec_scale, vec_sub
-from .laurent import LaurentPolynomial, apply, substitute_power
+from .laurent import LaurentPolynomial, apply
 from .quadratic import is_prime
 
 
@@ -31,7 +32,7 @@ class ClusterTile:
     __slots__ = ("dim", "cells")
 
     def __init__(self, cells):
-        cells = [tuple(int(x) for x in p) for p in cells]
+        cells = [tuple(map(operator.index, p)) for p in cells]
         if not cells:
             raise EmptyShapeError("a tile needs at least one cell")
         dims = {len(p) for p in cells}
@@ -57,10 +58,6 @@ class ClusterTile:
     def __hash__(self):
         return hash(self.cells)
 
-    def reflected(self) -> "ClusterTile":
-        """The tile -D, re-canonicalized."""
-        return ClusterTile([vec_scale(-1, p) for p in self.cells])
-
     def __repr__(self):
         inner = " ".join(str(p).replace(" ", "") for p in self.cells)
         return f"ClusterTile[{inner}]"
@@ -74,7 +71,7 @@ class PeriodicCoTiler:
     def __init__(self, lattice: Lattice, residues):
         if not lattice.is_full_rank:
             raise RankDeficientError("co-tiler lattice must have full rank")
-        reduced = [lattice.reduce(tuple(int(x) for x in r)) for r in residues]
+        reduced = [lattice.reduce(tuple(map(operator.index, r))) for r in residues]
         if len(set(reduced)) != len(reduced):
             raise ValueError("residues repeat modulo the lattice")
         if not reduced:
@@ -287,7 +284,7 @@ def prime_periodicity_check(tile: ClusterTile, cotiler, window: Window | None = 
             verified.append(w)
 
     f = tile_polynomial(tile)
-    fp = substitute_power(f, p)
+    fp = f.substitute_power(p)
     if window is None:
         # f(X^p)*c inherits the co-tiler's lattice periods, so one
         # fundamental domain checks the congruence everywhere

@@ -33,7 +33,6 @@ from nivatk.laurent import (
     annihilates,
     apply,
     line_factorization,
-    substitute_power,
 )
 from nivatk.nivat import bound_two_directions, corollary_report, nivat_scan
 from nivatk.quadratic import QuadraticReal
@@ -113,7 +112,7 @@ def test_criterion_04_tromino_prime_pipeline():
     config = cot.configuration()
     for w in periods:
         assert periodicity_test(config, w).status == "periodic"
-    fp = substitute_power(tile_polynomial(tile), 3)
+    fp = tile_polynomial(tile).substitute_power(3)
     pat = apply(fp, config, Window.box((0, 0), (59, 59)))
     assert all(v % 3 == 0 for v in pat.values.values())
     dt = time.monotonic() - t0

@@ -103,8 +103,8 @@ def test_find_annihilator_absent_when_complexity_exceeds_shape():
 
 
 def test_expansion_bound():
-    x = LP.variable(0, 2)
-    y = LP.variable(1, 2)
+    x = LP.monomial((1, 0))
+    y = LP.monomial((0, 1))
     assert expansion_bound(x - y, 1) == (2, 2)
     assert expansion_bound(2 * x + 3 * LP.one(2), 1) == (5, 120)
     assert expansion_bound(x - y, 0) == (0, 1)
@@ -112,8 +112,8 @@ def test_expansion_bound():
 
 def test_verify_expansion_checkerboard():
     c = checkerboard()
-    x = LP.variable(0, 2)
-    y = LP.variable(1, 2)
+    x = LP.monomial((1, 0))
+    y = LP.monomial((0, 1))
     f = x - y  # annihilates the checkerboard
     checks = verify_expansion(f, c, [3, 2], Window.box((0, 0), (9, 9)))
     by_p = {chk.prime: chk for chk in checks}
@@ -130,7 +130,7 @@ def test_verify_expansion_computes_no_factorial(monkeypatch):
     window = Window.box((0, 0), (99, 3))
     s = 2 * max(map(abs, c.block(window.lo, window.hi)))
     assert s == 280014
-    x_minus_y = LP.variable(0, 2) - LP.variable(1, 2)  # annihilates the checkerboard
+    x_minus_y = LP.monomial((1, 0)) - LP.monomial((0, 1))  # annihilates the checkerboard
     small = expansion_bound(x_minus_y, 1)[0]
 
     def no_factorial(n):
@@ -146,18 +146,18 @@ def test_verify_expansion_computes_no_factorial(monkeypatch):
 
 def test_verify_expansion_rejects_composites_and_fractions():
     c = checkerboard()
-    x = LP.variable(0, 2)
-    y = LP.variable(1, 2)
+    x = LP.monomial((1, 0))
+    y = LP.monomial((0, 1))
     with pytest.raises(NotPrimeError):
         verify_expansion(x - y, c, [4], Window.box((0, 0), (5, 5)))
-    halved = (x - y).scale(Fraction(1, 2))  # still annihilates
+    halved = (x - y) * Fraction(1, 2)  # still annihilates
     with pytest.raises(NonIntegerCoefficientsError):
         verify_expansion(halved, c, [3], Window.box((0, 0), (5, 5)))
 
 
 def test_radical_witness_construction():
-    x = LP.variable(0, 2)
-    y = LP.variable(1, 2)
+    x = LP.monomial((1, 0))
+    y = LP.monomial((0, 1))
     w = build_radical_witness(x - y, 2, (0, 1))
     assert dict(w.terms) == {(3, 1): Fraction(1), (1, 3): Fraction(-1)}
 
@@ -173,8 +173,8 @@ def direct_radical_witness(f, r, v0):
 
 
 def test_radical_witness_normal_form_identity():
-    x = LP.variable(0, 2)
-    y = LP.variable(1, 2)
+    x = LP.monomial((1, 0))
+    y = LP.monomial((0, 1))
     mono, vectors = radical_witness_normal_form(x - y, 2, (0, 1))
     assert mono == (1, 3)
     assert vectors == [(2, -2)]
@@ -199,7 +199,7 @@ def test_radical_witness_monomial_input():
 
 
 def test_radical_witness_requires_support_point():
-    x = LP.variable(0, 2)
+    x = LP.monomial((1, 0))
     with pytest.raises(V0NotInSupportError):
         build_radical_witness(x, 2, (5, 5))
 

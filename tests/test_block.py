@@ -152,7 +152,7 @@ def test_window_values_and_extract_pattern_follow_window_order():
                 assert window_values(c, window) == want
                 anchor = tuple(rng.randint(-3, 3) for _ in range(d))
                 pat = extract_pattern(c, anchor, window)
-                assert pat.key() == tuple(c.value(p) for p in window.shift(anchor))
+                assert pat.cells == tuple(c.value(p) for p in window.shift(anchor))
 
 
 # --- apply --------------------------------------------------------------------

@@ -8,7 +8,8 @@ import pytest
 
 import nivatk
 from nivatk import cli
-from nivatk.cli import ConfigFile, read_config_file, run
+from nivatk.cli import run
+from nivatk.nivat import bound_two_directions
 
 CHECKERBOARD = "periodic lattice{(2,0) (0,2)} values{(0,0):0 (0,1):1 (1,0):1 (1,1):0}\n"
 TWO_LINES = ("sum { +coset offset(0,0,0) gens{(1,0,0)} value 1 "
@@ -27,13 +28,11 @@ def cfg(tmp_path):
     return write
 
 
-def test_read_config_file_metadata(cfg):
+def test_read_config_file_metadata(cfg, capsys):
+    # a config file may open with a comment line
     path = cfg("checkerboard.cfg", "# black and white\n" + CHECKERBOARD)
-    parsed = read_config_file(path)
-    assert isinstance(parsed, ConfigFile)
-    assert parsed.name == "checkerboard"
-    assert parsed.dim == 2
-    assert parsed.config.value((1, 0)) == 1
+    assert run(["complexity", "--config", path, "--shape", "2x2"]) == 0
+    assert capsys.readouterr().out == "count=2 exact=true\n"
 
 
 def test_complexity_output(cfg, capsys):
@@ -134,6 +133,17 @@ def test_nivat_scan_csv(cfg, capsys):
         "3,2,2,6,Inconclusive\n")
 
 
+def test_nivat_scan_single_value_range(cfg, capsys):
+    path = cfg("cb.cfg", CHECKERBOARD)
+    code = run(["nivat-scan", "--config", path, "--M", "3", "--N", "2..3",
+                "--sample", "20"])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "M,N,count,threshold,verdict\n"
+        "3,2,2,6,Inconclusive\n"
+        "3,3,2,9,Inconclusive\n")
+
+
 def test_nivat_scan_irrational_exceeds(cfg, capsys):
     path = cfg("b.cfg", BINARY_IRRATIONAL)
     code = run(["nivat-scan", "--config", path, "--M", "2..3", "--N", "2..3",
@@ -151,6 +161,20 @@ def test_bounds_from_poly(capsys):
     assert out[0] == "bbox=(2,2)"
     assert out[1] == "cor-a=9"
     assert "best=cor-a value=9" in out
+
+
+def test_bounds_from_poly_with_off_axis_pair(capsys):
+    code = run(["bounds", "--poly", "X^(2,0) - X^(1,1) - X^(1,-1) + 1", "--M", "4", "--N", "4"])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "bbox=(2,2)\n"
+        "cor-a=4\n"
+        "cor-b-pair=8\n"
+        "pair (1,-1);(1,1): 8\n"
+        "best=cor-b-pair value=8\n"
+        "alpha=2\n")
+    # the pair is re-indexed to the 2x2 block left after both directions
+    assert bound_two_directions((1, -1), (1, 1), 2, 2) == 8
 
 
 def test_bounds_two_directions(capsys):

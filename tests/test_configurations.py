@@ -11,7 +11,6 @@ from nivatk.configurations import (
     Sum,
     ValueMap,
     extract_pattern,
-    merge_letters,
     pattern_complexity,
     periodicity_test,
 )
@@ -111,14 +110,14 @@ def test_extract_pattern_anchoring():
     c = checkerboard()
     p = extract_pattern(c, (1, 1), Window.box((0, 0), (1, 1)))
     assert p.values == {(1, 1): 0, (1, 2): 1, (2, 1): 1, (2, 2): 0}
-    assert p.key() == (0, 1, 1, 0)
+    assert p.cells == (0, 1, 1, 0)
 
 
 def test_pattern_key_identifies_translates():
     c = checkerboard()
     a = extract_pattern(c, (0, 0), Window.box((0, 0), (1, 1)))
     b = extract_pattern(c, (2, 4), Window.box((0, 0), (1, 1)))
-    assert a.key() == b.key()
+    assert a.cells == b.cells
 
 
 def test_complexity_checkerboard_exact():
@@ -165,7 +164,7 @@ def test_merge_letters_never_increases_complexity():
     sample = Window.box((0, 0), (10, 10))
     for _ in range(20):
         mapping = {0: rng.randint(0, 1), 1: rng.randint(0, 1)}
-        merged = merge_letters(c, mapping, default=0)
+        merged = ValueMap(c, mapping, default=0)
         a = pattern_complexity(merged, shape, sample)
         b = pattern_complexity(c, shape, sample)
         assert a.count <= b.count
@@ -175,14 +174,14 @@ def test_merge_letters_identity_keeps_counts():
     c = checkerboard()
     shape = Window.box((0, 0), (1, 1))
     sample = Window.box((0, 0), (8, 8))
-    merged = merge_letters(c, {0: 0, 1: 1}, default=0)
+    merged = ValueMap(c, {0: 0, 1: 1}, default=0)
     assert (pattern_complexity(merged, shape, sample).count
             == pattern_complexity(c, shape, sample).count)
 
 
 def test_merge_letters_collapse_to_constant():
     c = binary_irrational_2d()
-    merged = merge_letters(c, {0: 0, 1: 0}, default=0)
+    merged = ValueMap(c, {0: 0, 1: 0}, default=0)
     res = pattern_complexity(merged, Window.box((0, 0), (2, 2)),
                              Window.box((0, 0), (30, 30)))
     assert res.count == 1

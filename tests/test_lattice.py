@@ -13,7 +13,6 @@ from nivatk.lattice import (
     Lattice,
     Window,
     canonical_sign,
-    parallelogram_area,
     primitive_vector,
     unimodular_complement,
     vec_add,
@@ -62,12 +61,6 @@ def test_unimodular_complement_rejects_bad_input():
         unimodular_complement((0, 0))
     with pytest.raises(DimensionMismatchError):
         unimodular_complement((1, 0, 0))
-
-
-def test_parallelogram_area():
-    assert parallelogram_area((1, 0), (0, 1)) == 1
-    assert parallelogram_area((2, 1), (3, 4)) == 5
-    assert parallelogram_area((2, 4), (1, 2)) == 0
 
 
 def test_lattice_square():

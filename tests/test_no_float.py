@@ -1,9 +1,18 @@
-"""The package computes exactly: no floating point anywhere in src/nivatk."""
+"""The package computes exactly: no floating point anywhere in src/nivatk,
+and integer vector arguments refuse a float instead of truncating it."""
 
 import ast
 from pathlib import Path
 
+import pytest
+
 import nivatk
+from nivatk.annihilator import build_radical_witness
+from nivatk.configurations import CosetIndicator, FiniteSupport, Periodic
+from nivatk.decomposition import decompose
+from nivatk.lattice import Lattice, Window
+from nivatk.laurent import LaurentPolynomial as LP, divide_by_line, line_content
+from nivatk.tiling import ClusterTile, PeriodicCoTiler
 
 SOURCES = sorted(Path(nivatk.__file__).parent.glob("*.py"))
 
@@ -45,3 +54,30 @@ def test_checker_sees_each_form():
     kinds = sorted(what for _, what in _float_uses(ast.parse(text)))
     assert kinds == ["__float__ definition", "float literal 0.5", "from math import sqrt",
                      "int literal / x", "math.sqrt", "name float"]
+
+
+CHECKERBOARD = Periodic(Lattice([(2, 0), (0, 2)]), {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0})
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Window.box((0.5, 0), (2.9, 1)),
+    lambda: Window((0, 0), (2.9, 1)),
+    lambda: Window.from_points([(0, 0), (1.5, 0)]),
+    lambda: LP(2, {(0.5, 0): 1}),
+    lambda: LP.monomial((1.5, 0)),
+    lambda: LP.one(2).shift((0, 2.5)),
+    lambda: line_content(LP.difference((2, 0)), (1.5, 0)),
+    lambda: divide_by_line(LP.difference((1, 0)), LP.difference((1, 0)), (1.5, 0)),
+    lambda: decompose(CHECKERBOARD, [(1.5, 1)], Window.box((0, 0), (3, 3))),
+    lambda: build_radical_witness(LP.difference((1, 0)), 2, (0.5, 0)),
+    lambda: Lattice([(2.5, 0), (0, 2)]),
+    lambda: CosetIndicator((0.5, 0), [(1, 0)]),
+    lambda: FiniteSupport({(0.5, 0): 1}),
+    lambda: ClusterTile([(0, 0), (1.5, 0)]),
+    lambda: PeriodicCoTiler(Lattice([(2, 0), (0, 1)]), [(0.5, 0)]),
+], ids=["Window.box", "Window", "Window.from_points", "LaurentPolynomial", "monomial", "shift",
+        "line_content", "divide_by_line", "decompose", "radical witness v0", "Lattice",
+        "CosetIndicator", "FiniteSupport", "ClusterTile", "PeriodicCoTiler"])
+def test_integer_vector_arguments_reject_floats(build):
+    with pytest.raises(TypeError):
+        build()

@@ -340,11 +340,11 @@ def test_covering_pattern_fills_one_block_per_spread_anchor(span):
     assert c.cells <= len(anchors) * len(cover)
     for shape in (cover, Window.box((1, 0), (2, 3)), Window.from_points([(0, 0), (3, 1), (2, 2)])):
         keys = [tuple(itertools.chain.from_iterable(k)) for k in table.keys(shape, anchors)]
-        assert keys == [extract_pattern(c.inner, a, shape).key() for a in anchors]
+        assert keys == [extract_pattern(c.inner, a, shape).cells for a in anchors]
     c.cells = 0
     shape = Window.box((0, 0), (2, 2))
     assert pattern_complexity(c, shape, anchors).count == len(
-        {extract_pattern(c.inner, a, shape).key() for a in anchors})
+        {extract_pattern(c.inner, a, shape).cells for a in anchors})
     assert c.cells <= len(anchors) * len(shape)
 
 
