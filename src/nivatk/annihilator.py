@@ -161,7 +161,7 @@ def verify_expansion(f: LaurentPolynomial, c: Configuration, primes,
 
     out = []
     for p in primes:
-        p = int(p)
+        p = operator.index(p)
         if not is_prime(p):
             raise NotPrimeError(f"{p} is not prime")
         fp = f.substitute_power(p)

@@ -100,10 +100,10 @@ class Periodic(Configuration):
         self.lattice = lattice
         table = {}
         for cell, val in values.items():
-            r = lattice.reduce(tuple(cell))
-            if r in table and table[r] != int(val):
+            r, val = lattice.reduce(tuple(map(operator.index, cell))), operator.index(val)
+            if r in table and table[r] != val:
                 raise ValueError(f"conflicting values for residue {r}")
-            table[r] = int(val)
+            table[r] = val
         missing = [r for r in lattice.residues() if r not in table]
         if missing:
             raise ValueError(f"missing values for residues {missing}")

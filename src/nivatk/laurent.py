@@ -240,7 +240,7 @@ class LaurentPolynomial:
 
     def substitute_power(self, n: int):
         """f(X^n): every exponent scaled by n."""
-        n = int(n)
+        n = operator.index(n)
         if n <= 0:
             raise ValueError("substitution power must be positive")
         return LaurentPolynomial._from_clean(
@@ -318,7 +318,14 @@ def apply(f: LaurentPolynomial, c: Configuration, window: Window) -> Pattern:
     """
     if f.dim != c.dim or window.dim != c.dim:
         raise DimensionMismatchError("polynomial/configuration/window dimensions")
-    if f.is_zero or (c.exact_domain() is None and coset_certificate(f, c)):
+    if c.exact_domain() is None and coset_certificate(f, c):
+        return Pattern(window, [0] * len(window))
+    return _evaluate(f, c, window)
+
+
+def _evaluate(f: LaurentPolynomial, c: Configuration, window: Window) -> Pattern:
+    """apply's values read from c's cells, with no certificate tried."""
+    if f.is_zero:
         return Pattern(window, [0] * len(window))
     read = functools.partial(window_values, c)
     if window.is_box:
@@ -351,7 +358,7 @@ def annihilates(f: LaurentPolynomial, c: Configuration, window: Window) -> Annih
     if domain is None and coset_certificate(f, c):
         return AnnihilationResult("window")
     cells = window if domain is None else domain
-    for u, x in zip(cells, apply(f, c, cells).cells):
+    for u, x in zip(cells, _evaluate(f, c, cells).cells):
         if x != 0:
             return AnnihilationResult("no", witness=u)
     return AnnihilationResult("window" if domain is None else "exact")

@@ -177,9 +177,9 @@ def nivat_scan(c: Configuration, M_range, N_range, sample: Window) -> list:
     Inconclusive never asserts the threshold is met globally.  Only the
     first anchor of each residue class of c.periods() is keyed, and of
     those only the ones whose largest block meets c.support() and one that
-    does not, which leaves every count unchanged.  One pattern covering
-    the largest block at every keyed anchor is filled once and shared by
-    all block sizes; rows come in M-major order.
+    does not, which leaves every count unchanged.  They share one pattern
+    covering the largest block at each; a box sample keyed whole is read
+    in strips (_strip_counts) instead.  Rows come in M-major order.
     """
     Ms = list(map(operator.index, M_range))
     Ns = list(map(operator.index, N_range))
@@ -192,16 +192,52 @@ def nivat_scan(c: Configuration, M_range, N_range, sample: Window) -> list:
 
     largest = Window.box((0, 0), (max(Ms) - 1, max(Ns) - 1))
     anchors = support_anchors(c, largest, sample)
-    table = covering_pattern(c, largest, anchors)
-    rows = []
-    for M in Ms:
-        for N in Ns:
-            threshold = M * N
-            count = count_distinct(
-                table.keys(Window.box((0, 0), (M - 1, N - 1)), anchors), threshold)
-            verdict = "ExceedsMN" if count > threshold else "Inconclusive"
-            rows.append(ScanRow(M, N, count, threshold, verdict))
-    return rows
+    if anchors is sample and sample.is_box:
+        counts = _strip_counts(c, Ms, Ns, sample)
+    else:
+        table = covering_pattern(c, largest, anchors)
+        counts = {(M, N): count_distinct(table.keys(Window.box((0, 0), (M - 1, N - 1)), anchors),
+                                         M * N) for M in Ms for N in Ns}
+    return [ScanRow(M, N, counts[M, N], M * N,
+                    "ExceedsMN" if counts[M, N] > M * N else "Inconclusive") for M in Ms for N in Ns]
+
+
+def _strip_counts(c: Configuration, Ms, Ns, sample: Window) -> dict:
+    """count_distinct of the M x N blocks at every anchor of a box sample, per (M, N).
+
+    Anchor rows are filled in strips of 1, 2, 4, ... rows with the halo of
+    the largest block still counting, so an early exit fills only the rows
+    it reads.  A row segment of length n > 1 is named by the id of the pair
+    (name of its first n - 1 cells, its last value), one table per n
+    (Karp, Miller and Rosenberg, STOC 1972); an M x N block is the column
+    of M names of length N at its anchor, and one zip keys an anchor row.
+    """
+    (x, y0), (x1, y1) = sample.bounds()
+    width = y1 - y0 + 1
+    tables, ids = {}, itertools.count()
+    pending = {(M, N): set() for M in Ms for N in Ns}
+    counts, h = {}, 1
+    while pending and x <= x1:
+        h = min(h, x1 - x + 1)
+        tall, wide = max(M for M, _ in pending), max(N for _, N in pending)
+        span = width + wide - 1
+        cells = c.block((x, y0), (x + h + tall - 2, y1 + wide - 1))
+        names = [[cells[i:i + span] for i in range(0, len(cells), span)]]
+        for n in range(2, wide + 1):
+            table = tables.setdefault(n, {})
+            names.append([list(map(table.setdefault, zip(prev, row[n - 1:]), ids))
+                          for prev, row in zip(names[-1], names[0])])
+        for (M, N), keys in list(pending.items()):
+            segs = [r[:width] for r in names[N - 1][:h + M - 1]]
+            for i in range(h):
+                keys.update(zip(*segs[i:i + M]))
+                if len(keys) > M * N:
+                    counts[M, N] = M * N + 1
+                    del pending[M, N]
+                    break
+        x, h = x + h, 2 * h
+    counts.update((k, len(keys)) for k, keys in pending.items())
+    return counts
 
 
 def scan_csv(rows) -> str:

@@ -118,3 +118,15 @@ def test_certificate_is_skipped_where_an_exact_domain_exists(d, monkeypatch):
         assert annihilates(f, c, Window.box(*random_box(rng, d))).status == "exact"
         apply(f, c, Window.box(*random_box(rng, d)))
     assert calls == []
+
+
+def test_annihilates_tries_the_certificate_once(monkeypatch):
+    r2 = QuadraticReal.sqrt(2)
+    c = Sum([(1, Mechanical((1, 1), r2)), (-1, Mechanical((1, 0), r2)),
+             (-1, Mechanical((0, 1), r2))])
+    calls = []
+    monkeypatch.setattr(nivatk.laurent, "coset_certificate",
+                        lambda f, d: calls.append(d) or coset_certificate(f, d))
+    res = annihilates(LaurentPolynomial.difference((1, 0)), c, Window.box((0, 0), (9, 9)))
+    assert res.status == "no"
+    assert sum(d is c for d in calls) == 1

@@ -99,6 +99,18 @@ def test_decompose_output(cfg, capsys):
     assert "integral=true" in out
 
 
+def test_decompose_infeasible(capsys):
+    # c(x, 0) = x + 3 on the halo: (X^(1,0) - 1)^2 annihilates it, but no sum
+    # of two (1,0)-periodic parts changes along a row of the core
+    line = " ".join(f"({x},0):{x + 3}" for x in range(-2, 5))
+    code = run(["decompose", "--config", f"finite dim 2 cells{{{line}}}",
+                "--vectors", "(1,0);(1,0)", "--core", "0..2,0..0"])
+    assert code == 1
+    assert capsys.readouterr().out == (
+        "feasible=false\n"
+        "reason=no windowed decomposition for these directions\n")
+
+
 def test_lines_output(capsys):
     code = run(["lines", "--poly", "X^(1,1) - X^(1,0) - X^(0,1) + 1"])
     assert code == 0

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import nivatk
-from nivatk.annihilator import build_radical_witness
+from nivatk.annihilator import build_radical_witness, verify_expansion
 from nivatk.configurations import CosetIndicator, FiniteSupport, Periodic
 from nivatk.decomposition import decompose
 from nivatk.lattice import Lattice, Window
@@ -75,9 +75,15 @@ CHECKERBOARD = Periodic(Lattice([(2, 0), (0, 2)]), {(0, 0): 0, (0, 1): 1, (1, 0)
     lambda: FiniteSupport({(0.5, 0): 1}),
     lambda: ClusterTile([(0, 0), (1.5, 0)]),
     lambda: PeriodicCoTiler(Lattice([(2, 0), (0, 1)]), [(0.5, 0)]),
+    lambda: LP.difference((1, 0)).substitute_power(2.5),
+    lambda: verify_expansion(LP(2, {(1, 0): 1, (0, 1): -1}), CHECKERBOARD, [3.7],
+                             Window.box((0, 0), (5, 5))),
+    lambda: Periodic(Lattice([(2, 0), (0, 1)]), {(0.5, 0): 0, (1, 0): 1}),
+    lambda: Periodic(Lattice([(2, 0), (0, 1)]), {(0, 0): 0.5, (1, 0): 1}),
 ], ids=["Window.box", "Window", "Window.from_points", "LaurentPolynomial", "monomial", "shift",
         "line_content", "divide_by_line", "decompose", "radical witness v0", "Lattice",
-        "CosetIndicator", "FiniteSupport", "ClusterTile", "PeriodicCoTiler"])
+        "CosetIndicator", "FiniteSupport", "ClusterTile", "PeriodicCoTiler", "substitute_power",
+        "verify_expansion prime", "Periodic cell", "Periodic value"])
 def test_integer_vector_arguments_reject_floats(build):
     with pytest.raises(TypeError):
         build()
