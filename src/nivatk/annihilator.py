@@ -118,9 +118,9 @@ def _expansion_threshold(f: LaurentPolynomial, c_max: int) -> int:
         raise ZeroPolynomialError("expansion bound needs a nonzero polynomial")
     if not f.has_integer_coefficients():
         raise NonIntegerCoefficientsError("expansion bound needs integer coefficients")
-    if c_max < 0:
+    if operator.index(c_max) < 0:
         raise ValueError("c_max must be nonnegative")
-    return int(c_max * f.coefficient_abs_sum())
+    return c_max * f.coefficient_abs_sum()
 
 
 def expansion_bound(f: LaurentPolynomial, c_max: int):
@@ -157,7 +157,7 @@ def verify_expansion(f: LaurentPolynomial, c: Configuration, primes,
         raise VerificationFailedError(
             f"f*c is nonzero on the window at {base.witness}")
     c_max = max(map(abs, window_values(c, window)))
-    s = _expansion_threshold(f, int(c_max))
+    s = _expansion_threshold(f, c_max)
 
     out = []
     for p in primes:

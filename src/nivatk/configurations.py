@@ -14,7 +14,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import (
@@ -23,7 +22,7 @@ from .errors import (
     EmptyShapeError,
     ZeroVectorError,
 )
-from .lattice import Lattice, Window, kernel_rows, vec_add, vec_dot, vec_neg, vec_scale, is_zero_vector
+from .lattice import Lattice, Window, kernel_lattice, vec_add, vec_dot, vec_neg, vec_scale, is_zero_vector
 from .quadratic import QuadraticReal, _floor_sqrt_multiple
 
 
@@ -152,7 +151,7 @@ class CosetIndicator(Configuration):
         if self._sub.dim != self.dim:
             raise DimensionMismatchError("offset and generators disagree")
         self.generators = self._sub.generators
-        self.value_on = int(value)
+        self.value_on = operator.index(value)
 
     def value(self, v) -> int:
         self._check(v)
@@ -182,9 +181,7 @@ class Mechanical(Configuration):
     def __init__(self, weights, alpha: QuadraticReal):
         self.weights = tuple(map(operator.index, weights))
         self.dim = len(self.weights)
-        if not isinstance(alpha, QuadraticReal):
-            alpha = QuadraticReal.from_fraction(Fraction(alpha))
-        self.alpha = alpha
+        self.alpha = alpha if isinstance(alpha, QuadraticReal) else QuadraticReal.from_fraction(alpha)
 
     def value(self, v) -> int:
         self._check(v)
@@ -197,9 +194,8 @@ class Mechanical(Configuration):
         """Z^d when <w, v> * alpha is 0 everywhere, else w-perp; None in d = 1, where that is {0}."""
         if not any(self.weights) or self.alpha.a == self.alpha.b == 0:
             return _whole_space(self.dim)
-        rows = kernel_rows([tuple(int(i == j) for j in range(self.dim)) + (w,)
-                            for i, w in enumerate(self.weights)], self.dim)
-        return Lattice(rows) if rows else None
+        return kernel_lattice([tuple(int(i == j) for j in range(self.dim)) + (w,)
+                               for i, w in enumerate(self.weights)], self.dim)
 
     def block(self, lo, hi) -> list:
         """Exact floors of <w, v> * alpha read by row slices: the one-atom case of _mechanical_blocks."""
@@ -212,7 +208,7 @@ class FiniteSupport(Configuration):
     __slots__ = ("dim", "assoc")
 
     def __init__(self, assoc: dict, dim=None):
-        table = {tuple(map(operator.index, cell)): int(val) for cell, val in assoc.items()}
+        table = {tuple(map(operator.index, cell)): operator.index(val) for cell, val in assoc.items()}
         table = {cell: val for cell, val in table.items() if val != 0}
         if table:
             dims = {len(cell) for cell in table}
@@ -247,7 +243,7 @@ class Sum(Configuration):
     __slots__ = ("dim", "terms")
 
     def __init__(self, terms):
-        terms = [(int(k), c) for k, c in terms]
+        terms = [(operator.index(k), c) for k, c in terms]
         if not terms:
             raise ValueError("empty sum")
         dims = {c.dim for _, c in terms}
@@ -265,11 +261,8 @@ class Sum(Configuration):
         out = None
         for _, c in self.terms:
             lat = c.periods()
-            if lat is None:
-                return None
-            try:
-                out = lat if out is None else out.intersect(lat)
-            except ZeroVectorError:
+            out = lat if out is None or lat is None else out.intersect(lat)
+            if out is None:
                 return None
         return out
 
@@ -306,8 +299,8 @@ class ValueMap(Configuration):
     def __init__(self, inner: Configuration, mapping: dict, default: int):
         self.inner = inner
         self.dim = inner.dim
-        self.mapping = {int(k): int(v) for k, v in mapping.items()}
-        self.default = int(default)
+        self.mapping = {operator.index(k): operator.index(v) for k, v in mapping.items()}
+        self.default = operator.index(default)
 
     def value(self, v) -> int:
         return self.mapping.get(self.inner.value(v), self.default)

@@ -162,15 +162,18 @@ def _triangular_basis(generators, dim):
     return pivots
 
 
-def kernel_rows(rows, d: int) -> list:
-    """First d coordinates of a basis of the integer combinations of rows that are 0 past d.
+def kernel_lattice(rows, d: int):
+    """The lattice of first d coordinates of the integer combinations of rows that are 0 past d.
 
-    Those are the triangular basis rows with pivot below d (the Hermite
-    normal form argument of Cohen, A Course in Computational Algebraic
-    Number Theory, 2.4); empty when the only such combination is 0.
+    Its canonical basis is the triangular basis rows of rows with pivot below
+    d, taken as they are (the Hermite normal form argument of Cohen, A Course
+    in Computational Algebraic Number Theory, 2.4); None when that is {0}.
     """
     pivots = _triangular_basis(rows, len(rows[0]))
-    return [pivots[c][:d] for c in sorted(pivots) if c < d]
+    lattice = object.__new__(Lattice)
+    lattice.dim, lattice._pivots = d, {c: row[:d] for c, row in pivots.items() if c < d}
+    lattice.generators = lattice.basis()
+    return lattice if lattice._pivots else None
 
 
 class Lattice:
@@ -229,19 +232,19 @@ class Lattice:
             v = vec_sub(v, vec_scale(v[c] // row[c], row))
         return v
 
-    def intersect(self, other: "Lattice") -> "Lattice":
+    def intersect(self, other: "Lattice") -> "Lattice | None":
         """The lattice of vectors lying in both, by an integer kernel.
 
         The rows (g | g) for the generators g of self and (0 | h) for those
         of other span the pairs (x, x + y) with x in self and y in other;
         those with x + y = 0 have the intersection as first halves
-        (kernel_rows).  Raises ZeroVectorError when the intersection is {0}.
+        (kernel_lattice), None when the intersection is {0}.
         """
         if other.dim != self.dim:
             raise DimensionMismatchError(f"lattices of dimension {self.dim} and {other.dim}")
         d = self.dim
         rows = [g + g for g in self.generators] + [(0,) * d + h for h in other.generators]
-        return Lattice(kernel_rows(rows, d))
+        return kernel_lattice(rows, d)
 
     def residues(self):
         """Canonical residue cells, the integer box under the pivot entries."""

@@ -49,6 +49,8 @@ class LaurentPolynomial:
         clean = {}
         for e, a in (terms or {}).items():
             if type(a) is not int:
+                if not isinstance(a, (int, Fraction)):
+                    raise TypeError(f"coefficient {a!r} is not an int or a Fraction")
                 a = Fraction(a)
                 if a.denominator == 1:
                     a = a.numerator

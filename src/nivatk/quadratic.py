@@ -1,9 +1,9 @@
-"""Exact arithmetic for numbers of the form (a + b*sqrt(n)) / q.
+"""Exact floors of multiples of numbers of the form (a + b*sqrt(n)) / q.
 
-The point of this class is that floors and comparisons never go through
-floating point.  floor((a + b*sqrt(n))/q) is computed with integer square
-roots only, so mechanical configurations built on top of it are bit exact
-at any magnitude.
+A QuadraticReal is an exact, hashable value with no arithmetic: the one
+thing read from it is floor(m * x) for integers m, computed with integer
+square roots only and never through floating point, so mechanical
+configurations built on it are bit exact at any magnitude.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ class QuadraticReal:
     __slots__ = ("a", "b", "n", "q")
 
     def __init__(self, a, b=0, n=0, q=1):
-        a, b, n, q = int(a), int(b), int(n), int(q)
+        a, b, n, q = map(operator.index, (a, b, n, q))
         if q == 0:
             raise ZeroDivisionError("denominator q must be nonzero")
         if n < 0:
@@ -93,6 +93,8 @@ class QuadraticReal:
 
     @classmethod
     def from_fraction(cls, x):
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"{x!r} is not an int or a Fraction")
         x = Fraction(x)
         return cls(x.numerator, 0, 0, x.denominator)
 
@@ -100,75 +102,14 @@ class QuadraticReal:
     def sqrt(cls, n: int):
         return cls(0, 1, n, 1)
 
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self} is irrational")
-        return Fraction(self.a, self.q)
-
-    def _compatible(self, other: "QuadraticReal"):
-        if self.n and other.n and self.n != other.n:
-            raise ValueError(f"mixed radicands {self.n} and {other.n}")
-        return self.n or other.n
-
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        n = self._compatible(other)
-        return QuadraticReal(
-            self.a * other.q + other.a * self.q,
-            self.b * other.q + other.b * self.q,
-            n,
-            self.q * other.q,
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadraticReal(-self.a, -self.b, self.n, self.q)
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return _coerce(other) - self
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        n = self._compatible(other)
-        return QuadraticReal(
-            self.a * other.a + self.b * other.b * n,
-            self.a * other.b + self.b * other.a,
-            n,
-            self.q * other.q,
-        )
-
-    __rmul__ = __mul__
-
-    def floor(self) -> int:
-        """Exact floor via integer square roots.
-
-        a + b*sqrt(n) lies in [a + t, a + t + 1) for t = floor(b*sqrt(n)),
-        and floor(x / q) is constant on such a unit interval, so Python's
-        floor division on the integer endpoint is the exact answer.
-        """
-        return (self.a + _floor_sqrt_multiple(self.b, self.n)) // self.q
-
     def floor_multiples(self, ms) -> list:
-        """[floor(m * self) for m in ms], the batch form of floor(), for an ascending sequence ms.
+        """[floor(m * self) for m in ms] for an ascending sequence of ints ms.
 
         b != 0 only with squarefree n > 1, so m*b*sqrt(n) is irrational for
         every m != 0 and, where m*b < 0, floors to ~isqrt((m*b)^2 * n).
-        Those m form a prefix of ms (b > 0) or a suffix (b < 0).
+        Those m form a prefix of ms (b > 0) or a suffix (b < 0).  m*a + m*b*sqrt(n)
+        lies in [m*a + t, m*a + t + 1) for t = floor(m*b*sqrt(n)), and floor(x / q)
+        is constant on that interval, so (m*a + t) // q is exact.
         """
         a, b, q = self.a, self.b, self.q
         tops = map(a.__mul__, ms)
@@ -182,56 +123,15 @@ class QuadraticReal:
             tops = map(operator.add, tops, roots)
         return list(map(operator.floordiv, tops, itertools.repeat(q)))
 
-    def sign(self) -> int:
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a >= 0 and b > 0:
-            return 1
-        if a <= 0 and b < 0:
-            return -1
-        lhs, rhs = a * a, b * b * self.n
-        if lhs == rhs:
-            return 0
-        # signs of a and b differ here, so the larger square wins for a
-        bigger_is_a = lhs > rhs
-        return (1 if a > 0 else -1) if bigger_is_a else (1 if b > 0 else -1)
-
-    def compare(self, other) -> int:
-        return (self - _coerce(other)).sign()
-
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, QuadraticReal):
             return NotImplemented
         return (self.a, self.b, self.n, self.q) == (other.a, other.b, other.n, other.q)
 
     def __hash__(self):
         return hash((self.a, self.b, self.n, self.q))
 
-    def __lt__(self, other):
-        return self.compare(other) < 0
-
-    def __le__(self, other):
-        return self.compare(other) <= 0
-
-    def __gt__(self, other):
-        return self.compare(other) > 0
-
-    def __ge__(self, other):
-        return self.compare(other) >= 0
-
     def __repr__(self):
-        if self.is_rational:
+        if self.b == 0:
             return f"QuadraticReal({self.a}/{self.q})"
         return f"QuadraticReal(({self.a}+{self.b}*sqrt({self.n}))/{self.q})"
-
-
-def _coerce(x):
-    if isinstance(x, QuadraticReal):
-        return x
-    if isinstance(x, int):
-        return QuadraticReal(x)
-    if isinstance(x, Fraction):
-        return QuadraticReal(x.numerator, 0, 0, x.denominator)
-    return NotImplemented

@@ -11,7 +11,6 @@ against value() and against the terms' own blocks.
 """
 
 import random
-import time
 from fractions import Fraction
 
 import pytest
@@ -190,16 +189,16 @@ def test_apply_zero_polynomial():
     assert apply(LaurentPolynomial(2, {}), c, window).values == {u: 0 for u in window}
 
 
-def test_window_values_cost_follows_the_cells_not_their_bounding_box():
+def test_window_values_cost_follows_the_cells_not_their_bounding_box(floor_batches):
     # the bounding box of these 3 cells holds about 1.4 million
     r2 = QuadraticReal.sqrt(2)
     c = Sum([(1, Mechanical((1, 1), r2)), (-1, Mechanical((1, 0), r2)),
              (-1, Mechanical((0, 1), r2))])
     f = LaurentPolynomial.difference((1, 0)) * LaurentPolynomial.difference((0, 1))
     window = Window.from_points([(0, 0), (1200, 3), (5, 1200)])
-    start = time.perf_counter()
     pat = apply(f, c, window)
-    assert time.perf_counter() - start < 0.5
+    # each cell reads its 2 x 2 cover, and each of the 3 atoms floors at most those 4 cells
+    assert sum(floor_batches) <= 3 * 4 * 3
     assert pat.values == apply_reference(f, c, window)
 
 
@@ -244,12 +243,11 @@ def test_mechanical_block_exact_at_extremes(weights, corner):
         assert reference(c, lo, hi) == want
 
 
-def test_mechanical_block_cost_follows_the_box_not_the_range_of_m():
+def test_mechanical_block_cost_follows_the_box_not_the_range_of_m(floor_batches):
     # <w, v> spans about 5 * 10**7 values here but takes only 2500 of them
     c = Mechanical((10**6, 1), QuadraticReal.sqrt(2))
-    start = time.perf_counter()
     got = c.block((0, 0), (49, 49))
-    assert time.perf_counter() - start < 0.5
+    assert floor_batches == [2500]
     assert len(got) == 2500
     assert got[::97] == [mechanical_oracle(c, p) for p in list(Window.box((0, 0), (49, 49)))[::97]]
 
@@ -262,9 +260,10 @@ def test_quadratic_floor_matches_oracle_up_to_1e30():
         m = rng.choice((1, -1)) * rng.randint(0, 10 ** rng.randint(0, 30))
         alpha = QuadraticReal(a, b, n, q)
         want = floor_oracle(m * a, m * b if n else 0, n, q)
-        assert (alpha * m).floor() == want, (a, b, n, q, m)
+        assert Mechanical((m,), alpha).value((1,)) == want, (a, b, n, q, m)
+        assert alpha.floor_multiples([m]) == [want], (a, b, n, q, m)
         ms = sorted((m, -m))
-        assert alpha.floor_multiples(ms) == [(alpha * x).floor() for x in ms]
+        assert alpha.floor_multiples(ms) == [Mechanical((1,), alpha).value((x,)) for x in ms]
 
 
 # --- batched floors and Mechanical row slices ----------------------------------
@@ -286,7 +285,7 @@ def test_floor_multiples_matches_oracle_and_floor(alpha):
     for ms in (range(-40, 41), range(-9, 30, 3), range(-big - 6, -big + 6),
                range(big - 6, big + 6), [-big, -big + 1, -3, 0, 0, 7, big - 1, big], [0], []):
         got = alpha.floor_multiples(ms)
-        assert got == [(alpha * m).floor() for m in ms], (alpha, ms)
+        assert got == [Mechanical((1,), alpha).value((m,)) for m in ms], (alpha, ms)
         assert got == [floor_oracle(m * alpha.a, m * alpha.b, alpha.n, alpha.q) for m in ms]
 
 
@@ -402,13 +401,12 @@ def test_sturmian_block_floors_once_per_row(floor_batches):
         assert len(floor_batches) == 1
 
 
-def test_sum_of_sparse_span_atoms_keeps_the_cost_of_one():
+def test_sum_of_sparse_span_atoms_keeps_the_cost_of_one(floor_batches):
     # one table over the union of these spans would hold about 10**8 values
     r2 = QuadraticReal.sqrt(2)
     c = Sum([(1, Mechanical((10**6, 1), r2)), (-1, Mechanical((10**6, 2), r2))])
-    start = time.perf_counter()
     got = c.block((0, 0), (49, 49))
-    assert time.perf_counter() - start < 0.5
+    assert floor_batches == [2500, 2500]
     assert len(got) == 2500
     box = list(Window.box((0, 0), (49, 49)))[::97]
     assert got[::97] == [mechanical_oracle(c.terms[0][1], p) - mechanical_oracle(c.terms[1][1], p)

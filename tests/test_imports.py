@@ -2,10 +2,13 @@
 
 A name a module imports but never reads is left behind by a deletion; this
 fails on it.  The package's __init__ re-exports what it imports, and a name
-a module lists in __all__ is exported, so both count as used.
+a module lists in __all__ is exported, so both count as used.  A deletion
+can also leave a private helper behind: a module-level _name that no
+package module reads fails too.
 """
 
 import ast
+import textwrap
 from pathlib import Path
 
 import nivatk.cli
@@ -47,6 +50,75 @@ def test_unused_import_is_reported(tmp_path):
     path.write_text("import os\nimport sys\nfrom math import gcd, lcm\n"
                     "__all__ = ['lcm']\nprint(sys.argv)\n", encoding="utf-8")
     assert unused_imports(path) == ["m.py:1 os", "m.py:3 gcd"]
+
+
+def _private_names(node) -> list:
+    """The private names a top-level statement defines (def, class or assignment), dunders aside."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        return []
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def _reads(node) -> set:
+    """Names a statement loads or imports from another module.
+
+    An attribute read such as self._coerce names a member, not a module-level
+    helper, so it does not count.
+    """
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.id)
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
+    return out
+
+
+def unread_private_names(paths) -> list:
+    """Module-level private names that no top-level statement but their own definition reads."""
+    statements = [(p, node) for p in paths
+                  for node in ast.parse(p.read_text(encoding="utf-8"), filename=str(p)).body]
+    reads = [_reads(node) for _, node in statements]
+    return sorted(f"{p.name}:{node.lineno} {name}" for i, (p, node) in enumerate(statements)
+                  for name in _private_names(node)
+                  if not any(name in r for j, r in enumerate(reads) if j != i))
+
+
+def test_package_modules_read_every_private_name():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    assert unread_private_names(modules) == []
+
+
+def test_unread_private_name_is_reported(tmp_path):
+    a, b = tmp_path / "a.py", tmp_path / "b.py"
+    a.write_text(textwrap.dedent("""\
+        _LIMIT = 3
+        _seen: set = set()
+
+
+        def _used():
+            return _LIMIT
+
+
+        def _dead(n):
+            return _dead(n - 1) if n else 0
+
+
+        class _Gone:
+            pass
+
+
+        def __getattr__(name):
+            raise AttributeError(name)
+        """), encoding="utf-8")
+    b.write_text("from .a import _used\n", encoding="utf-8")
+    assert unread_private_names([a, b]) == ["a.py:13 _Gone", "a.py:2 _seen", "a.py:9 _dead"]
 
 
 def test_cli_all_names_exist():

@@ -373,10 +373,11 @@ def test_coefficient_form_invariant():
     for f in (LP.zero(2), LP.one(2), LP.constant(2, Fraction(6, 3)),
               LP.constant(2, half), LP.monomial((1, 2), Fraction(4, 2)),
               LP.monomial((1, 2), half), LP.monomial((0, 1)), LP.difference((2, -1)),
-              LP(2, {(0, 0): Fraction(3), (1, 0): Fraction(3, 4), (0, 1): 2.0,
-                     (1, 1): 0.25, (2, 0): True})):
+              LP(2, {(0, 0): Fraction(3), (1, 0): Fraction(3, 4), (0, 1): Fraction(8, 4),
+                     (1, 1): Fraction(2, 8), (2, 0): True})):
         assert_coefficient_form(f)
-    assert LP(2, {(1, 1): 0.25}).terms == {(1, 1): Fraction(1, 4)}
+    # a float coefficient raises TypeError (test_no_float)
+    assert LP(2, {(1, 1): Fraction(2, 8)}).terms == {(1, 1): Fraction(1, 4)}
     for _ in range(60):
         f, g = rand_poly(rng), rand_poly(rng)
         if f.is_zero:

@@ -1,5 +1,6 @@
 """The package computes exactly: no floating point anywhere in src/nivatk,
-and integer vector arguments refuse a float instead of truncating it."""
+and integer vector and scalar arguments refuse a float instead of truncating
+or converting it."""
 
 import ast
 from pathlib import Path
@@ -7,11 +8,12 @@ from pathlib import Path
 import pytest
 
 import nivatk
-from nivatk.annihilator import build_radical_witness, verify_expansion
-from nivatk.configurations import CosetIndicator, FiniteSupport, Periodic
+from nivatk.annihilator import build_radical_witness, expansion_bound, verify_expansion
+from nivatk.configurations import CosetIndicator, FiniteSupport, Mechanical, Periodic, Sum, ValueMap
 from nivatk.decomposition import decompose
 from nivatk.lattice import Lattice, Window
 from nivatk.laurent import LaurentPolynomial as LP, divide_by_line, line_content
+from nivatk.quadratic import QuadraticReal
 from nivatk.tiling import ClusterTile, PeriodicCoTiler
 
 SOURCES = sorted(Path(nivatk.__file__).parent.glob("*.py"))
@@ -80,10 +82,25 @@ CHECKERBOARD = Periodic(Lattice([(2, 0), (0, 2)]), {(0, 0): 0, (0, 1): 1, (1, 0)
                              Window.box((0, 0), (5, 5))),
     lambda: Periodic(Lattice([(2, 0), (0, 1)]), {(0.5, 0): 0, (1, 0): 1}),
     lambda: Periodic(Lattice([(2, 0), (0, 1)]), {(0, 0): 0.5, (1, 0): 1}),
+    lambda: QuadraticReal(0.5),
+    lambda: QuadraticReal(0, 1, 2, 2.5),
+    lambda: QuadraticReal.from_fraction(0.5),
+    lambda: Mechanical((1, 1), 0.1),
+    lambda: CosetIndicator((0, 0), [(1, 0)], value=1.5),
+    lambda: FiniteSupport({(0, 0): 2.7}),
+    lambda: Sum([(1.5, CHECKERBOARD)]),
+    lambda: ValueMap(CHECKERBOARD, {1: 2.5}, 0),
+    lambda: ValueMap(CHECKERBOARD, {1.5: 2}, 0),
+    lambda: ValueMap(CHECKERBOARD, {1: 2}, 0.9),
+    lambda: LP(2, {(0, 0): 0.5}),
+    lambda: expansion_bound(LP.difference((1, 0)), 2.5),
 ], ids=["Window.box", "Window", "Window.from_points", "LaurentPolynomial", "monomial", "shift",
         "line_content", "divide_by_line", "decompose", "radical witness v0", "Lattice",
         "CosetIndicator", "FiniteSupport", "ClusterTile", "PeriodicCoTiler", "substitute_power",
-        "verify_expansion prime", "Periodic cell", "Periodic value"])
+        "verify_expansion prime", "Periodic cell", "Periodic value", "QuadraticReal",
+        "QuadraticReal q", "from_fraction", "Mechanical alpha", "CosetIndicator value",
+        "FiniteSupport value", "Sum coefficient", "ValueMap value", "ValueMap key",
+        "ValueMap default", "LaurentPolynomial coefficient", "expansion_bound c_max"])
 def test_integer_vector_arguments_reject_floats(build):
     with pytest.raises(TypeError):
         build()

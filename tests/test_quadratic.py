@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from nivatk.configurations import Mechanical
 from nivatk.quadratic import QuadraticReal, is_prime, is_squarefree, squarefree_part
 
 
@@ -33,10 +34,12 @@ def test_is_prime_small_values():
 
 def test_rational_embedding():
     x = QuadraticReal.from_fraction(Fraction(3, 7))
-    assert x.is_rational
-    assert x.as_fraction() == Fraction(3, 7)
-    assert x.floor() == 0
-    assert QuadraticReal.from_fraction(Fraction(-3, 7)).floor() == -1
+    assert (x.a, x.b, x.n, x.q) == (3, 0, 0, 7)
+    assert x.floor_multiples([1]) == [0]
+    assert QuadraticReal.from_fraction(Fraction(-3, 7)).floor_multiples([1]) == [-1]
+    # sqrt(4) folds into the rational part; equality holds between QuadraticReals only
+    assert QuadraticReal(0, 1, 4) == QuadraticReal.from_fraction(2) == QuadraticReal(2)
+    assert QuadraticReal(2) != 2
 
 
 def test_floor_matches_float_reference_away_from_ties():
@@ -49,41 +52,11 @@ def test_floor_matches_float_reference_away_from_ties():
         q = rng.randint(1, 9)
         x = QuadraticReal(a, b, n, q)
         approx = (a + b * math.sqrt(n)) / q
-        assert x.floor() == math.floor(approx)
+        assert x.floor_multiples([1]) == [math.floor(approx)]
+        assert Mechanical((1,), x).value((1,)) == math.floor(approx)
 
 
 def test_known_floors():
     r2 = QuadraticReal.sqrt(2)
-    ten = QuadraticReal.from_fraction(10)
-    assert (r2 * ten).floor() == 14
-    assert (r2 + r2).floor() == 2
-    assert (-r2).floor() == -2
-
-
-def test_arithmetic_is_exact():
-    r2 = QuadraticReal.sqrt(2)
-    two = r2 * r2
-    assert two.is_rational
-    assert two.as_fraction() == 2
-    zero = r2 - r2
-    assert zero.sign() == 0
-    assert (r2 - QuadraticReal(3, 0, 0, 2)).sign() == -1  # sqrt(2) < 3/2
-    assert (r2 - QuadraticReal(7, 0, 0, 5)).sign() == 1   # sqrt(2) > 7/5
-
-
-def test_compare_total_order():
-    r2 = QuadraticReal.sqrt(2)
-    one = QuadraticReal.from_fraction(1)
-    assert r2.compare(one) == 1
-    assert one.compare(r2) == -1
-    assert r2.compare(QuadraticReal.sqrt(2)) == 0
-
-
-def test_mixed_radicands_rejected():
-    with pytest.raises(ValueError):
-        QuadraticReal.sqrt(2) + QuadraticReal.sqrt(3)
-
-
-def test_irrational_has_no_fraction_form():
-    with pytest.raises(ValueError):
-        QuadraticReal.sqrt(5).as_fraction()
+    assert r2.floor_multiples([-1, 2, 10]) == [-2, 2, 14]
+    assert [Mechanical((1,), r2).value((m,)) for m in (-1, 2, 10)] == [-2, 2, 14]

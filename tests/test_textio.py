@@ -79,8 +79,7 @@ def test_zero_radicand_alpha_is_rational():
     c = parse_config("mechanical weights(1,0) alpha quad(1,5,0,2)")
     half = parse_config("mechanical weights(1,0) alpha 1/2").alpha
     assert c.alpha == half and hash(c.alpha) == hash(half)
-    assert c.alpha.is_rational
-    assert c.alpha.as_fraction() == Fraction(1, 2)
+    assert (c.alpha.a, c.alpha.b, c.alpha.q) == (1, 0, 2)
     assert format_config(c) == "mechanical weights(1,0) alpha 1/2"
     assert QuadraticReal(3, -2, 0, 6) == QuadraticReal.from_fraction(Fraction(1, 2))
 
@@ -151,14 +150,32 @@ def test_poly_laurent_exponents():
     assert sorted(f.terms) == [(-0, -1), (0, 0)]
 
 
+def poly_terms(n):
+    """n signed terms whose exponents repeat every 0.35 * n terms, so like terms merge and some cancel."""
+    return [(("-" if i % 2 else "+"), (f"{i % 3 + 1}/2" if i % 5 == 0 else str(i % 3 + 1)),
+             (i % (n * 7 // 20), i % 7)) for i in range(n)]
+
+
+def poly_text(terms):
+    return " ".join(f"{s} {a}*X^({e[0]},{e[1]})" for s, a, e in terms)
+
+
+def parse_seconds(text):
+    """The fastest of three parses, so that one descheduled run does not count."""
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        parse_poly(text)
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
 def test_parse_poly_is_linear_in_the_term_count():
-    # exponents repeat every 1400 terms, so like terms merge and some cancel
-    terms = [(("-" if i % 2 else "+"), (f"{i % 3 + 1}/2" if i % 5 == 0 else str(i % 3 + 1)),
-              (i % 1400, i % 7)) for i in range(4000)]
-    text = " ".join(f"{s} {a}*X^({e[0]},{e[1]})" for s, a, e in terms)
-    start = time.perf_counter()
+    terms = poly_terms(4000)
+    text = poly_text(terms)
     got = parse_poly(text)
-    assert time.perf_counter() - start < 1.0
+    # 10x the terms may cost 10x the time, with room for noise; a quadratic parse costs 100x
+    assert parse_seconds(text) < 30 * parse_seconds(poly_text(poly_terms(400)))
 
     def total(lo, hi):
         # the monomials summed term by term, pairwise so the reference stays fast

@@ -1,6 +1,5 @@
 import itertools
 import random
-import time
 
 import pytest
 
@@ -226,10 +225,19 @@ def test_polyomino_classification(cells, polyomino):
     assert _is_polyomino(ClusterTile(cells)) is polyomino
 
 
-def test_far_apart_cells_are_rejected_before_the_hole_test():
-    start = time.perf_counter()
+def test_far_apart_cells_are_rejected_before_the_hole_test(monkeypatch):
+    floods = []
+    reach = tiling._reach
+
+    def spy(start, free):
+        seen = reach(start, free)
+        floods.append((len(free), len(seen)))
+        return seen
+
+    monkeypatch.setattr(tiling, "_reach", spy)
     assert not _is_polyomino(ClusterTile([(0, 0), (10**6, 0)]))
-    assert time.perf_counter() - start < 0.1
+    # one flood over the 2 cells, which reaches 1; the hole test over 10**6 cells never runs
+    assert floods == [(2, 1)]
 
 
 def list_search(tile, max_index):
