@@ -3,7 +3,8 @@
 Subcommands: complexity, annihilate, verify, search, decompose, lines,
 nivat-scan, bounds, tile-verify, tile-search, examples.  All reports are
 plain text (key=value lines) or CSV; identical inputs give byte-identical
-output.  Exit codes: 0 success, 1 failed check, 2 usage or input error.
+output.  Exit codes: 0 success, 1 failed check, 2 usage or input error
+or out of memory.
 """
 
 from __future__ import annotations
@@ -383,6 +384,9 @@ def run(argv) -> int:
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

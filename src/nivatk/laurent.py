@@ -435,11 +435,10 @@ def _levels(f, coords):
     return {be: (min(table), table) for be, table in raw.items()}
 
 
-def _step(*level_maps):
+def _step(levels):
     """gcd of every alpha offset from its level's minimum, 1 when there is
     none: each level is then a polynomial in s^step."""
-    return math.gcd(*(al - lo for levels in level_maps
-                      for lo, table in levels.values() for al in table)) or 1
+    return math.gcd(*(al - lo for lo, table in levels.values() for al in table)) or 1
 
 
 def _dense(level, step):
@@ -451,12 +450,6 @@ def _dense(level, step):
     return dense
 
 
-def _upoly_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
 def _upoly_divmod(a, b):
     a = list(a)
     q = [0] * max(0, len(a) - len(b) + 1)
@@ -466,7 +459,9 @@ def _upoly_divmod(a, b):
             q[i] = c
             for j, bj in enumerate(b):
                 a[i + j] -= c * bj
-    return q, _upoly_trim(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return q, a
 
 
 def _upoly_gcd(a, b):
@@ -476,6 +471,33 @@ def _upoly_gcd(a, b):
         _, r = _upoly_divmod(a, b)
         a, b = b, integer_primitive(r)
     return a
+
+
+def _line_split(f: LaurentPolynomial, v):
+    """(line_content(f, v), f / line_content(f, v)) for a primitive v, or
+    None when the content is 1.  f's levels and their dense lists in s^step
+    are built once; phi is their gcd, and divides each list exactly."""
+    coords, w = _line_coordinates(v)
+    levels = _levels(f, coords)
+    step = _step(levels)
+    dense, g = [], []
+    for level in levels.values():
+        dense.append(_dense(level, step))
+        g = _upoly_gcd(g, dense[-1])
+        if len(g) == 1:
+            return None
+    phi = LaurentPolynomial(f.dim, {vec_scale(k * step, v): a for k, a in enumerate(g) if a})
+    phi = normalize_integer_primitive(phi.shift(vec_neg(phi.min_exponent())))
+    ((beta0, phi_level),) = _levels(phi, coords).items()
+    p = _dense(phi_level, step)
+    out = {}
+    for (be, (lo, _)), d in zip(levels.items(), dense):
+        q, r = _upoly_divmod(d, p)
+        if r:
+            raise ValueError("division is not exact")
+        base = vec_add(vec_scale(lo - phi_level[0], v), vec_scale(be - beta0, w))
+        out.update((vec_add(base, vec_scale(k * step, v)), a) for k, a in enumerate(q) if a)
+    return phi, LaurentPolynomial(f.dim, out)
 
 
 def line_content(f: LaurentPolynomial, v) -> LaurentPolynomial:
@@ -492,46 +514,8 @@ def line_content(f: LaurentPolynomial, v) -> LaurentPolynomial:
         raise DimensionMismatchError("line content needs d = 2")
     if f.is_zero:
         raise ZeroPolynomialError("zero polynomial")
-    vv = primitive_vector(tuple(map(operator.index, v)))
-    coords, _ = _line_coordinates(vv)
-    levels = _levels(f, coords)
-    step = _step(levels)
-    g = []
-    for level in levels.values():
-        g = _upoly_gcd(g, _dense(level, step))
-        if len(g) == 1:
-            return LaurentPolynomial.one(f.dim)
-    poly = LaurentPolynomial(
-        f.dim, {vec_scale(k * step, vv): a for k, a in enumerate(g) if a}
-    )
-    poly = poly.shift(vec_neg(poly.min_exponent()))
-    return normalize_integer_primitive(poly)
-
-
-def divide_by_line(f: LaurentPolynomial, phi: LaurentPolynomial, v) -> LaurentPolynomial:
-    """Exact quotient f / phi for a line polynomial phi of direction v."""
-    if f.dim != 2:
-        raise DimensionMismatchError("line division needs d = 2")
-    v = primitive_vector(tuple(map(operator.index, v)))
-    coords, (w1, w2) = _line_coordinates(v)
-    phi_levels = _levels(phi, coords)
-    if len(phi_levels) != 1:
-        raise ValueError(f"{phi} is not a line polynomial of direction {v}")
-    f_levels = _levels(f, coords)
-    step = _step(f_levels, phi_levels)
-    beta0, phi_level = next(iter(phi_levels.items()))
-    alpha0, p = phi_level[0], _dense(phi_level, step)
-    out = {}
-    for be, level in f_levels.items():
-        q, r = _upoly_divmod(_dense(level, step), p)
-        if r:
-            raise ValueError("division is not exact")
-        qa, qb = level[0] - alpha0, be - beta0
-        for k, a in enumerate(q):
-            if a:
-                alpha = qa + k * step
-                out[(alpha * v[0] + qb * w1, alpha * v[1] + qb * w2)] = a
-    return LaurentPolynomial(f.dim, out)
+    split = _line_split(f, primitive_vector(tuple(map(operator.index, v))))
+    return LaurentPolynomial.one(f.dim) if split is None else split[0]
 
 
 @dataclass
@@ -567,8 +551,8 @@ def line_factorization(f: LaurentPolynomial) -> LineFactorization:
     factors = []
     if not cur.is_monomial:
         for v in newton_polygon_directions(cur):
-            phi = line_content(cur, v)
-            if not phi.is_constant:
-                factors.append((v, phi))
-                cur = divide_by_line(cur, phi, v)
+            split = _line_split(cur, v)
+            if split is not None:
+                factors.append((v, split[0]))
+                cur = split[1]
     return LineFactorization(mono, tuple(factors), cur)

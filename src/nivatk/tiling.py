@@ -109,26 +109,19 @@ class TilingResult:
 
 
 def verify_cotiler(tile: ClusterTile, cotiler: PeriodicCoTiler) -> TilingResult:
-    """Exact multiset cover check on one fundamental domain.
+    """Exact check of D + C = Z^d on one fundamental domain.
 
-    Every residue class must be hit exactly once by {d + r}; the first cell
-    in canonical residue order breaking that is reported as an Overlap
-    (hit twice or more) or Gap (never hit).
+    D tiles with C exactly when f_D * 1_C = 1, which the residue box of C's
+    lattice settles; the first cell in canonical residue order where the
+    product is not 1 is reported as an Overlap (above 1) or a Gap (0).
     """
     if tile.dim != cotiler.lattice.dim:
         raise DimensionMismatchError("tile vs co-tiler dimension")
-    lat = cotiler.lattice
-    counts: dict = {}
-    for r in cotiler.residues:
-        for d in tile.cells:
-            cell = lat.reduce(vec_add(d, r))
-            counts[cell] = counts.get(cell, 0) + 1
-    for cell in lat.residues():
-        k = counts.get(cell, 0)
-        if k > 1:
-            return TilingResult("Overlap", cell)
-        if k == 0:
-            return TilingResult("Gap", cell)
+    config = cotiler.configuration()
+    box = config.exact_domain()
+    for cell, k in zip(box, apply(tile_polynomial(tile), config, box).cells):
+        if k != 1:
+            return TilingResult("Overlap" if k > 1 else "Gap", cell)
     return TilingResult("Valid")
 
 

@@ -66,6 +66,12 @@ def test_annihilate_output(cfg, capsys):
     assert out[3] == "f=X^(1,0) + X^(1,-1) - 1 - X^(0,-1)"
 
 
+def test_annihilate_not_found(capsys):
+    assert run(["annihilate", "--config", BINARY_IRRATIONAL.strip(), "--shape", "2x2",
+                "--sample", "20x20"]) == 0
+    assert capsys.readouterr().out == "found=false\n"
+
+
 def test_verify_pass_and_fail(cfg, capsys):
     path = cfg("cb.cfg", CHECKERBOARD)
     assert run(["verify", "--config", path,
@@ -133,8 +139,8 @@ def test_lines_high_exponent_is_fast(capsys, monkeypatch):
 
     monkeypatch.setattr(laurent, "_dense", spy)
     assert run(["lines", "--poly", "X^(2000000,0) - 1"]) == 0
-    # 1 - s as a dense list in s^2000000: the content's level, then phi's and f's in the division
-    assert lengths == [2, 2, 2]
+    # 1 - s as a dense list in s^2000000: f's one level, then phi's
+    assert lengths == [2, 2]
     assert capsys.readouterr().out == (
         "monomial=(0,0)\n"
         "factor 0: direction=(1,0) poly=X^(2000000,0) - 1\n"
@@ -242,6 +248,17 @@ def test_usage_errors(cfg, capsys):
     path = cfg("broken.cfg", "periodic lattice{(2,0)} values{")
     assert run(["complexity", "--config", path, "--shape", "2x2"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_out_of_memory_exits_2(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "pattern_complexity", exhausted)
+    assert run(["complexity", "--config", CHECKERBOARD.strip(), "--shape", "2x2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
 
 
 def test_missing_file_is_usage_error(capsys):

@@ -6,12 +6,12 @@ import pytest
 from nivatk.annihilator import find_annihilator
 from nivatk.configurations import CosetIndicator, Mechanical, Periodic, Sum
 from nivatk.errors import DimensionMismatchError, ZeroPolynomialError
-from nivatk.lattice import Lattice, Window
+from nivatk.lattice import Lattice, Window, vec_scale
 from nivatk.laurent import (
     LaurentPolynomial as LP,
+    _line_split,
     annihilates,
     apply,
-    divide_by_line,
     line_content,
     line_factorization,
     newton_polygon_directions,
@@ -289,6 +289,7 @@ def test_exact_and_windowed_annihilates_agree_on_periodic_inputs(d):
 def test_newton_polygon_directions_square():
     f = LP.difference((1, 0)) * LP.difference((0, 1))
     assert newton_polygon_directions(f) == ((0, 1), (1, 0))
+    assert newton_polygon_directions(LP.monomial((3, -2), 5)) == ()
 
 
 def test_line_content_extracts_full_direction_factor():
@@ -405,8 +406,6 @@ def test_coefficient_form_invariant():
         assert_coefficient_form(lf.remainder)
         phi = line_content(prod, (1, 1))
         assert_coefficient_form(phi)
-        assert_coefficient_form(divide_by_line(prod, phi, (1, 1)))
-        assert_coefficient_form(divide_by_line(prod, phi * 3, (1, 1)))
     rep = find_annihilator(checkerboard(), Window.box((0, 0), (1, 1)),
                            Window.box((0, 0), (9, 9)), Window.box((0, 0), (9, 9)))
     assert_coefficient_form(rep.g)
@@ -437,12 +436,19 @@ def test_line_factorization_high_exponents():
         assert lf.factors
 
 
-def test_divide_by_line_with_different_offset_gcds():
-    # along (1,0) the offsets of f have gcd 2 and those of phi gcd 4
-    phi = LP.difference((4, 0))
-    q = LP(2, {(6, 1): 1, (0, 1): -2, (12, 0): 3})
-    assert divide_by_line(phi * q, phi, (1, 0)) == q
-    # and here gcd 4 for f = X^(4,0) - 1 against gcd 2 for phi = X^(2,0) - 1
-    assert divide_by_line(phi, LP.difference((2, 0)), (1, 0)) == LP.monomial((2, 0)) + 1
-    with pytest.raises(ValueError):
-        divide_by_line(phi * q + LP.monomial((2, 0)), phi, (1, 0))
+def test_line_split_of_planted_products():
+    # phi * q == f, phi is line_content(f, v), and q keeps no content along v
+    rng = random.Random(31)
+    line_free = LP(2, {(1, 0): 1, (0, 1): 1, (0, 0): 1})
+    for v in [(1, 0), (0, 1), (1, 1), (-1, 2), (1, -1), (2, -3), (-3, -1)]:
+        assert _line_split(line_free, v) is None
+        for _ in range(4):
+            g = rng.choice([1, 2, 3])
+            line = LP(2, {vec_scale(g * k, v): rng.randint(-4, 4) for k in range(rng.randint(1, 3))})
+            line = line + LP.monomial(vec_scale(g * rng.randint(3, 4), v), rng.choice([-2, 1, 3]))
+            h = line_free.shift((rng.randint(-3, 3), rng.randint(-3, 3)))
+            f = line * LP.difference(vec_scale(g, v)) * h * rng.choice([1, 2, Fraction(1, 3)])
+            phi, q = _line_split(f, v)
+            assert phi * q == f
+            assert phi == line_content(f, v)
+            assert _line_split(q, v) is None

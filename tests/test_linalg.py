@@ -69,6 +69,7 @@ def test_nullspace_of_augmented_pattern_rows():
 
 def test_nullspace_full_rank_is_empty():
     assert nullspace_basis([[1, 0], [0, 1]]) == []
+    assert nullspace_basis([]) == []
 
 
 def _dense_kernel(rows):

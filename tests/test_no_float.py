@@ -12,7 +12,7 @@ from nivatk.annihilator import build_radical_witness, expansion_bound, verify_ex
 from nivatk.configurations import CosetIndicator, FiniteSupport, Mechanical, Periodic, Sum, ValueMap
 from nivatk.decomposition import decompose
 from nivatk.lattice import Lattice, Window
-from nivatk.laurent import LaurentPolynomial as LP, divide_by_line, line_content
+from nivatk.laurent import LaurentPolynomial as LP, line_content
 from nivatk.quadratic import QuadraticReal
 from nivatk.tiling import ClusterTile, PeriodicCoTiler
 
@@ -69,7 +69,6 @@ CHECKERBOARD = Periodic(Lattice([(2, 0), (0, 2)]), {(0, 0): 0, (0, 1): 1, (1, 0)
     lambda: LP.monomial((1.5, 0)),
     lambda: LP.one(2).shift((0, 2.5)),
     lambda: line_content(LP.difference((2, 0)), (1.5, 0)),
-    lambda: divide_by_line(LP.difference((1, 0)), LP.difference((1, 0)), (1.5, 0)),
     lambda: decompose(CHECKERBOARD, [(1.5, 1)], Window.box((0, 0), (3, 3))),
     lambda: build_radical_witness(LP.difference((1, 0)), 2, (0.5, 0)),
     lambda: Lattice([(2.5, 0), (0, 2)]),
@@ -95,7 +94,7 @@ CHECKERBOARD = Periodic(Lattice([(2, 0), (0, 2)]), {(0, 0): 0, (0, 1): 1, (1, 0)
     lambda: LP(2, {(0, 0): 0.5}),
     lambda: expansion_bound(LP.difference((1, 0)), 2.5),
 ], ids=["Window.box", "Window", "Window.from_points", "LaurentPolynomial", "monomial", "shift",
-        "line_content", "divide_by_line", "decompose", "radical witness v0", "Lattice",
+        "line_content", "decompose", "radical witness v0", "Lattice",
         "CosetIndicator", "FiniteSupport", "ClusterTile", "PeriodicCoTiler", "substitute_power",
         "verify_expansion prime", "Periodic cell", "Periodic value", "QuadraticReal",
         "QuadraticReal q", "from_fraction", "Mechanical alpha", "CosetIndicator value",

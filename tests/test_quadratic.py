@@ -40,6 +40,8 @@ def test_rational_embedding():
     # sqrt(4) folds into the rational part; equality holds between QuadraticReals only
     assert QuadraticReal(0, 1, 4) == QuadraticReal.from_fraction(2) == QuadraticReal(2)
     assert QuadraticReal(2) != 2
+    # a negative denominator moves its sign to the numerator
+    assert QuadraticReal(1, 1, 2, -3) == QuadraticReal(-1, -1, 2, 3)
 
 
 def test_floor_matches_float_reference_away_from_ties():

@@ -143,6 +143,8 @@ def test_poly_zero_and_constants():
     c = parse_poly("7", dim=2)
     assert dict(c.terms) == {(0, 0): 7}
     assert format_poly(c) == "7"
+    # with no exponent to read the dimension from, a constant is 2-D
+    assert parse_poly("3") == LP.constant(2, 3)
 
 
 def test_poly_laurent_exponents():
