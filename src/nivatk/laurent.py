@@ -20,7 +20,7 @@ from .errors import (
     DimensionMismatchError,
     ZeroPolynomialError,
 )
-from .configurations import Configuration, Pattern, Sum, combine, window_values
+from .configurations import Configuration, Pattern, Sum, _strides, combine, window_values
 from .lattice import (
     Window,
     canonical_sign,
@@ -108,10 +108,6 @@ class LaurentPolynomial:
         return not self.terms
 
     @property
-    def is_constant(self) -> bool:
-        return all(all(x == 0 for x in e) for e in self.terms)
-
-    @property
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
@@ -195,9 +191,7 @@ class LaurentPolynomial:
         lo1, lo2 = self.min_exponent(), other.min_exponent()
         lo = vec_add(lo1, lo2)
         span = vec_sub(vec_add(self.max_exponent(), other.max_exponent()), lo)
-        strides = [1] * self.dim
-        for k in range(self.dim - 1, 0, -1):
-            strides[k - 1] = strides[k] * (span[k] + 1)
+        strides = _strides([range(s + 1) for s in span])
         base1, base2 = vec_dot(lo1, strides), vec_dot(lo2, strides)
         packed = [(vec_dot(e2, strides) - base2, a2) for e2, a2 in other.terms.items()]
         out = {}

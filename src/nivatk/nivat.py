@@ -178,8 +178,9 @@ def nivat_scan(c: Configuration, M_range, N_range, sample: Window) -> list:
     first anchor of each residue class of c.periods() is keyed, and of
     those only the ones whose largest block meets c.support() and one that
     does not, which leaves every count unchanged.  They share one pattern
-    covering the largest block at each; a box sample keyed whole is read
-    in strips (_strip_counts) instead.  Rows come in M-major order.
+    covering the largest block at each (covering_pattern); a box sample
+    keyed whole is counted one block size at a time over rows filled and
+    named once per call (_strip_counts) instead.  Rows come in M-major order.
     """
     Ms = list(map(operator.index, M_range))
     Ns = list(map(operator.index, N_range))
@@ -205,38 +206,43 @@ def nivat_scan(c: Configuration, M_range, N_range, sample: Window) -> list:
 def _strip_counts(c: Configuration, Ms, Ns, sample: Window) -> dict:
     """count_distinct of the M x N blocks at every anchor of a box sample, per (M, N).
 
-    Anchor rows are filled in strips of 1, 2, 4, ... rows with the halo of
-    the largest block still counting, so an early exit fills only the rows
-    it reads.  A row segment of length n > 1 is named by the id of the pair
-    (name of its first n - 1 cells, its last value), one table per n
-    (Karp, Miller and Rosenberg, STOC 1972); an M x N block is the column
-    of M names of length N at its anchor, and one zip keys an anchor row.
+    A row segment of length n > 1 is named by the id of the pair (name of
+    its first n - 1 cells, its last value), one table per n (Karp, Miller
+    and Rosenberg, STOC 1972); an M x N block is the column of M names of
+    length N at its anchor, and one zip keys an anchor row.  The sizes are
+    counted N by N in increasing order, each on a key set of its own, over
+    the rows' values and their names of length N only.  A size that runs
+    past the filled anchor rows doubles them, with the halo of the largest
+    block, so an early exit fills only the rows it reads.
     """
-    (x, y0), (x1, y1) = sample.bounds()
-    width = y1 - y0 + 1
-    tables, ids = {}, itertools.count()
-    pending = {(M, N): set() for M in Ms for N in Ns}
-    counts, h = {}, 1
-    while pending and x <= x1:
-        h = min(h, x1 - x + 1)
-        tall, wide = max(M for M, _ in pending), max(N for _, N in pending)
-        span = width + wide - 1
-        cells = c.block((x, y0), (x + h + tall - 2, y1 + wide - 1))
-        names = [[cells[i:i + span] for i in range(0, len(cells), span)]]
-        for n in range(2, wide + 1):
-            table = tables.setdefault(n, {})
-            names.append([list(map(table.setdefault, zip(prev, row[n - 1:]), ids))
-                          for prev, row in zip(names[-1], names[0])])
-        for (M, N), keys in list(pending.items()):
-            segs = [r[:width] for r in names[N - 1][:h + M - 1]]
-            for i in range(h):
-                keys.update(zip(*segs[i:i + M]))
-                if len(keys) > M * N:
-                    counts[M, N] = M * N + 1
-                    del pending[M, N]
-                    break
-        x, h = x + h, 2 * h
-    counts.update((k, len(keys)) for k, keys in pending.items())
+    (x0, y0), (x1, y1) = sample.bounds()
+    height, width, tall, wide = x1 - x0 + 1, y1 - y0 + 1, max(Ms), max(Ns)
+    span = width + wide - 1
+    rows, names, n = [], [], 1
+    tables, ids = [{} for _ in range(wide)], itertools.count()
+
+    def named(rows, names, k, n):
+        """The rows' names of length n, from their names of length k."""
+        for k in range(k, n):
+            names = [list(map(tables[k].setdefault, zip(prev, row[k:]), ids))
+                     for prev, row in zip(names, rows)]
+        return names
+
+    counts = {}
+    for N in sorted(set(Ns)):
+        names, n = named(rows, names, n, N), N
+        for M in set(Ms):
+            keys, i = set(), 0
+            while len(keys) <= M * N and i < height:
+                if i == max(len(rows) - tall + 1, 0):
+                    h = min(2 * i or 1, height)  # anchor rows filled after this
+                    cells = c.block((x0 + len(rows), y0), (x0 + h + tall - 2, y1 + wide - 1))
+                    new = [cells[j:j + span] for j in range(0, len(cells), span)]
+                    rows += new
+                    names += named(new, new, 1, n)
+                keys.update(itertools.islice(zip(*names[i:i + M]), width))
+                i += 1
+            counts[M, N] = min(len(keys), M * N + 1)
     return counts
 
 

@@ -79,7 +79,7 @@ def test_find_annihilator_constant():
                            Window.box((0, 0), (4, 4)),
                            Window.box((0, 0), (4, 4)))
     assert rep is not None
-    assert rep.g.is_constant
+    assert rep.g.terms == {(0, 0): 1}
     assert rep.constant == 5
     assert dict(rep.f.terms) == {(1, 0): Fraction(1), (0, 0): Fraction(-1)}
 

@@ -11,6 +11,7 @@ same calls give with the certificate switched off.
 """
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -130,3 +131,19 @@ def test_annihilates_tries_the_certificate_once(monkeypatch):
     res = annihilates(LaurentPolynomial.difference((1, 0)), c, Window.box((0, 0), (9, 9)))
     assert res.status == "no"
     assert sum(d is c for d in calls) == 1
+
+
+def test_annihilates_allocates_nothing_window_sized_under_the_certificate():
+    # 4 million cells: zeros laid out for them would take over 30 MB
+    r2 = QuadraticReal.sqrt(2)
+    c = Sum([(1, Mechanical((1, 1), r2)), (-1, Mechanical((1, 0), r2)),
+             (-1, Mechanical((0, 1), r2))])
+    f = LaurentPolynomial.difference_product(2, [(1, 0), (0, 1), (1, -1)])
+    tracemalloc.start()
+    try:
+        res = annihilates(f, c, Window.box((0, 0), (1999, 1999)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.status == "window"
+    assert peak < 1_000_000

@@ -41,7 +41,7 @@ def rand_poly(rng, dim=2, max_terms=6, coord=3, coeff=9):
 
 def test_constructors():
     assert LP.zero(2).is_zero
-    assert LP.one(2).is_constant
+    assert LP.one(2).terms == {(0, 0): 1}
     assert LP.monomial((1, -2), 3).terms == {(1, -2): Fraction(3)}
     assert LP.monomial((1, 0)).terms == {(1, 0): Fraction(1)}
     assert LP.difference((1, 0)).terms == {(1, 0): Fraction(1), (0, 0): Fraction(-1)}
@@ -304,7 +304,7 @@ def test_line_factorization_two_differences():
     lf = line_factorization(f)
     assert lf.monomial == (0, 0)
     assert lf.directions == ((0, 1), (1, 0))
-    assert lf.remainder.is_constant
+    assert lf.remainder.terms == {(0, 0): 1}
     assert (lf.product() - f).is_zero
 
 

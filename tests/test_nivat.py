@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -287,6 +288,23 @@ def test_strip_scan_fills_a_tenth_of_the_covering_pattern():
     rows = nivat_scan(c, range(2, 9), range(2, 9), Window.box((0, 0), (399, 399)))
     assert all(r.verdict == "ExceedsMN" for r in rows)
     assert c.cells < 407 ** 2 // 10
+
+
+@pytest.mark.parametrize("c, verdict, limit", [
+    # every size's key set held at once peaked at 9.6 MB, one at a time at 1.5 MB
+    (binary_irrational_2d(), "ExceedsMN", 5_000_000),
+    # every row read: names of all 20 lengths held at once peaked at 3.1 MB, one length at 0.8 MB
+    (rotation_rows(QuadraticReal.sqrt(2)), "Inconclusive", 1_500_000),
+], ids=["exceeds", "inconclusive"])
+def test_strip_scan_holds_one_key_set_and_one_name_length_at_a_time(c, verdict, limit):
+    tracemalloc.start()
+    try:
+        rows = nivat_scan(c, range(2, 21), range(2, 21), Window.box((0, 0), (79, 79)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.verdict == verdict for r in rows)
+    assert peak < limit
 
 
 def test_line_pattern_census_axis_line():
