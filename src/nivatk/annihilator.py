@@ -76,7 +76,8 @@ def find_annihilator(c: Configuration, shape: Window, sample: Window,
     shape_pts = list(shape)
 
     keyed = support_anchors(c, shape, sample)
-    keys = set(covering_pattern(c, shape, keyed).keys(shape, keyed))
+    table, at = covering_pattern(c, shape, keyed)
+    keys = set(table.keys(shape, at))
     rows = sorted((1,) + tuple(itertools.chain.from_iterable(k)) for k in keys)
     kernel = nullspace_basis(rows)
     if len(rows) <= len(shape_pts):

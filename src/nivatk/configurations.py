@@ -234,7 +234,11 @@ class FiniteSupport(Configuration):
         return Support(tuple((cell, ()) for cell in self.assoc), 0)
 
     def block(self, lo, hi) -> list:
-        return _placed(_box(self, lo, hi), self.assoc.items())
+        """Cell by cell when the box holds fewer cells than the support, else _placed: min(box, support)."""
+        ranges = _box(self, lo, hi)
+        if math.prod(map(len, ranges)) < len(self.assoc):
+            return list(map(self.assoc.get, itertools.product(*ranges), itertools.repeat(0)))
+        return _placed(ranges, self.assoc.items())
 
 
 class Sum(Configuration):
@@ -571,42 +575,26 @@ def _slice_keys(cells: tuple, strides, shape: Window, starts, n: int):
     return (tuple([cells[b + r.start:b + r.stop] for r in runs]) for b in bases)
 
 
-class _AnchorBlocks:
-    """Box patterns of c on anchor + cover, one per anchor, laid end to end.
-
-    keys(shape, anchors) reads them as a box Pattern's keys would, for the
-    anchors it was built on and any shape inside the box cover.
-    """
-
-    __slots__ = ("cells", "strides", "bases")
-
-    def __init__(self, c: Configuration, cover: Window, anchors: Window):
-        self.strides = _strides([range(a, b + 1) for a, b in zip(cover.lo, cover.hi)])
-        origin = vec_dot(cover.lo, self.strides)
-        cells, self.bases = [], {}
-        for a in anchors:
-            self.bases[a] = len(cells) - origin
-            cells += c.block(vec_add(a, cover.lo), vec_add(a, cover.hi))
-        self.cells = tuple(cells)
-
-    def keys(self, shape: Window, anchors: Window):
-        return _slice_keys(self.cells, self.strides, shape, map(self.bases.__getitem__, anchors), 1)
-
-
 def covering_pattern(c: Configuration, shape: Window, anchors: Window):
-    """Values of c holding anchor + shape for every anchor, keyed by .keys(s, anchors).
+    """A box Pattern table of c and anchors at in it: table.keys(s, at) are the
+    keys at the anchors, in anchor order, for every shape s inside the
+    bounding box of shape (the cover).
 
-    The keys serve every shape s inside the bounding box of shape.  The
-    values come from one box over all anchors, or from one block per
-    anchor when that box holds more cells than the blocks together, as it
-    can for an explicit anchor window spread far apart.
+    The table is c on one box over all anchors, at the anchors themselves,
+    unless that box holds more cells than the anchors' blocks together, as
+    for an explicit anchor window spread far apart.  Then the blocks of c on
+    anchor + cover are stacked in anchor order along the first axis, h rows
+    each (the cover's extent there), into one box read at (j * h, 0, ..., 0).
     """
     (alo, ahi), (slo, shi) = anchors.bounds(), shape.bounds()
     lo, hi = vec_add(alo, slo), vec_add(ahi, shi)
-    box, cover = Window.box(lo, hi), Window.box(slo, shi)
-    if len(box) > len(anchors) * len(cover):
-        return _AnchorBlocks(c, cover, anchors)
-    return Pattern(box, c.block(lo, hi))
+    box, h = Window.box(lo, hi), shi[0] - slo[0] + 1
+    if len(box) <= len(anchors) * len(Window.box(slo, shi)):
+        return Pattern(box, c.block(lo, hi)), anchors
+    stacked = Window.box(slo, (slo[0] + h * len(anchors) - 1,) + shi[1:])
+    blocks = (c.block(vec_add(a, slo), vec_add(a, shi)) for a in anchors)
+    return (Pattern(stacked, itertools.chain.from_iterable(blocks)),
+            Window.from_points((j * h,) + (0,) * (len(slo) - 1) for j in range(len(anchors))))
 
 
 def residue_representatives(c: Configuration, anchors: Window) -> Window:
@@ -698,7 +686,8 @@ def pattern_complexity(c: Configuration, shape: Window,
         raise EmptySampleError("a sample window is required here")
     keyed = support_anchors(c, shape, sample) if domain is None else domain
 
-    count = len(set(covering_pattern(c, shape, keyed).keys(shape, keyed)))
+    table, at = covering_pattern(c, shape, keyed)
+    count = len(set(table.keys(shape, at)))
     return ComplexityResult(count, domain is not None, sample if domain is None else domain)
 
 

@@ -177,10 +177,11 @@ def nivat_scan(c: Configuration, M_range, N_range, sample: Window) -> list:
     Inconclusive never asserts the threshold is met globally.  Only the
     first anchor of each residue class of c.periods() is keyed, and of
     those only the ones whose largest block meets c.support() and one that
-    does not, which leaves every count unchanged.  They share one pattern
-    covering the largest block at each (covering_pattern); a box sample
-    keyed whole is counted one block size at a time over rows filled and
-    named once per call (_strip_counts) instead.  Rows come in M-major order.
+    does not, which leaves every count unchanged.  They share one box
+    pattern covering the largest block at each, or those blocks stacked when
+    spread (covering_pattern); a box sample keyed whole is counted one block
+    size at a time over rows filled and named once per call (_strip_counts)
+    instead.  Rows come in M-major order.
     """
     Ms = list(map(operator.index, M_range))
     Ns = list(map(operator.index, N_range))
@@ -196,8 +197,8 @@ def nivat_scan(c: Configuration, M_range, N_range, sample: Window) -> list:
     if anchors is sample and sample.is_box:
         counts = _strip_counts(c, Ms, Ns, sample)
     else:
-        table = covering_pattern(c, largest, anchors)
-        counts = {(M, N): count_distinct(table.keys(Window.box((0, 0), (M - 1, N - 1)), anchors),
+        table, at = covering_pattern(c, largest, anchors)
+        counts = {(M, N): count_distinct(table.keys(Window.box((0, 0), (M - 1, N - 1)), at),
                                          M * N) for M in Ms for N in Ns}
     return [ScanRow(M, N, counts[M, N], M * N,
                     "ExceedsMN" if counts[M, N] > M * N else "Inconclusive") for M in Ms for N in Ns]
@@ -274,11 +275,12 @@ def _line_groups(c: Configuration, shape: Window, v, sample: Window) -> dict:
     i = next(k for k, x in enumerate(step) if x)
     lattice, names = c.periods(), None
     if lattice is None or not lattice.is_full_rank or lattice.index() > len(sample):
-        labels = list(covering_pattern(c, shape, sample).keys(shape, sample))
+        table, at = covering_pattern(c, shape, sample)
+        labels = list(table.keys(shape, at))
     else:
         firsts = residue_representatives(c, sample)
-        keyed = dict(zip(map(lattice.reduce, firsts),
-                         covering_pattern(c, shape, firsts).keys(shape, firsts)))
+        table, at = covering_pattern(c, shape, firsts)
+        keyed = dict(zip(map(lattice.reduce, firsts), table.keys(shape, at)))
         residues = lattice.residues()
         labels = window_values(Periodic(lattice, {r: k for k, r in enumerate(residues)}), sample)
         names = [keyed.get(r) for r in residues]

@@ -10,6 +10,7 @@ one table of floors that a Sum's Mechanical terms of one alpha share
 against value() and against the terms' own blocks.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -116,6 +117,53 @@ def test_block_with_large_index_lattices():
         hi = (lo[0] + rng.randint(0, 30), lo[1] + rng.randint(0, 30))
         assert c.block(lo, hi) == reference(c, lo, hi)
         assert coset.block(lo, hi) == reference(coset, lo, hi)
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_finite_support_block_on_spread_cells_matches_value(d):
+    """Clusters of cells within +-10^6; boxes of one cell, of more cells than
+    the support, and in between."""
+    rng = random.Random(f"spread/{d}")
+    for _ in range(10):
+        centres = [tuple(rng.randint(-10**6, 10**6) for _ in range(d)) for _ in range(rng.randint(1, 8))]
+        c = FiniteSupport({tuple(x + rng.randint(-3, 3) for x in u): rng.randint(-3, 3)
+                           for u in centres for _ in range(rng.randint(1, 6))}, dim=d)
+        big = next(k for k in itertools.count() if (2 * k + 1) ** d > len(c.assoc))
+        for u in centres:
+            for r in (0, rng.randint(1, 4), big):
+                lo, hi = tuple(x - r for x in u), tuple(x + r for x in u)
+                assert c.block(lo, hi) == reference(c, lo, hi), (c.assoc, lo, hi)
+
+
+class CountingCells(dict):
+    """A support table that counts its get() calls and the items it yields."""
+
+    reads = 0
+
+    def get(self, *args):
+        self.reads += 1
+        return super().get(*args)
+
+    def items(self):
+        for item in super().items():
+            self.reads += 1
+            yield item
+
+
+def test_finite_support_block_reads_the_box_or_the_support_whichever_is_smaller():
+    rng = random.Random(5)
+    c = FiniteSupport({(rng.randrange(20000), rng.randrange(20000)): rng.randint(1, 3)
+                       for _ in range(1000)})
+    c.assoc = CountingCells(c.assoc)
+    for u in itertools.islice(c.assoc, 5):
+        hi = (u[0] + 19, u[1] + 19)
+        want, c.assoc.reads = reference(c, u, hi), 0
+        assert c.block(u, hi) == want
+        assert c.assoc.reads <= 400
+    c = FiniteSupport({(3, 5): 1, (299, 0): 2})
+    c.assoc = CountingCells(c.assoc)
+    assert c.block((0, 0), (299, 299)).count(0) == 300 * 300 - 2
+    assert c.assoc.reads == 2
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -201,8 +201,8 @@ def test_scan_rejects_non_integral_block_extents():
 def covering_scan(c, Ms, Ns, sample):
     """(M, N, count) rows of one covering pattern keyed at every anchor of the sample."""
     largest = Window.box((0, 0), (max(Ms) - 1, max(Ns) - 1))
-    table = covering_pattern(c, largest, sample)
-    return [(M, N, count_distinct(table.keys(Window.box((0, 0), (M - 1, N - 1)), sample), M * N))
+    table, at = covering_pattern(c, largest, sample)
+    return [(M, N, count_distinct(table.keys(Window.box((0, 0), (M - 1, N - 1)), at), M * N))
             for M in Ms for N in Ns]
 
 

@@ -21,7 +21,6 @@ from nivatk.configurations import (
     Periodic,
     Sum,
     ValueMap,
-    _AnchorBlocks,
     covering_pattern,
     pattern_complexity,
 )
@@ -143,10 +142,7 @@ def ref_slice_keys(table, shape, anchors):
             runs[-1][1] = off + 1
         else:
             runs.append([off, off + 1])
-    if isinstance(table, Pattern):
-        bases = [vec_dot(vec_sub(a, table.shape.lo), table.strides) for a in anchors]
-    else:
-        bases = [table.bases[a] for a in anchors]
+    bases = [vec_dot(vec_sub(a, table.shape.lo), table.strides) for a in anchors]
     return [tuple(table.cells[b + start:b + stop] for start, stop in runs) for b in bases]
 
 
@@ -275,7 +271,8 @@ def flat_anchors(rng, d, flat):
 @pytest.mark.parametrize("seed", [91, 92])
 def test_keys_with_extent_one_trailing_axes_match_reference(seed):
     """Shapes and anchors of extent 1 on trailing axes make the layout's rows
-    fold; box tables and anchor blocks give the per-anchor keys and values."""
+    fold; box tables, and the stacked blocks covering_pattern builds once one
+    anchor lies far past the others, give the per-anchor keys and values."""
     rng = random.Random(seed)
     for k in range(60):
         d = 1 + k % 3
@@ -285,11 +282,12 @@ def test_keys_with_extent_one_trailing_axes_match_reference(seed):
         want = ref_keys(c, shape, anchors)
         (alo, ahi), (slo, shi) = anchors.bounds(), shape.bounds()
         box = Window.box(vec_add(alo, slo), vec_add(ahi, shi))
-        tables = (Pattern(box, c.block(box.lo, box.hi)),
-                  _AnchorBlocks(c, Window.box(slo, shi), anchors))
-        for table in tables:
-            got = list(table.keys(shape, anchors))
-            assert got == ref_slice_keys(table, shape, anchors)
+        spread = Window.from_points([*anchors, (ahi[0] + 10**4,) + alo[1:]])
+        stacked = covering_pattern(c, shape, spread)
+        assert stacked[1] is not spread
+        for table, at in ((Pattern(box, c.block(box.lo, box.hi)), anchors), stacked):
+            got = list(table.keys(shape, at))[:len(anchors)]
+            assert got == ref_slice_keys(table, shape, at)[:len(anchors)]
             assert [tuple(itertools.chain.from_iterable(key)) for key in got] == want
 
 

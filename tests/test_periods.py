@@ -24,6 +24,7 @@ from nivatk.configurations import (
     CosetIndicator,
     FiniteSupport,
     Mechanical,
+    Pattern,
     Periodic,
     Sum,
     ValueMap,
@@ -335,10 +336,11 @@ def test_covering_pattern_fills_one_block_per_spread_anchor(span):
     c = Recorder(binary_irrational())
     anchors = Window.from_points([(0, 0), (span, 7), (3, span)])
     cover = Window.box((0, 0), (3, 3))
-    table = covering_pattern(c, cover, anchors)
-    assert c.cells <= len(anchors) * len(cover)
+    table, at = covering_pattern(c, cover, anchors)
+    assert isinstance(table, Pattern) and table.shape.is_box
+    assert c.cells == len(anchors) * len(cover)
     for shape in (cover, Window.box((1, 0), (2, 3)), Window.from_points([(0, 0), (3, 1), (2, 2)])):
-        keys = [tuple(itertools.chain.from_iterable(k)) for k in table.keys(shape, anchors)]
+        keys = [tuple(itertools.chain.from_iterable(k)) for k in table.keys(shape, at)]
         assert keys == [extract_pattern(c.inner, a, shape).cells for a in anchors]
     c.cells = 0
     shape = Window.box((0, 0), (2, 2))
@@ -351,7 +353,8 @@ def test_covering_pattern_keeps_one_box_for_dense_anchors():
     c = Recorder(binary_irrational())
     anchors = Window.box((-2, 3), (9, 7))
     shape = Window.box((0, 0), (2, 1))
-    covering_pattern(c, shape, anchors)
+    _, at = covering_pattern(c, shape, anchors)
+    assert at is anchors
     assert c.cells == len(Window.box((-2, 3), (11, 8)))
 
 
