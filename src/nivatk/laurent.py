@@ -11,6 +11,7 @@ collects every line factor of one primitive direction.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -20,14 +21,13 @@ from .errors import (
     DimensionMismatchError,
     ZeroPolynomialError,
 )
-from .configurations import Configuration, Pattern, Sum, _strides, combine, window_values
+from .configurations import Configuration, Pattern, Sum, combine, window_values
 from .lattice import (
     Window,
     canonical_sign,
     primitive_vector,
     unimodular_complement,
     vec_add,
-    vec_dot,
     vec_neg,
     vec_scale,
     vec_sub,
@@ -114,19 +114,21 @@ class LaurentPolynomial:
     def support(self):
         return tuple(sorted(self.terms))
 
-    def min_exponent(self):
+    def _columns(self):
+        """The exponents split into one tuple per axis, in term order."""
         if self.is_zero:
             raise ZeroPolynomialError("zero polynomial has no support")
-        return tuple(map(min, zip(*self.terms)))
+        return tuple(zip(*self.terms))
+
+    def min_exponent(self):
+        return tuple(map(min, self._columns()))
 
     def max_exponent(self):
-        if self.is_zero:
-            raise ZeroPolynomialError("zero polynomial has no support")
-        return tuple(map(max, zip(*self.terms)))
+        return tuple(map(max, self._columns()))
 
     def bbox(self):
         """Componentwise extents of the support box."""
-        return vec_sub(self.max_exponent(), self.min_exponent())
+        return tuple(max(col) - min(col) for col in self._columns())
 
     def has_integer_coefficients(self) -> bool:
         return not any(isinstance(a, Fraction) for a in self.terms.values())
@@ -178,38 +180,49 @@ class LaurentPolynomial:
     def __mul__(self, other):
         """The product, convolved on packed exponents (Kronecker substitution).
 
-        Each exponent less its factor's minimum is one int in mixed radix,
-        axis k of radix the product's span on it plus one, last axis
-        fastest.  Sums never carry, so keys add as exponents do and the
-        terms keep the insertion order of the exponent-tuple convolution.
+        Each factor's exponents are split into columns once and packed by
+        Horner's rule into one int in mixed radix: axis k has radix the
+        product's span on it plus one, last axis fastest.  A product term's
+        key packs (e_0, e_1 - lo_1, ..., e_{d-1} - lo_{d-1}), lo the
+        product's minimum, so no digit but the first is negative and sums
+        never carry: keys add as exponents do, and the int-keyed
+        convolution, self outer and other inner, keeps the insertion order
+        of the exponent-tuple one.  The nonzero sums unpack last axis
+        first, one mod and one floordiv map per axis; the first axis is the
+        quotient left over.
         """
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         if not self.terms or not other.terms:
             return LaurentPolynomial._from_clean(self.dim, {})
-        lo1, lo2 = self.min_exponent(), other.min_exponent()
-        lo = vec_add(lo1, lo2)
-        span = vec_sub(vec_add(self.max_exponent(), other.max_exponent()), lo)
-        strides = _strides([range(s + 1) for s in span])
-        base1, base2 = vec_dot(lo1, strides), vec_dot(lo2, strides)
-        packed = [(vec_dot(e2, strides) - base2, a2) for e2, a2 in other.terms.items()]
+        cols1, cols2 = self._columns(), other._columns()
+        lo = tuple(map(operator.add, map(min, cols1), map(min, cols2)))
+        hi = map(operator.add, map(max, cols1), map(max, cols2))
+        radix = [h - l + 1 for h, l in zip(hi, lo)]
+        base = 0
+        for r, l in zip(radix[1:], lo[1:]):
+            base = base * r + l
+        keys1, keys2 = cols1[0], cols2[0]
+        for r, col1, col2 in zip(radix[1:], cols1[1:], cols2[1:]):
+            keys1 = map(operator.add, map(operator.mul, keys1, itertools.repeat(r)), col1)
+            keys2 = map(operator.add, map(operator.mul, keys2, itertools.repeat(r)), col2)
+        packed = list(zip(keys2, other.terms.values()))
         out = {}
-        for e1, a1 in self.terms.items():
-            k1 = vec_dot(e1, strides) - base1
+        for k1, a1 in zip(keys1, self.terms.values()):
+            k1 -= base
             for k2, a2 in packed:
                 k = k1 + k2
                 c = out.get(k)
                 out[k] = a1 * a2 if c is None else c + a1 * a2
-        terms = {}
-        for k, c in out.items():
-            if c:
-                e = []
-                for s in strides:
-                    q, k = divmod(k, s)
-                    e.append(q)
-                terms[vec_add(lo, e)] = c.numerator if c.denominator == 1 else c
-        return LaurentPolynomial._from_clean(self.dim, terms)
+        keys = [k for k, c in out.items() if c]
+        coeffs = [c.numerator if c.denominator == 1 else c for c in out.values() if c]
+        cols = []
+        for r, l in zip(radix[:0:-1], lo[:0:-1]):
+            cols.append(map(operator.add, map(operator.mod, keys, itertools.repeat(r)), itertools.repeat(l)))
+            keys = list(map(operator.floordiv, keys, itertools.repeat(r)))
+        cols.append(keys)
+        return LaurentPolynomial._from_clean(self.dim, dict(zip(zip(*cols[::-1]), coeffs)))
 
     __rmul__ = __mul__
 
@@ -458,19 +471,52 @@ def _upoly_divmod(a, b):
     return q, a
 
 
-def _upoly_gcd(a, b):
-    """A gcd of two trimmed polys, up to a rational factor; each remainder
-    is scaled to coprime integers, so integer inputs stay integral."""
+def _upoly_prem(a, b):
+    """Primitive part of a pseudo-remainder of int polys a by b, trimmed.
+
+    Each step cancels a's top coefficient c against b's leading one lc as
+    (lc/g)*a - (c/g)*x^i*b with g = gcd(lc, c), so the result is a nonzero
+    integer multiple of the rational remainder (Knuth, TAOCP vol. 2,
+    4.6.1, Algorithm R), built with ints only.
+    """
+    a = list(a)
+    *body, lc = b
+    for i in range(len(a) - len(b), -1, -1):
+        c = a.pop()
+        if c:
+            g = math.gcd(lc, c)
+            m, c = lc // g, c // g
+            if m != 1:
+                a = [m * x for x in a]
+            for j, bj in enumerate(body, i):
+                a[j] -= c * bj
+    while a and a[-1] == 0:
+        a.pop()
+    g = math.gcd(*a)
+    return [x // g for x in a] if g > 1 else a
+
+
+def _upoly_gcd(g, b):
+    """A gcd of g and the trimmed poly b, in coprime integers up to sign.
+
+    g is in coprime integers already: [] or a gcd returned here, as when
+    folding over the levels of a line split.  b is scaled to integer
+    primitive form, so the primitive pseudo-remainder sequence (Collins,
+    JACM 1967) runs on ints and builds no Fraction: a gcd only matters up
+    to a rational factor, and one in integers has no denominator to
+    reduce at every step.
+    """
+    a, b = g, integer_primitive(b)
     while b:
-        _, r = _upoly_divmod(a, b)
-        a, b = b, integer_primitive(r)
+        a, b = b, _upoly_prem(a, b)
     return a
 
 
 def _line_split(f: LaurentPolynomial, v):
     """(line_content(f, v), f / line_content(f, v)) for a primitive v, or
     None when the content is 1.  f's levels and their dense lists in s^step
-    are built once; phi is their gcd, and divides each list exactly."""
+    are built once; phi is their gcd, taken on ints whatever f's
+    coefficients, and divides each list exactly."""
     coords, w = _line_coordinates(v)
     levels = _levels(f, coords)
     step = _step(levels)

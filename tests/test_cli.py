@@ -127,6 +127,24 @@ def test_lines_output(capsys):
     assert out[4] == "directions=(0,1);(1,0)"
 
 
+@pytest.mark.parametrize("poly, want", [
+    ("1/2*X^(2,0) - 1/2",
+     ["factor 0: direction=(1,0) poly=X^(2,0) - 1", "remainder=1/2", "directions=(1,0)"]),
+    ("X^(1,1) - 1/3*X^(1,0) - X^(0,1) + 1/3",
+     ["factor 0: direction=(0,1) poly=3*X^(0,1) - 1",
+      "factor 1: direction=(1,0) poly=X^(1,0) - 1",
+      "remainder=1/3", "directions=(0,1);(1,0)"]),
+    ("2/3*X^(3,0) - 2/3",
+     ["factor 0: direction=(1,0) poly=X^(3,0) - 1", "remainder=2/3", "directions=(1,0)"]),
+    ("1/2*X^(2,0) - 1/2*X^(0,0)",
+     ["factor 0: direction=(1,0) poly=X^(2,0) - 1", "remainder=1/2", "directions=(1,0)"]),
+])
+def test_lines_of_rational_polynomials(capsys, poly, want):
+    # factors come out in coprime integers; the rational scale stays in the remainder
+    assert run(["lines", "--poly", poly]) == 0
+    assert capsys.readouterr().out.splitlines() == ["monomial=(0,0)"] + want
+
+
 def test_lines_high_exponent_is_fast(capsys, monkeypatch):
     # the level is a polynomial in s^2000000, so the cost follows the terms
     lengths = []

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,8 @@ from nivatk.lattice import Lattice, Window, vec_scale
 from nivatk.laurent import (
     LaurentPolynomial as LP,
     _line_split,
+    _upoly_divmod,
+    _upoly_gcd,
     annihilates,
     apply,
     line_content,
@@ -17,6 +20,7 @@ from nivatk.laurent import (
     newton_polygon_directions,
     normalize_integer_primitive,
 )
+from nivatk.linalg import integer_primitive
 from nivatk.quadratic import QuadraticReal
 from nivatk.textio import parse_poly
 from nivatk.tiling import ClusterTile, tile_polynomial
@@ -129,7 +133,7 @@ def assert_product(f, g, prod):
     assert list(map(type, prod.terms.values())) == list(map(type, want.values()))
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_packed_product_matches_the_tuple_convolution(dim):
     rng = random.Random(67 + dim)
     for _ in range(80):
@@ -161,6 +165,30 @@ def test_packed_product_wide_span_and_integral_fractions():
     assert prod.terms[(1, 0)] == 1 and type(prod.terms[(1, 0)]) is int
     assert prod.terms[(0, 0)] == 1 and type(prod.terms[(0, 0)]) is int
     assert prod.terms[(0, 1)] == third
+
+
+def test_packed_product_unpacks_every_axis():
+    # a radix-1 axis between two spread axes, all-negative exponents, and
+    # the 2,000,000 span on the first axis of a 3-D product
+    rng = random.Random(79)
+    for _ in range(20):
+        mid = rng.randint(-5, 5)
+        f = LP(3, {(rng.randint(-1000, 1000), mid, rng.randint(-1000, 1000)): rng.randint(1, 9)
+                   for _ in range(rng.randint(1, 6))})
+        g = LP(3, {(rng.randint(-50, 50), -mid, rng.randint(-50, 50)): rng.randint(-9, 9) or 1
+                   for _ in range(rng.randint(1, 6))}) * Fraction(rng.randint(1, 4), rng.randint(1, 4))
+        assert_product(f, g, f * g)
+        assert_product(g, f, g * f)
+        dim = rng.randint(1, 4)
+        neg = [LP(dim, {tuple(rng.randint(-40, -1) for _ in range(dim)): rng.randint(-9, 9) or 3
+                        for _ in range(rng.randint(1, 8))}) for _ in range(2)]
+        assert_product(neg[0], neg[1], neg[0] * neg[1])
+        assert_product(neg[0] * neg[1], neg[0], (neg[0] * neg[1]) * neg[0])
+        wide = LP.difference((2_000_000, 0, 0))
+        h = rand_poly(rng, 3, coord=5) * rng.choice([1, Fraction(1, 3)])
+        assert_product(wide, h, wide * h)
+        assert_product(h, wide, h * wide)
+        assert_product(wide * h, h, (wide * h) * h)
 
 
 def test_packed_product_zero_and_constant_factors():
@@ -452,3 +480,67 @@ def test_line_split_of_planted_products():
             assert phi * q == f
             assert phi == line_content(f, v)
             assert _line_split(q, v) is None
+
+
+def rational_gcd(a, b):
+    """Euclid over the rationals, each remainder scaled to coprime integers:
+    the oracle for _upoly_gcd."""
+    while b:
+        _, r = _upoly_divmod(a, b)
+        a, b = b, integer_primitive(r)
+    return a
+
+
+def upoly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def rand_upoly(rng, degree, rational):
+    out = [rng.randint(-6, 6) for _ in range(degree)] + [rng.choice([-3, -2, -1, 1, 2, 5])]
+    if rational:
+        out = [Fraction(x, rng.randint(1, 6)) for x in out]
+    return out
+
+
+def test_upoly_gcd_matches_rational_euclid():
+    # planted common factors; int and Fraction levels of degree 0..10
+    rng = random.Random(37)
+    for _ in range(300):
+        common = rand_upoly(rng, rng.randint(0, 4), rng.random() < 0.3)
+        a, b = (upoly_mul(common, rand_upoly(rng, rng.randint(0, 10 - len(common) + 1),
+                                             rng.random() < 0.5)) for _ in range(2))
+        want = rational_gcd(a, b)
+        got = _upoly_gcd(_upoly_gcd([], a), b)
+        assert len(got) == len(want) >= len(common)
+        # equal up to a rational scalar
+        assert all(x * want[-1] == y * got[-1] for x, y in zip(got, want)), (a, b)
+        assert all(type(x) is int for x in got)
+        assert math.gcd(*got) == 1
+
+
+def test_upoly_gcd_builds_no_fraction_on_integer_input(monkeypatch):
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    Fraction(1, 2)
+    assert made  # the spy sees Fraction construction
+    made.clear()
+    rng = random.Random(41)
+    for _ in range(100):
+        common = rand_upoly(rng, rng.randint(1, 4), False)
+        a, b = (upoly_mul(common, rand_upoly(rng, rng.randint(0, 6), False)) for _ in range(2))
+        g = _upoly_gcd(_upoly_gcd([], a), b)
+        assert len(g) >= len(common) and all(type(x) is int for x in g)
+    f = LP(2, {(0, 0): 2, (1, 2): 3, (2, 1): -1}) * LP.difference((3, 0)) * (LP.monomial((1, 1), 5) - 2)
+    lf = line_factorization(f)
+    assert lf.directions == ((1, 0), (1, 1)) and lf.product() == f
+    assert made == []
