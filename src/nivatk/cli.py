@@ -46,11 +46,11 @@ def _strip_comments(text: str) -> str:
 
 
 def _text_or_file(arg: str) -> str:
-    """Flag values may be inline text or a path to a file holding it."""
+    """Inline flag text or the text of the file it names, `#` comments cut."""
     if os.path.isfile(arg):
         with open(arg, encoding="utf-8") as fh:
-            return _strip_comments(fh.read())
-    return arg
+            arg = fh.read()
+    return _strip_comments(arg)
 
 
 def _fmt_vecs(vs) -> str:
@@ -70,7 +70,7 @@ def _parse_range(text: str):
 
 
 def _load_config(args) -> Configuration:
-    return parse_config(_strip_comments(_text_or_file(args.config)))
+    return parse_config(_text_or_file(args.config))
 
 
 def _cmd_complexity(args) -> int:

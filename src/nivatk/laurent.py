@@ -457,27 +457,14 @@ def _dense(level, step):
     return dense
 
 
-def _upoly_divmod(a, b):
-    a = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    for i in range(len(a) - len(b), -1, -1):
-        c = _exact(a[i + len(b) - 1], b[-1])
-        if c:
-            q[i] = c
-            for j, bj in enumerate(b):
-                a[i + j] -= c * bj
-    while a and a[-1] == 0:
-        a.pop()
-    return q, a
-
-
 def _upoly_prem(a, b):
     """Primitive part of a pseudo-remainder of int polys a by b, trimmed.
 
     Each step cancels a's top coefficient c against b's leading one lc as
     (lc/g)*a - (c/g)*x^i*b with g = gcd(lc, c), so the result is a nonzero
     integer multiple of the rational remainder (Knuth, TAOCP vol. 2,
-    4.6.1, Algorithm R), built with ints only.
+    4.6.1, Algorithm R).  Folded as g, b = b, _upoly_prem(g, b) until b is
+    [], it leaves a gcd in coprime ints (Collins, JACM 1967).
     """
     a = list(a)
     *body, lc = b
@@ -496,34 +483,40 @@ def _upoly_prem(a, b):
     return [x // g for x in a] if g > 1 else a
 
 
-def _upoly_gcd(g, b):
-    """A gcd of g and the trimmed poly b, in coprime integers up to sign.
-
-    g is in coprime integers already: [] or a gcd returned here, as when
-    folding over the levels of a line split.  b is scaled to integer
-    primitive form, so the primitive pseudo-remainder sequence (Collins,
-    JACM 1967) runs on ints and builds no Fraction: a gcd only matters up
-    to a rational factor, and one in integers has no denominator to
-    reduce at every step.
-    """
-    a, b = g, integer_primitive(b)
-    while b:
-        a, b = b, _upoly_prem(a, b)
-    return a
+def _upoly_exquo(a, b):
+    """a / b for int polys, b primitive.  If b divides a, each step of the
+    long division divides exactly (Gauss's lemma); else ValueError."""
+    a = list(a)
+    *body, lc = b
+    q = [0] * (len(a) - len(b) + 1)
+    for i in range(len(a) - len(b), -1, -1):
+        c, r = divmod(a.pop(), lc)
+        if r:
+            raise ValueError("division is not exact")
+        if c:
+            q[i] = c
+            for j, bj in enumerate(body, i):
+                a[j] -= c * bj
+    if any(a):
+        raise ValueError("division is not exact")
+    return q
 
 
 def _line_split(f: LaurentPolynomial, v):
     """(line_content(f, v), f / line_content(f, v)) for a primitive v, or
-    None when the content is 1.  f's levels and their dense lists in s^step
-    are built once; phi is their gcd, taken on ints whatever f's
-    coefficients, and divides each list exactly."""
+    None when the content is 1.  f's levels, dense lists in s^step, are
+    scaled once to coprime ints, an int scale for an int level; phi, their
+    gcd folded by _upoly_prem, divides each on ints, scaled back after."""
     coords, w = _line_coordinates(v)
     levels = _levels(f, coords)
     step = _step(levels)
-    dense, g = [], []
+    scaled, g = [], []
     for level in levels.values():
-        dense.append(_dense(level, step))
-        g = _upoly_gcd(g, dense[-1])
+        d = _dense(level, step)
+        b = integer_primitive(d)
+        scaled.append((b, _exact(d[-1], b[-1])))
+        while b:
+            g, b = b, _upoly_prem(g, b)
         if len(g) == 1:
             return None
     phi = LaurentPolynomial(f.dim, {vec_scale(k * step, v): a for k, a in enumerate(g) if a})
@@ -531,13 +524,12 @@ def _line_split(f: LaurentPolynomial, v):
     ((beta0, phi_level),) = _levels(phi, coords).items()
     p = _dense(phi_level, step)
     out = {}
-    for (be, (lo, _)), d in zip(levels.items(), dense):
-        q, r = _upoly_divmod(d, p)
-        if r:
-            raise ValueError("division is not exact")
+    for (be, (lo, _)), (d, scale) in zip(levels.items(), scaled):
         base = vec_add(vec_scale(lo - phi_level[0], v), vec_scale(be - beta0, w))
-        out.update((vec_add(base, vec_scale(k * step, v)), a) for k, a in enumerate(q) if a)
-    return phi, LaurentPolynomial(f.dim, out)
+        q = _upoly_exquo(d, p)
+        n, den = scale.numerator, scale.denominator
+        out.update((vec_add(base, vec_scale(k * step, v)), _exact(a * n, den)) for k, a in enumerate(q) if a)
+    return phi, LaurentPolynomial._from_clean(f.dim, out)
 
 
 def line_content(f: LaurentPolynomial, v) -> LaurentPolynomial:

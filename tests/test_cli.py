@@ -145,6 +145,29 @@ def test_lines_of_rational_polynomials(capsys, poly, want):
     assert capsys.readouterr().out.splitlines() == ["monomial=(0,0)"] + want
 
 
+def test_inline_flag_text_takes_comments_as_a_file_does(cfg, capsys):
+    # `#` starts a comment in inline --poly and --tile text as in a file's text
+    for poly in ("X^(2,0) - 1 # period", "X^(2,0) - 1\n# the period 2\n"):
+        assert run(["lines", "--poly", poly]) == 0
+        assert capsys.readouterr().out == (
+            "monomial=(0,0)\n"
+            "factor 0: direction=(1,0) poly=X^(2,0) - 1\n"
+            "remainder=1\n"
+            "directions=(1,0)\n")
+    path = cfg("cb.cfg", CHECKERBOARD)
+    assert run(["verify", "--config", path, "--poly", "X^(1,1) - 1 # diagonal",
+                "--window", "10x10"]) == 0
+    assert capsys.readouterr().out == "annihilates=true status=exact\n"
+    assert run(["verify", "--config", path, "--poly", "x - 1 #", "--window", "6x6"]) == 1
+    assert capsys.readouterr().out == "annihilates=false witness=(0,0)\n"
+    assert run(["tile-verify", "--tile", "tile { (0,0) (0,1) (1,0) } # L",
+                "--lattice", "(3,0);(1,1)"]) == 0
+    assert capsys.readouterr().out == "status=Valid\n"
+    # a comment cuts its line only: the rest of the text still parses
+    assert run(["lines", "--poly", "X^(2,0) # and\n - 1"]) == 0
+    assert capsys.readouterr().out.endswith("directions=(1,0)\n")
+
+
 def test_lines_high_exponent_is_fast(capsys, monkeypatch):
     # the level is a polynomial in s^2000000, so the cost follows the terms
     lengths = []

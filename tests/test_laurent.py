@@ -11,8 +11,8 @@ from nivatk.lattice import Lattice, Window, vec_scale
 from nivatk.laurent import (
     LaurentPolynomial as LP,
     _line_split,
-    _upoly_divmod,
-    _upoly_gcd,
+    _upoly_exquo,
+    _upoly_prem,
     annihilates,
     apply,
     line_content,
@@ -20,7 +20,7 @@ from nivatk.laurent import (
     newton_polygon_directions,
     normalize_integer_primitive,
 )
-from nivatk.linalg import integer_primitive
+from nivatk.linalg import _exact, integer_primitive
 from nivatk.quadratic import QuadraticReal
 from nivatk.textio import parse_poly
 from nivatk.tiling import ClusterTile, tile_polynomial
@@ -470,11 +470,15 @@ def test_line_split_of_planted_products():
     line_free = LP(2, {(1, 0): 1, (0, 1): 1, (0, 0): 1})
     for v in [(1, 0), (0, 1), (1, 1), (-1, 2), (1, -1), (2, -3), (-3, -1)]:
         assert _line_split(line_free, v) is None
-        for _ in range(4):
+        for i in range(5):
             g = rng.choice([1, 2, 3])
             line = LP(2, {vec_scale(g * k, v): rng.randint(-4, 4) for k in range(rng.randint(1, 3))})
             line = line + LP.monomial(vec_scale(g * rng.randint(3, 4), v), rng.choice([-2, 1, 3]))
             h = line_free.shift((rng.randint(-3, 3), rng.randint(-3, 3)))
+            if i == 4:
+                # Fractions inside line and h: levels have different denominators
+                line = LP(2, {e: Fraction(a, rng.randint(1, 6)) for e, a in line.terms.items()})
+                h = LP(2, {e: Fraction(rng.randint(1, 9), rng.randint(1, 6)) for e in h.terms})
             f = line * LP.difference(vec_scale(g, v)) * h * rng.choice([1, 2, Fraction(1, 3)])
             phi, q = _line_split(f, v)
             assert phi * q == f
@@ -482,13 +486,37 @@ def test_line_split_of_planted_products():
             assert _line_split(q, v) is None
 
 
+def upoly_divmod(a, b):
+    """Euclidean division over the rationals: the oracle for _upoly_exquo."""
+    a = list(a)
+    q = [0] * max(0, len(a) - len(b) + 1)
+    for i in range(len(a) - len(b), -1, -1):
+        c = _exact(a[i + len(b) - 1], b[-1])
+        if c:
+            q[i] = c
+            for j, bj in enumerate(b):
+                a[i + j] -= c * bj
+    while a and a[-1] == 0:
+        a.pop()
+    return q, a
+
+
 def rational_gcd(a, b):
     """Euclid over the rationals, each remainder scaled to coprime integers:
-    the oracle for _upoly_gcd."""
+    the oracle for the gcd that _line_split folds with _upoly_prem."""
     while b:
-        _, r = _upoly_divmod(a, b)
+        _, r = upoly_divmod(a, b)
         a, b = b, integer_primitive(r)
     return a
+
+
+def prem_gcd(*polys):
+    """_line_split's gcd fold over its levels scaled to coprime integers."""
+    g = []
+    for b in map(integer_primitive, polys):
+        while b:
+            g, b = b, _upoly_prem(g, b)
+    return g
 
 
 def upoly_mul(a, b):
@@ -506,23 +534,8 @@ def rand_upoly(rng, degree, rational):
     return out
 
 
-def test_upoly_gcd_matches_rational_euclid():
-    # planted common factors; int and Fraction levels of degree 0..10
-    rng = random.Random(37)
-    for _ in range(300):
-        common = rand_upoly(rng, rng.randint(0, 4), rng.random() < 0.3)
-        a, b = (upoly_mul(common, rand_upoly(rng, rng.randint(0, 10 - len(common) + 1),
-                                             rng.random() < 0.5)) for _ in range(2))
-        want = rational_gcd(a, b)
-        got = _upoly_gcd(_upoly_gcd([], a), b)
-        assert len(got) == len(want) >= len(common)
-        # equal up to a rational scalar
-        assert all(x * want[-1] == y * got[-1] for x, y in zip(got, want)), (a, b)
-        assert all(type(x) is int for x in got)
-        assert math.gcd(*got) == 1
-
-
-def test_upoly_gcd_builds_no_fraction_on_integer_input(monkeypatch):
+def spy_fraction_new(monkeypatch):
+    """The list of every Fraction constructed from here on."""
     made = []
     new = Fraction.__new__
 
@@ -534,13 +547,74 @@ def test_upoly_gcd_builds_no_fraction_on_integer_input(monkeypatch):
     Fraction(1, 2)
     assert made  # the spy sees Fraction construction
     made.clear()
+    return made
+
+
+def test_upoly_gcd_matches_rational_euclid():
+    # planted common factors; int and Fraction levels of degree 0..10
+    rng = random.Random(37)
+    for _ in range(300):
+        common = rand_upoly(rng, rng.randint(0, 4), rng.random() < 0.3)
+        a, b = (upoly_mul(common, rand_upoly(rng, rng.randint(0, 10 - len(common) + 1),
+                                             rng.random() < 0.5)) for _ in range(2))
+        want = rational_gcd(a, b)
+        got = prem_gcd(a, b)
+        assert len(got) == len(want) >= len(common)
+        # equal up to a rational scalar
+        assert all(x * want[-1] == y * got[-1] for x, y in zip(got, want)), (a, b)
+        assert all(type(x) is int for x in got)
+        assert math.gcd(*got) == 1
+
+
+def test_upoly_exquo_matches_rational_division():
+    # a primitive int factor b times an int cofactor, degree 0..10: the
+    # quotient is the rational one, in ints
+    rng = random.Random(43)
+    inexact = 0
+    for _ in range(300):
+        b = integer_primitive(rand_upoly(rng, rng.randint(0, 5), False))
+        a = upoly_mul(b, rand_upoly(rng, rng.randint(0, 10 - len(b) + 1), False))
+        want, r = upoly_divmod(a, b)
+        assert r == []
+        got = _upoly_exquo(a, b)
+        assert got == want and all(type(x) is int for x in got)
+        if len(b) > 1:
+            # a + 1 leaves the remainder 1
+            inexact += 1
+            with pytest.raises(ValueError, match="not exact"):
+                _upoly_exquo([a[0] + 1] + a[1:], b)
+    assert inexact > 100
+    # a step that does not divide, and a remainder after exact steps
+    for a, b in (([1, 1], [1, 2]), ([1, 1, 1], [1, 1]), ([1], [1, 1])):
+        assert upoly_divmod(a, b)[1]
+        with pytest.raises(ValueError, match="not exact"):
+            _upoly_exquo(a, b)
+
+
+def test_upoly_gcd_builds_no_fraction_on_integer_input(monkeypatch):
+    made = spy_fraction_new(monkeypatch)
     rng = random.Random(41)
     for _ in range(100):
         common = rand_upoly(rng, rng.randint(1, 4), False)
         a, b = (upoly_mul(common, rand_upoly(rng, rng.randint(0, 6), False)) for _ in range(2))
-        g = _upoly_gcd(_upoly_gcd([], a), b)
+        g = prem_gcd(a, b)
         assert len(g) >= len(common) and all(type(x) is int for x in g)
     f = LP(2, {(0, 0): 2, (1, 2): 3, (2, 1): -1}) * LP.difference((3, 0)) * (LP.monomial((1, 1), 5) - 2)
     lf = line_factorization(f)
     assert lf.directions == ((1, 0), (1, 1)) and lf.product() == f
     assert made == []
+
+
+def test_rational_line_split_builds_fewer_fractions_than_terms(monkeypatch):
+    # three degree-40 lines times a rational factor: each level is scaled to
+    # ints once and divided on ints, so the split builds about one Fraction
+    # per output coefficient, not several per step of a rational division
+    rng = random.Random(7)
+    f = LP(2, {(0, 0): Fraction(2, 7), (1, 2): 3, (2, 1): -1})
+    for v in ((1, 0), (0, 1), (1, 1)):
+        f = f * LP(2, {vec_scale(k, v): rng.choice([-1, 1]) * rng.randint(1, 9) for k in range(41)})
+    made = spy_fraction_new(monkeypatch)
+    lf = line_factorization(f)
+    assert len(made) < len(f.terms) == 5163
+    assert lf.directions == ((0, 1), (1, 0), (1, 1))
+    assert [len(phi.terms) for _, phi in lf.factors] == [41, 41, 41] and lf.product() == f
