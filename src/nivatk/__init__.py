@@ -26,12 +26,10 @@ from .configurations import (
     Mechanical,
     Pattern,
     Periodic,
-    PeriodicityResult,
     Sum,
     ValueMap,
     extract_pattern,
     pattern_complexity,
-    periodicity_test,
 )
 from .decomposition import WindowDecomposition, decompose, difference, integrate
 from .lattice import Lattice, Window
@@ -39,11 +37,13 @@ from .laurent import (
     AnnihilationResult,
     LaurentPolynomial,
     LineFactorization,
+    PeriodicityResult,
     annihilates,
     apply,
     line_content,
     line_factorization,
     newton_polygon_directions,
+    periodicity_test,
 )
 from .nivat import (
     BoundReport,

@@ -388,6 +388,9 @@ def run(argv) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return 2
 
 
 def main(argv=None) -> int:

@@ -20,9 +20,8 @@ from .errors import (
     DimensionMismatchError,
     EmptySampleError,
     EmptyShapeError,
-    ZeroVectorError,
 )
-from .lattice import Lattice, Window, kernel_lattice, vec_add, vec_dot, vec_neg, vec_scale, is_zero_vector
+from .lattice import Lattice, Window, kernel_lattice, vec_add, vec_dot, vec_scale
 from .quadratic import QuadraticReal, _floor_sqrt_multiple
 
 
@@ -116,9 +115,8 @@ class Periodic(Configuration):
         return self.lattice
 
     def exact_domain(self) -> Window:
-        """The box under the lattice's pivots: lattice.residues(), in the same order."""
-        hi = [row[i] - 1 for i, row in enumerate(self.lattice.basis())]
-        return Window.box((0,) * self.dim, hi)
+        """The lattice's residue box: lattice.residues(), in the same order."""
+        return self.lattice.residue_box()
 
     def block(self, lo, hi) -> list:
         """Tile a corner: index * e_i lies in the lattice for every axis i.
@@ -181,6 +179,8 @@ class Mechanical(Configuration):
     def __init__(self, weights, alpha: QuadraticReal):
         self.weights = tuple(map(operator.index, weights))
         self.dim = len(self.weights)
+        if not self.weights:
+            raise DimensionMismatchError("a mechanical configuration needs at least one weight")
         self.alpha = alpha if isinstance(alpha, QuadraticReal) else QuadraticReal.from_fraction(alpha)
 
     def value(self, v) -> int:
@@ -220,6 +220,8 @@ class FiniteSupport(Configuration):
             dim = d
         if dim is None:
             raise ValueError("empty support needs an explicit dim")
+        if dim < 1:
+            raise DimensionMismatchError(f"dimension {dim} is below 1")
         self.dim = dim
         self.assoc = table
 
@@ -495,15 +497,9 @@ class Pattern:
         """
         if anchors.is_box:
             return _slice_keys(self.cells, self.strides, shape, *self.rows(anchors))
-        return _slice_keys(self.cells, self.strides, shape, self.indices(anchors), 1)
-
-    def indices(self, window: Window):
-        """Flat index in a box pattern of every cell of the window, lazily, in window order."""
-        if window.is_box:
-            starts, n = self.rows(window)
-            return itertools.chain.from_iterable(range(b, b + n) for b in starts)
         origin = vec_dot(self.shape.lo, self.strides)
-        return (vec_dot(p, self.strides) - origin for p in window)
+        return _slice_keys(self.cells, self.strides, shape,
+                           (vec_dot(p, self.strides) - origin for p in anchors), 1)
 
     def __eq__(self, other):
         if not isinstance(other, Pattern):
@@ -689,39 +685,3 @@ def pattern_complexity(c: Configuration, shape: Window,
     table, at = covering_pattern(c, shape, keyed)
     count = len(set(table.keys(shape, at)))
     return ComplexityResult(count, domain is not None, sample if domain is None else domain)
-
-
-# --- periodicity ------------------------------------------------------------
-
-
-@dataclass
-class PeriodicityResult:
-    status: str  # "periodic" | "not-periodic" | "unknown"
-    witness: tuple | None = None
-
-
-_PERIODICITY_STATUS = {"exact": "periodic", "window": "unknown", "no": "not-periodic"}
-
-
-def periodicity_test(c: Configuration, v, sample: Window | None = None) -> PeriodicityResult:
-    """Is v a translation period of c?
-
-    (X^(-v) - 1) * c is c(u + v) - c(u) at u, so this is annihilates() on
-    the sample, or on c.exact_domain() without one, sharing its exact
-    domain and coset certificate: exact reads periodic, window unknown and
-    no not-periodic, the witness the first u with c(u + v) != c(u).
-    """
-    # laurent imports this module, so it is imported here
-    from .laurent import LaurentPolynomial, annihilates
-
-    v = tuple(map(operator.index, v))
-    if len(v) != c.dim or (sample is not None and sample.dim != c.dim):
-        raise DimensionMismatchError("vector/sample vs configuration dimension")
-    if is_zero_vector(v):
-        raise ZeroVectorError("the zero vector is not a period candidate")
-
-    window = sample or c.exact_domain()
-    if window is None:
-        raise EmptySampleError("non-periodic descriptors need a sample window")
-    res = annihilates(LaurentPolynomial.difference(vec_neg(v)), c, window)
-    return PeriodicityResult(_PERIODICITY_STATUS[res.status], witness=res.witness)

@@ -72,8 +72,8 @@ def integrate(d: Pattern, v) -> Pattern:
     dom = d.shape.intersect(d.shape.shift(v))
     if dom is not None:
         # u - v sits k places before u in the flat list
-        k = vec_dot(v, d.strides)
-        for i in _line_order(list(d.indices(dom)), v):
+        k, (starts, n) = vec_dot(v, d.strides), d.rows(dom)
+        for i in _line_order([j for b in starts for j in range(b, b + n)], v):
             out[i] = out[i - k] - d.cells[i]
     return Pattern(d.shape, out)
 

@@ -246,12 +246,15 @@ class Lattice:
         rows = [g + g for g in self.generators] + [(0,) * d + h for h in other.generators]
         return kernel_lattice(rows, d)
 
-    def residues(self):
-        """Canonical residue cells, the integer box under the pivot entries."""
+    def residue_box(self) -> "Window":
+        """The integer box under the pivot entries: one canonical cell per residue class."""
         if not self.is_full_rank:
             raise RankDeficientError("residues require a full rank lattice")
-        ranges = [range(self._pivots[c][c]) for c in range(self.dim)]
-        return tuple(itertools.product(*ranges))
+        return Window.box((0,) * self.dim, [self._pivots[c][c] - 1 for c in range(self.dim)])
+
+    def residues(self):
+        """Canonical residue cells, the residue box's cells in window order."""
+        return tuple(self.residue_box())
 
     def __eq__(self, other):
         if not isinstance(other, Lattice):

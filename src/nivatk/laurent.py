@@ -19,12 +19,15 @@ from fractions import Fraction
 
 from .errors import (
     DimensionMismatchError,
+    EmptySampleError,
     ZeroPolynomialError,
+    ZeroVectorError,
 )
 from .configurations import Configuration, Pattern, Sum, combine, window_values
 from .lattice import (
     Window,
     canonical_sign,
+    is_zero_vector,
     primitive_vector,
     unimodular_complement,
     vec_add,
@@ -371,6 +374,36 @@ def annihilates(f: LaurentPolynomial, c: Configuration, window: Window) -> Annih
         if x != 0:
             return AnnihilationResult("no", witness=u)
     return AnnihilationResult("window" if domain is None else "exact")
+
+
+@dataclass
+class PeriodicityResult:
+    status: str  # "periodic" | "not-periodic" | "unknown"
+    witness: tuple | None = None
+
+
+_PERIODICITY_STATUS = {"exact": "periodic", "window": "unknown", "no": "not-periodic"}
+
+
+def periodicity_test(c: Configuration, v, sample: Window | None = None) -> PeriodicityResult:
+    """Is v a translation period of c?
+
+    (X^(-v) - 1) * c is c(u + v) - c(u) at u, so this is annihilates() on
+    the sample, or on c.exact_domain() without one, sharing its exact
+    domain and coset certificate: exact reads periodic, window unknown and
+    no not-periodic, the witness the first u with c(u + v) != c(u).
+    """
+    v = tuple(map(operator.index, v))
+    if len(v) != c.dim or (sample is not None and sample.dim != c.dim):
+        raise DimensionMismatchError("vector/sample vs configuration dimension")
+    if is_zero_vector(v):
+        raise ZeroVectorError("the zero vector is not a period candidate")
+
+    window = sample or c.exact_domain()
+    if window is None:
+        raise EmptySampleError("non-periodic descriptors need a sample window")
+    res = annihilates(LaurentPolynomial.difference(vec_neg(v)), c, window)
+    return PeriodicityResult(_PERIODICITY_STATUS[res.status], witness=res.witness)
 
 
 # --- Newton polygon and line factors -----------------------------------------

@@ -20,8 +20,6 @@ from .configurations import (
     _strides,
     count_distinct,
     covering_pattern,
-    periodicity_test,
-    residue_representatives,
     support_anchors,
     window_values,
 )
@@ -43,7 +41,7 @@ from .lattice import (
     vec_scale,
     vec_sub,
 )
-from .laurent import LaurentPolynomial, LineFactorization
+from .laurent import LaurentPolynomial, LineFactorization, periodicity_test
 
 
 def bound_disjoint_lines(m: int, n: int, M: int, N: int) -> int:
@@ -260,11 +258,12 @@ def _line_groups(c: Configuration, shape: Window, v, sample: Window) -> dict:
 
     Anchor a lies on the line of w = a - (a[i] // step[i]) * step, with i
     the first axis where step is nonzero.  Each anchor gets a label in
-    sample order: with a full rank c.periods() of index at most the
-    sample's size, a Periodic fill of class numbers, each class keyed once
-    at its first anchor and named once per line; otherwise its own key.
-    A box sample meets a line in one run, one strided slice of the labels;
-    an explicit sample groups its labels anchor by anchor.
+    sample order, and each line's labels are named once: with a full rank
+    c.periods() of index at most the sample's size, a Periodic fill of
+    class numbers, each class keyed once at its cell of the lattice's
+    residue_box(); otherwise its position, named by its own key.  A box
+    sample meets a line in one run, one strided slice of the labels; an
+    explicit sample groups its labels anchor by anchor.
     """
     v = tuple(map(operator.index, v))
     if len(v) != c.dim or shape.dim != c.dim or sample.dim != c.dim:
@@ -273,17 +272,14 @@ def _line_groups(c: Configuration, shape: Window, v, sample: Window) -> dict:
         raise ZeroVectorError("census direction must be nonzero")
     step = canonical_sign(v)
     i = next(k for k, x in enumerate(step) if x)
-    lattice, names = c.periods(), None
+    lattice = c.periods()
     if lattice is None or not lattice.is_full_rank or lattice.index() > len(sample):
-        table, at = covering_pattern(c, shape, sample)
-        labels = list(table.keys(shape, at))
+        anchors, labels = sample, range(len(sample))
     else:
-        firsts = residue_representatives(c, sample)
-        table, at = covering_pattern(c, shape, firsts)
-        keyed = dict(zip(map(lattice.reduce, firsts), table.keys(shape, at)))
-        residues = lattice.residues()
-        labels = window_values(Periodic(lattice, {r: k for k, r in enumerate(residues)}), sample)
-        names = [keyed.get(r) for r in residues]
+        anchors = lattice.residue_box()
+        labels = window_values(Periodic(lattice, {r: k for k, r in enumerate(anchors)}), sample)
+    table, at = covering_pattern(c, shape, anchors)
+    names = list(table.keys(shape, at))
     points, groups = sample, {}
     if sample.is_box:
         # a line enters the box at the anchor a with a - step outside it: a
@@ -312,9 +308,7 @@ def _line_groups(c: Configuration, shape: Window, v, sample: Window) -> dict:
     else:
         for rep, label in set(zip(reps, labels)):
             groups.setdefault(rep, set()).add(label)
-    if names is not None:
-        groups = {rep: set(map(names.__getitem__, ks)) for rep, ks in groups.items()}
-    return groups
+    return {rep: set(map(names.__getitem__, ks)) for rep, ks in groups.items()}
 
 
 def line_pattern_census(c: Configuration, shape: Window, v, sample: Window):

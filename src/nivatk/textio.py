@@ -154,7 +154,9 @@ def _parse_int(cur: _Cursor) -> int:
 def _parse_rational(cur: _Cursor) -> Fraction:
     num = _parse_int(cur)
     if cur.accept("/"):
-        den = _parse_int(cur)
+        tok, den = cur.peek(), _parse_int(cur)
+        if den == 0:
+            cur.fail("zero denominator", tok)
         return Fraction(num, den)
     return Fraction(num)
 
@@ -199,7 +201,10 @@ def _parse_alpha(cur: _Cursor) -> QuadraticReal:
     else:
         for _ in range(3):
             cur.expect(",")
+            den = cur.peek()
             args.append(_parse_int(cur))
+        if args[3] == 0:
+            cur.fail("zero denominator", den)
     cur.expect(")")
     n = args[2]
     if n < 0 or not is_squarefree(n):

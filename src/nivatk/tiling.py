@@ -13,7 +13,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 
-from .configurations import Periodic, periodicity_test
+from .configurations import Periodic
 from .errors import (
     DimensionMismatchError,
     EmptyShapeError,
@@ -22,7 +22,7 @@ from .errors import (
     VerificationFailedError,
 )
 from .lattice import Lattice, Window, canonical_sign, vec_add, vec_scale, vec_sub
-from .laurent import LaurentPolynomial, apply
+from .laurent import LaurentPolynomial, apply, periodicity_test
 from .quadratic import is_prime
 
 

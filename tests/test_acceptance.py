@@ -17,7 +17,6 @@ from nivatk.configurations import (
     Periodic,
     Sum,
     pattern_complexity,
-    periodicity_test,
 )
 from nivatk.decomposition import decompose
 from nivatk.lattice import (
@@ -33,6 +32,7 @@ from nivatk.laurent import (
     annihilates,
     apply,
     line_factorization,
+    periodicity_test,
 )
 from nivatk.nivat import bound_two_directions, corollary_report, nivat_scan
 from nivatk.quadratic import QuadraticReal

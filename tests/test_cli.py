@@ -302,6 +302,40 @@ def test_out_of_memory_exits_2(capsys, monkeypatch):
     assert captured.err == "error: out of memory\n"
 
 
+# nested deeper than the interpreter's recursion limit allows any parser frame
+DEEP = "valuemap map{0:1} default 0 of " * sys.getrecursionlimit() + "finite dim 2 cells{}"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["verify", "--config", CHECKERBOARD.strip(), "--poly", "1/0", "--window", "3x3"],
+     "error: polynomial: zero denominator (near token (1, 3))\n"),
+    (["lines", "--poly", "X^(1,0) - 1/0"],
+     "error: polynomial: zero denominator (near token (1, 13))\n"),
+    (["complexity", "--config", "mechanical weights(1,1) alpha 1/0", "--shape", "2x2", "--sample", "4x4"],
+     "error: configuration: zero denominator (near token (1, 33))\n"),
+    (["complexity", "--config", "mechanical weights(1,1) alpha quad(1,1,2,0)", "--shape", "2x2",
+      "--sample", "4x4"], "error: configuration: zero denominator (near token (1, 42))\n"),
+    (["search", "--config", "finite dim 0 cells{}", "--window", "4"], "error: dimension 0 is below 1\n"),
+    (["complexity", "--config", "finite dim -1 cells{}", "--shape", "2", "--sample", "4"],
+     "error: dimension -1 is below 1\n"),
+    (["complexity", "--config", DEEP, "--shape", "2x2", "--sample", "4x4"],
+     "error: input nested too deeply\n"),
+    (["complexity", "--config", "periodic lattice{(2,0)} values{", "--shape", "2x2"], "error:"),
+    (["complexity", "--config", "mechanical weights(1,1) alpha sqrt(8)", "--shape", "2x2",
+      "--sample", "4x4"], "error:"),
+    (["complexity", "--config", "/nonexistent.cfg", "--shape", "2x2"], "error:"),
+    (["bounds", "--M", "4", "--N", "5"], "error:"),
+], ids=["verify-zero-denominator", "lines-zero-denominator", "alpha-zero-denominator",
+        "quad-zero-denominator", "search-dim-0", "complexity-dim-minus-1", "deep-nesting",
+        "unclosed-values", "non-squarefree-radicand", "missing-file", "bounds-without-input"])
+def test_input_errors_exit_2_with_an_error_line(argv, err, capsys):
+    """Nothing raised, nothing on stdout, and stderr that starts with err."""
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(err)
+
+
 def test_missing_file_is_usage_error(capsys):
     assert run(["complexity", "--config", "/nonexistent.cfg",
                 "--shape", "2x2"]) == 2

@@ -12,7 +12,6 @@ from nivatk.configurations import (
     ValueMap,
     extract_pattern,
     pattern_complexity,
-    periodicity_test,
 )
 from nivatk.errors import (
     DimensionMismatchError,
@@ -21,6 +20,7 @@ from nivatk.errors import (
     ZeroVectorError,
 )
 from nivatk.lattice import Lattice, Window, vec_add
+from nivatk.laurent import periodicity_test
 from nivatk.quadratic import QuadraticReal
 
 from test_block import VARIANTS, random_box, random_config

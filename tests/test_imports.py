@@ -4,7 +4,9 @@ A name a module imports but never reads is left behind by a deletion; this
 fails on it.  The package's __init__ re-exports what it imports, and a name
 a module lists in __all__ is exported, so both count as used.  A deletion
 can also leave a private helper behind: a module-level _name that no
-package module reads fails too.
+package module reads fails too.  Modules import each other at module
+level, so that the import graph is the layering; the one import below
+module level is named in its test.
 """
 
 import ast
@@ -119,6 +121,56 @@ def test_unread_private_name_is_reported(tmp_path):
         """), encoding="utf-8")
     b.write_text("from .a import _used\n", encoding="utf-8")
     assert unread_private_names([a, b]) == ["a.py:13 _Gone", "a.py:2 _seen", "a.py:9 _dead"]
+
+
+def nested_imports(paths) -> list:
+    """Imports below module level, in a function or class body, as
+    module:qualified name of the enclosing definition:imported module."""
+    out = []
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, path, scope + [child.name])
+            elif isinstance(child, (ast.Import, ast.ImportFrom)) and scope:
+                module = ("." * child.level + (child.module or "")
+                          if isinstance(child, ast.ImportFrom) else child.names[0].name)
+                out.append(f"{path.name}:{'.'.join(scope)}:{module}")
+            else:
+                visit(child, path, scope)
+
+    for path in paths:
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path, [])
+    return sorted(out)
+
+
+def test_only_the_polynomial_repr_imports_below_module_level():
+    """The modules import each other at the top, in one direction; textio
+    imports laurent, so LaurentPolynomial.__repr__ reads format_poly late."""
+    assert nested_imports(sorted(SRC.glob("*.py"))) == [
+        "laurent.py:LaurentPolynomial.__repr__:.textio"]
+
+
+def test_nested_import_is_reported(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(textwrap.dedent("""\
+        import os
+
+
+        class C:
+            import sys
+
+            def f(self):
+                from . import a
+                return a
+
+
+        def g():
+            def h():
+                import json
+            return h
+        """), encoding="utf-8")
+    assert nested_imports([path]) == ["m.py:C.f:.", "m.py:C:sys", "m.py:g.h:json"]
 
 
 def test_cli_all_names_exist():

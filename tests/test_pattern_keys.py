@@ -358,9 +358,23 @@ def test_line_census_by_residue_class_matches_reference(v, keyed_anchors):
     """Descriptors with a full rank periods() key one anchor per class; the
     others key every anchor.  Counts and greedy counts match the reference,
     and a box sample, read line by line, gives what its cells as an explicit
-    sample, read anchor by anchor, give."""
+    sample, read anchor by anchor, give.  At the boundary, samples of index
+    cells key the residue box and samples of index - 1 cells every anchor;
+    thin boxes, scattered points and points of one class miss classes."""
     d = len(v)
     rng = random.Random(f"census/classes/{v}")
+
+    def check(c, shape, sample, full):
+        census, kept = ref_census(ref_groups(c, shape, v, sample))
+        keyed_anchors.clear()
+        assert line_pattern_census(c, shape, v, sample) == census
+        assert disjoint_pattern_line_count(c, shape, v, sample) == kept
+        lattice = c.periods()
+        if c in full and lattice.index() <= len(sample):
+            assert all(len(a) <= lattice.index() for a in keyed_anchors)
+        else:
+            assert all(a == sample for a in keyed_anchors)
+
     for k in range(4):
         full, rank_low = census_configs(rng, d)
         lo = tuple(rng.randint(-9, -3) for _ in range(d))
@@ -372,15 +386,22 @@ def test_line_census_by_residue_class_matches_reference(v, keyed_anchors):
                                            for _ in range(rng.randint(20, 40))])]
         shape = random_shape(rng, d)
         for c, sample in itertools.product(full + rank_low, samples):
-            census, kept = ref_census(ref_groups(c, shape, v, sample))
-            keyed_anchors.clear()
-            assert line_pattern_census(c, shape, v, sample) == census
-            assert disjoint_pattern_line_count(c, shape, v, sample) == kept
-            lattice = c.periods()
-            if c in full and lattice.index() <= len(sample):
-                assert all(len(a) <= lattice.index() for a in keyed_anchors)
-            else:
-                assert all(a == sample for a in keyed_anchors)
+            check(c, shape, sample, full)
+
+    full, _ = census_configs(rng, d)
+    shape = random_shape(rng, d)
+    for c in full:
+        lattice = c.periods()
+        n, lo = lattice.index(), tuple(rng.randint(-9, -3) for _ in range(d))
+        samples = [Window.from_points({vec_add(lo, vec_scale(t, g))
+                                       for t in range(n + 1) for g in lattice.basis()})]
+        for m in (n, n - 1) if n > 1 else (n,):
+            points = set()
+            while len(points) < m:
+                points.add(tuple(a + rng.randint(0, m) for a in lo))
+            samples += [Window.box(lo, (lo[0] + m - 1,) + lo[1:]), Window.from_points(points)]
+        for sample in samples:
+            check(c, shape, sample, full)
 
 
 def test_line_census_keys_one_anchor_per_class_on_the_readme_board(keyed_anchors):

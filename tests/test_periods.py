@@ -31,7 +31,6 @@ from nivatk.configurations import (
     covering_pattern,
     extract_pattern,
     pattern_complexity,
-    periodicity_test,
     residue_representatives,
 )
 from nivatk.errors import (
@@ -42,7 +41,7 @@ from nivatk.errors import (
     ZeroVectorError,
 )
 from nivatk.lattice import Lattice, Window, vec_add, vec_scale, vec_sub
-from nivatk.laurent import LaurentPolynomial, annihilates
+from nivatk.laurent import LaurentPolynomial, annihilates, periodicity_test
 from nivatk.nivat import nivat_scan
 from nivatk.quadratic import QuadraticReal
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from nivatk.configurations import CosetIndicator, Mechanical, Periodic, Sum
-from nivatk.errors import ConfigSyntaxError, NonSquarefreeRadicandError
+from nivatk.errors import ConfigSyntaxError, DimensionMismatchError, NonSquarefreeRadicandError
 from nivatk.lattice import Lattice
 from nivatk.laurent import LaurentPolynomial as LP
 from nivatk.quadratic import QuadraticReal
@@ -122,6 +122,26 @@ def test_empty_finite_needs_dim():
         parse_config("finite cells{}")
     c = parse_config("finite dim 2 cells{}")
     assert c.value((0, 0)) == 0
+
+
+def test_zero_denominators_fail_at_the_denominator_token():
+    for parse, text, position in [
+        (parse_poly, "1/0", (1, 3)),
+        (parse_poly, "X^(1,0) - 1/-0", (1, 13)),
+        (parse_config, "mechanical weights(1,1) alpha 1/0", (1, 33)),
+        (parse_config, "mechanical weights(1,1) alpha quad(1,1,2,0)", (1, 42)),
+    ]:
+        with pytest.raises(ConfigSyntaxError, match="zero denominator") as exc:
+            parse(text)
+        assert exc.value.position == position, text
+
+
+def test_dimension_below_one_is_rejected():
+    for text in ("finite dim 0 cells{}", "finite dim -1 cells{}"):
+        with pytest.raises(DimensionMismatchError):
+            parse_config(text)
+    with pytest.raises(DimensionMismatchError):
+        Mechanical((), QuadraticReal.sqrt(2))
 
 
 def test_poly_sugar_and_round_trip():
