@@ -63,9 +63,9 @@ def find_annihilator(c: Configuration, shape: Window, sample: Window,
     """Look for a dependency among the sampled patterns of the given shape.
 
     Builds one augmented row (1, values of c on v + shape) per distinct
-    pattern at the sample anchors v, keying one anchor per residue class
-    of c.periods() when that lattice is full rank and only the anchors near
-    c.support() when it has one (support_anchors).  Takes the exact rational
+    pattern at the sample anchors v, keyed as support_anchors cuts them:
+    to a box meeting a box sample's residue classes of a full rank
+    c.periods(), and to those near c.support().  Takes the exact rational
     kernel and keeps the canonical kernel vector: first in the
     reduced-echelon kernel basis, scaled to coprime integers, sign chosen
     so g's graded-lex leading coefficient is positive.  Returns None when the kernel is trivial, which certifies
@@ -98,8 +98,8 @@ def find_annihilator(c: Configuration, shape: Window, sample: Window,
     e1 = (1,) + (0,) * (c.dim - 1)
     f = LaurentPolynomial.difference(e1) * g
 
-    # g*c has the periods of c, so its values on the representatives of
-    # the verify window are its values on the whole window
+    # g*c has the periods of c, so its values on a box of the verify window
+    # meeting the same residue classes are its values on the whole window
     got = apply(g, c, residue_representatives(c, verify)).constant_value()
     if got != constant:
         raise VerificationFailedError(

@@ -160,8 +160,7 @@ def _cmd_nivat_scan(args) -> int:
     c = _load_config(args)
     sample = parse_window(args.sample, c.dim)
     rows = nivat_scan(c, _parse_range(args.M), _parse_range(args.N), sample)
-    out = scan_csv(rows)
-    sys.stdout.write(out if out.endswith("\n") else out + "\n")
+    sys.stdout.write(scan_csv(rows))
     return 0
 
 
@@ -176,16 +175,15 @@ def _cmd_bounds(args) -> int:
             print(f"{name}={value}{tag}")
         for pair, value in rep.pair_bounds:
             print(f"pair {_fmt_vecs(pair)}: {value}")
-        if rep.best is not None:
-            print(f"best={rep.best[0]} value={rep.best[1]}")
+        print(f"best={rep.best[0]} value={rep.best[1]}")
         if rep.alpha is not None:
             print(f"alpha={rep.alpha}")
         return 0
     if args.v1 and args.v2:
-        v1 = parse_vectors(args.v1)[0]
-        v2 = parse_vectors(args.v2)[0]
-        value = bound_two_directions(v1, v2, args.M, args.N)
-        print(f"bound={value}")
+        v1, v2 = parse_vectors(args.v1), parse_vectors(args.v2)
+        if len(v1) != 1 or len(v2) != 1:
+            raise ValueError("--v1 and --v2 each take exactly one vector")
+        print(f"bound={bound_two_directions(v1[0], v2[0], args.M, args.N)}")
         return 0
     print("error: bounds needs either --poly or both --v1 and --v2", file=sys.stderr)
     return 2
@@ -348,8 +346,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="complexity lower bounds from line structure")
     p.add_argument("--poly", help="annihilator to analyse")
-    p.add_argument("--v1", help="first direction (with --v2)")
-    p.add_argument("--v2", help="second direction")
+    p.add_argument("--v1", help="first direction, one vector (with --v2)")
+    p.add_argument("--v2", help="second direction, one vector")
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
     p.set_defaults(func=_cmd_bounds)

@@ -594,23 +594,23 @@ def covering_pattern(c: Configuration, shape: Window, anchors: Window):
 
 
 def residue_representatives(c: Configuration, anchors: Window) -> Window:
-    """The first anchor of each residue class of c.periods(), in anchor order.
+    """A box in a box of anchors meeting the same residue classes of c.periods().
 
-    Anchors in one class see the same pattern of every shape, so keying
-    only these gives the same sequence of first-seen keys, and with it the
-    same counts and early exits.  The scan stops once every class has been
-    seen.  Without a full rank periods() the anchors come back unchanged.
+    Anchors in one class see the same pattern, so keying it gives the same
+    keys, counts and early exits.  The lattice's residue_box() moved to the
+    anchors' corner, when it fits, holds each class once: basis row i is
+    zero past axis i.  Otherwise their corner of side index() meets every
+    class they do, as index() * e_i is a period.  Explicit anchors, or a
+    periods() not of full rank, come back unchanged.
     """
     lattice = c.periods()
-    if lattice is None or not lattice.is_full_rank:
+    if lattice is None or not lattice.is_full_rank or not anchors.is_box:
         return anchors
-    classes = lattice.index()
-    first = {}
-    for a in anchors:
-        first.setdefault(lattice.reduce(a), a)
-        if len(first) == classes:
-            break
-    return Window.from_points(first.values())
+    lo, hi = anchors.bounds()
+    box = lattice.residue_box().shift(lo)
+    if all(map(operator.le, box.hi, hi)):
+        return box
+    return Window.box(lo, [min(b, a + lattice.index() - 1) for a, b in zip(lo, hi)])
 
 
 def support_anchors(c: Configuration, shape: Window, sample: Window) -> Window:
@@ -624,11 +624,9 @@ def support_anchors(c: Configuration, shape: Window, sample: Window) -> Window:
     the anchors' bounding box grown by the shape's gives the anchors u - s,
     s in the shape's bounding box, that lie in the anchors' bounding box.
     Without a certified support, or when that keys every anchor, the
-    representatives come back unchanged.
+    representatives come back unchanged: a box for a box sample.
     """
     anchors = residue_representatives(c, sample)
-    if len(anchors) == len(sample):
-        anchors = sample
     support = c.support()
     if support is None:
         return anchors
@@ -670,9 +668,9 @@ def pattern_complexity(c: Configuration, shape: Window,
 
     Where c.exact_domain() is a window it replaces the anchors: it covers
     every translate, so the count is exact.  Otherwise anchors range over
-    the sample window, one per residue class of c.periods() when that
-    lattice is full rank and only those near c.support() when that exists
-    (support_anchors), and the count is a certified lower bound.
+    the sample window, cut to a box meeting its residue classes of a full
+    rank c.periods() and to those near c.support() (support_anchors), and
+    the count is a certified lower bound.
     """
     if shape.dim != c.dim or (sample is not None and sample.dim != c.dim):
         raise DimensionMismatchError("shape/sample vs configuration dimension")

@@ -172,14 +172,14 @@ def nivat_scan(c: Configuration, M_range, N_range, sample: Window) -> list:
     For every (M, N) the count of distinct M x N blocks anchored in the
     sample is accumulated until it exceeds M*N (verdict ExceedsMN) or the
     sample is exhausted (verdict Inconclusive, count = full sampled value).
-    Inconclusive never asserts the threshold is met globally.  Only the
-    first anchor of each residue class of c.periods() is keyed, and of
-    those only the ones whose largest block meets c.support() and one that
-    does not, which leaves every count unchanged.  They share one box
-    pattern covering the largest block at each, or those blocks stacked when
-    spread (covering_pattern); a box sample keyed whole is counted one block
-    size at a time over rows filled and named once per call (_strip_counts)
-    instead.  Rows come in M-major order.
+    Inconclusive never asserts the threshold is met globally.  The keyed
+    anchors are support_anchors' (a box of a box sample meeting its residue
+    classes of a full rank c.periods(), and of those only the ones whose
+    largest block meets c.support() and one that does not), which leaves
+    every count unchanged.  A box of them is counted one block size at a
+    time over rows filled and named once per call (_strip_counts); others
+    share one box pattern covering the largest block at each, or those
+    blocks stacked when spread (covering_pattern).  Rows come in M-major order.
     """
     Ms = list(map(operator.index, M_range))
     Ns = list(map(operator.index, N_range))
@@ -192,8 +192,8 @@ def nivat_scan(c: Configuration, M_range, N_range, sample: Window) -> list:
 
     largest = Window.box((0, 0), (max(Ms) - 1, max(Ns) - 1))
     anchors = support_anchors(c, largest, sample)
-    if anchors is sample and sample.is_box:
-        counts = _strip_counts(c, Ms, Ns, sample)
+    if anchors.is_box:
+        counts = _strip_counts(c, Ms, Ns, anchors)
     else:
         table, at = covering_pattern(c, largest, anchors)
         counts = {(M, N): count_distinct(table.keys(Window.box((0, 0), (M - 1, N - 1)), at),
@@ -202,8 +202,8 @@ def nivat_scan(c: Configuration, M_range, N_range, sample: Window) -> list:
                     "ExceedsMN" if counts[M, N] > M * N else "Inconclusive") for M in Ms for N in Ns]
 
 
-def _strip_counts(c: Configuration, Ms, Ns, sample: Window) -> dict:
-    """count_distinct of the M x N blocks at every anchor of a box sample, per (M, N).
+def _strip_counts(c: Configuration, Ms, Ns, anchors: Window) -> dict:
+    """count_distinct of the M x N blocks at every anchor of a box, per (M, N).
 
     A row segment of length n > 1 is named by the id of the pair (name of
     its first n - 1 cells, its last value), one table per n (Karp, Miller
@@ -214,7 +214,7 @@ def _strip_counts(c: Configuration, Ms, Ns, sample: Window) -> dict:
     past the filled anchor rows doubles them, with the halo of the largest
     block, so an early exit fills only the rows it reads.
     """
-    (x0, y0), (x1, y1) = sample.bounds()
+    (x0, y0), (x1, y1) = anchors.bounds()
     height, width, tall, wide = x1 - x0 + 1, y1 - y0 + 1, max(Ms), max(Ns)
     span = width + wide - 1
     rows, names, n = [], [], 1

@@ -250,6 +250,14 @@ def test_bounds_two_directions(capsys):
     assert capsys.readouterr().out == "bound=20\n"
 
 
+@pytest.mark.parametrize("v1, v2", [("(1,0);(5,5)", "(0,1)"), ("(1,0)", "(0,1) (1,1)")])
+def test_bounds_takes_one_vector_per_direction(v1, v2, capsys):
+    assert run(["bounds", "--v1", v1, "--v2", v2, "--M", "4", "--N", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --v")
+
+
 def test_bounds_needs_an_input(capsys):
     assert run(["bounds", "--M", "4", "--N", "5"]) == 2
 

@@ -4,13 +4,14 @@ Configuration.periods() returns a lattice of periods of any rank or None;
 every certified lattice is checked cell by cell on seeded random
 descriptors of all six variants.  Lattice.intersect, the rank < d
 Lattice.reduce and Mechanical's w-perp are checked against brute-force
-membership on a box.  Each counting site that keys one anchor per
-residue class of a full rank lattice (nivat_scan, sampled
-pattern_complexity and find_annihilator) is compared with the same call
-keying every anchor.
+membership on a box.  Each counting site that keys a box of the sample
+meeting the same residue classes of a full rank lattice (nivat_scan,
+sampled pattern_complexity and find_annihilator) is compared with the
+same call keying every anchor, in d = 1..3 for the last two.
 """
 
 import itertools
+import operator
 import random
 
 import pytest
@@ -44,6 +45,7 @@ from nivatk.lattice import Lattice, Window, vec_add, vec_scale, vec_sub
 from nivatk.laurent import LaurentPolynomial, annihilates, periodicity_test
 from nivatk.nivat import nivat_scan
 from nivatk.quadratic import QuadraticReal
+from nivatk.textio import parse_config
 
 from test_block import VARIANTS, _triangular_generators, random_box, random_config
 
@@ -181,22 +183,26 @@ def test_mechanical_periods_are_w_perp(d):
 # --- the representatives --------------------------------------------------------
 
 
-def test_representatives_are_first_of_each_class():
+def test_representatives_are_a_box_of_the_sample_with_its_classes():
     rng = random.Random("representatives")
-    for _ in range(30):
-        lat = Lattice(_triangular_generators(rng, 2, 2))
+    seen = set()
+    for _ in range(60):
+        d = rng.randint(1, 3)
+        lat = Lattice(_triangular_generators(rng, d, d))
         c = Periodic(lat, {r: rng.randint(0, 2) for r in lat.residues()})
-        if rng.random() < 0.5:
-            lo = (rng.randint(-9, 9), rng.randint(-9, 9))
-            anchors = Window.box(lo, vec_add(lo, (rng.randint(0, 5), rng.randint(0, 5))))
-        else:
-            anchors = Window.from_points([random_cell(rng, 2) for _ in range(rng.randint(1, 15))])
-        first = {}
-        for a in anchors:
-            first.setdefault(lat.reduce(a), a)
+        lo = random_cell(rng, d)
+        # thin axes of one cell, others up to past the index
+        anchors = Window.box(lo, [a + rng.choice((0, rng.randint(0, lat.index() + 2))) for a in lo])
         reps = residue_representatives(c, anchors)
-        assert not reps.is_box
-        assert list(reps) == sorted(first.values())
+        assert reps.is_box and reps.lo == anchors.lo and all(map(operator.le, reps.hi, anchors.hi))
+        assert {lat.reduce(a) for a in reps} == {lat.reduce(a) for a in anchors}
+        holds = all(map(operator.le, lat.residue_box().shift(lo).hi, anchors.hi))
+        if holds:
+            assert len(reps) == lat.index()
+        seen.add(holds)
+        explicit = Window.from_points([random_cell(rng, d) for _ in range(rng.randint(1, 15))])
+        assert residue_representatives(c, explicit) is explicit
+    assert seen == {True, False}
 
 
 def test_representatives_without_periods_are_the_anchors():
@@ -237,55 +243,69 @@ def every_anchor(monkeypatch):
         monkeypatch.setattr(module, "residue_representatives", keyed)
 
 
-def board(rng, generators=None):
-    lat = Lattice(generators or _triangular_generators(rng, 2, 2))
+def board(rng, generators=None, d=2):
+    lat = Lattice(generators or _triangular_generators(rng, d, d))
     return Periodic(lat, {r: rng.randint(0, 3) for r in lat.residues()})
 
 
-def periodic_inputs(rng):
+def periodic_inputs(rng, d=2):
     """Periodic descriptors, certified non-Periodic ones, and two on different lattices."""
-    c = board(rng)
+    c = board(rng, d=d)
     yield c
     yield ValueMap(c, {0: 1, 1: 0}, 2)
-    yield CosetIndicator((rng.randint(-3, 3), 1), [(rng.randint(1, 4), 0), (1, 2)], 3)
-    yield Sum([(1, board(rng, [(2, 0), (1, 3)])), (2, board(rng, [(3, 0), (0, 2)]))])
+    if d == 2:
+        yield CosetIndicator((rng.randint(-3, 3), 1), [(rng.randint(1, 4), 0), (1, 2)], 3)
+        yield Sum([(1, board(rng, [(2, 0), (1, 3)])), (2, board(rng, [(3, 0), (0, 2)]))])
+    else:
+        yield CosetIndicator(random_cell(rng, d), _triangular_generators(rng, d, d), 3)
+        yield Sum([(1, board(rng, d=d)), (2, board(rng, d=d))])
 
 
-def samples(rng):
-    yield Window.box((-3, -2), (12, 10))
-    yield Window.from_points([random_cell(rng, 2) for _ in range(12)])
-    # a single row and a single residue class: most classes are missed
-    yield Window.box((0, 0), (0, 5))
-    yield Window.from_points([(6 * k, 12 * k) for k in range(-2, 3)])
+def samples(rng, d):
+    if d == 2:
+        yield Window.box((-3, -2), (12, 10))
+        yield Window.from_points([random_cell(rng, 2) for _ in range(12)])
+        # a single row and a single residue class: most classes are missed
+        yield Window.box((0, 0), (0, 5))
+        yield Window.from_points([(6 * k, 12 * k) for k in range(-2, 3)])
+    else:
+        yield Window.box((-3,) * d, (6,) * d)
+        yield Window.from_points([random_cell(rng, d) for _ in range(12)])
+    lo = random_cell(rng, d)
+    # wide along the last axis, and thin: one cell on every other axis
+    yield Window.box(lo, vec_add(lo, (1,) * (d - 1) + (120,)))
+    yield Window.box(lo, vec_add(lo, (0,) * (d - 1) + (rng.randint(0, 3),)))
 
 
-def each_case(seed):
+def each_case(seed, dims):
     rng = random.Random(seed)
-    for _ in range(6):
-        for c in periodic_inputs(rng):
-            for sample in samples(rng):
-                yield c, sample
+    for d in dims:
+        for _ in range(6):
+            for c in periodic_inputs(rng, d):
+                for sample in samples(rng, d):
+                    yield c, sample
 
 
-def run_both(request, call):
-    """The call on every case, keying one anchor per class, then every anchor."""
-    got = [call(c, s) for c, s in each_case("sites")]
+def run_both(request, call, dims=(1, 2, 3)):
+    """The call on every case, keying residue_representatives, then every anchor."""
+    got = [call(c, s) for c, s in each_case("sites", dims)]
     request.getfixturevalue("every_anchor")
-    want = [call(c, s) for c, s in each_case("sites")]
+    want = [call(c, s) for c, s in each_case("sites", dims)]
     return got, want
 
 
 def test_nivat_scan_with_and_without_representatives(request):
-    got, want = run_both(request, lambda c, s: nivat_scan(c, range(1, 4), range(1, 4), s))
+    got, want = run_both(request, lambda c, s: nivat_scan(c, range(1, 4), range(1, 4), s), dims=(2,))
     assert got == want
     verdicts = {r.verdict for rows in got for r in rows}
     assert verdicts == {"ExceedsMN", "Inconclusive"}
 
 
 def test_pattern_complexity_with_and_without_representatives(request):
-    shapes = (Window.box((0, 0), (1, 2)), Window.from_points([(0, 0), (1, 0), (0, 2)]))
-
     def call(c, sample):
+        d = c.dim
+        shapes = (Window.box((0,) * d, (1,) * (d - 1) + (2,)),
+                  Window.from_points([(0,) * d, (1,) + (0,) * (d - 1), (0,) * (d - 1) + (2,)]))
         return [pattern_complexity(c, shape, sample) for shape in shapes]
 
     got, want = run_both(request, call)
@@ -293,11 +313,11 @@ def test_pattern_complexity_with_and_without_representatives(request):
 
 
 def test_find_annihilator_with_and_without_representatives(request):
-    shape = Window.box((0, 0), (1, 1))
-
     def call(c, sample):
+        d = c.dim
         try:
-            rep = find_annihilator(c, shape, sample, Window.box((-4, -4), (8, 8)))
+            rep = find_annihilator(c, Window.box((0,) * d, (1,) * d), sample,
+                                   Window.box((-4,) * d, (8,) * d))
         except VerificationFailedError as exc:
             return str(exc)
         return None if rep is None else (rep.g, rep.constant, rep.f)
@@ -308,6 +328,27 @@ def test_find_annihilator_with_and_without_representatives(request):
     # the verify window holds every residue class, so only the g*c check on
     # it can fail: f*c then vanishes on the whole board
     assert {x[:3] for x in got if isinstance(x, str)} == {"g*c"}
+
+
+TWO_BOARDS = ("sum { +periodic lattice{(3,0) (0,2)} values{(0,0):1 (1,0):0 (2,0):2 (0,1):1 (1,1):0 "
+              "(2,1):1} +periodic lattice{(2,0) (1,1)} values{(0,0):0 (1,0):1} }")
+
+
+@pytest.mark.parametrize("site", ["scan", "complexity", "annihilator"])
+def test_a_wide_sample_reduces_a_bounded_number_of_cells(site, monkeypatch):
+    # the index-12 sum's classes need all six rows of 20,001 anchors, so an
+    # anchor-by-anchor search for them reduces most of the sample
+    c = parse_config(TWO_BOARDS)
+    call = {
+        "scan": lambda s: nivat_scan(c, range(2, 4), range(2, 4), s),
+        "complexity": lambda s: pattern_complexity(c, Window.box((0, 0), (2, 2)), s).count,
+        "annihilator": lambda s: find_annihilator(c, Window.box((0, 0), (1, 1)), s, s),
+    }[site]
+    calls, reduce = [], Lattice.reduce
+    monkeypatch.setattr(Lattice, "reduce", lambda lat, v: calls.append(v) or reduce(lat, v))
+    got = call(Window.box((0, 0), (5, 20000)))
+    assert len(calls) <= 100
+    assert got == call(Window.box((0, 0), (11, 11)))
 
 
 def test_scan_keys_one_anchor_per_class():
