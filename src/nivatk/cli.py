@@ -4,7 +4,7 @@ Subcommands: complexity, annihilate, verify, search, decompose, lines,
 nivat-scan, bounds, tile-verify, tile-search, examples.  All reports are
 plain text (key=value lines) or CSV; identical inputs give byte-identical
 output.  Exit codes: 0 success, 1 failed check, 2 usage or input error
-or out of memory.
+or out of memory, 141 (128 + SIGPIPE) when the reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -380,6 +380,8 @@ def run(argv) -> int:
     except VerificationFailedError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        raise  # a closed stdout is no input error: main exits quietly
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -392,7 +394,15 @@ def run(argv) -> int:
 
 
 def main(argv=None) -> int:
-    return run(sys.argv[1:] if argv is None else argv)
+    try:
+        code = run(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout, as `| head` does: stop quietly, and point
+        # stdout at devnull so the interpreter's last flush has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

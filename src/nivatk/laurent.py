@@ -497,9 +497,13 @@ def _upoly_prem(a, b):
     (lc/g)*a - (c/g)*x^i*b with g = gcd(lc, c), so the result is a nonzero
     integer multiple of the rational remainder (Knuth, TAOCP vol. 2,
     4.6.1, Algorithm R).  Folded as g, b = b, _upoly_prem(g, b) until b is
-    [], it leaves a gcd in coprime ints (Collins, JACM 1967).
+    [], it leaves a gcd in coprime ints (Collins, JACM 1967).  b is signed
+    so that lc > 0: a leading -1 then never rescales a, which would make
+    each step rewrite all of it.
     """
     a = list(a)
+    if b[-1] < 0:
+        b = [-x for x in b]
     *body, lc = b
     for i in range(len(a) - len(b), -1, -1):
         c = a.pop()

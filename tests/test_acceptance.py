@@ -11,13 +11,7 @@ import time
 from fractions import Fraction
 
 from nivatk.annihilator import find_annihilator, search_difference_annihilator
-from nivatk.configurations import (
-    CosetIndicator,
-    Mechanical,
-    Periodic,
-    Sum,
-    pattern_complexity,
-)
+from nivatk.configurations import Periodic, Sum, pattern_complexity
 from nivatk.decomposition import decompose
 from nivatk.lattice import (
     Lattice,
@@ -35,7 +29,6 @@ from nivatk.laurent import (
     periodicity_test,
 )
 from nivatk.nivat import bound_two_directions, corollary_report, nivat_scan
-from nivatk.quadratic import QuadraticReal
 from nivatk.tiling import (
     ClusterTile,
     prime_periodicity_check,
@@ -44,21 +37,7 @@ from nivatk.tiling import (
     verify_cotiler,
 )
 
-
-def two_lines_3d():
-    return Sum([
-        (1, CosetIndicator((0, 0, 0), [(1, 0, 0)], 1)),
-        (1, CosetIndicator((0, 0, 3), [(0, 1, 0)], 1)),
-    ])
-
-
-def binary_irrational_2d():
-    r2 = QuadraticReal.sqrt(2)
-    return Sum([
-        (1, Mechanical((1, 1), r2)),
-        (-1, Mechanical((1, 0), r2)),
-        (-1, Mechanical((0, 1), r2)),
-    ])
+from draws import binary_irrational, sturmian_rows, two_lines_3d
 
 
 def test_criterion_01_two_line_cube_complexity():
@@ -84,7 +63,7 @@ def test_criterion_02_difference_search_two_steps():
 
 def test_criterion_03_triple_difference_annihilates_binary_values():
     t0 = time.monotonic()
-    c = binary_irrational_2d()
+    c = binary_irrational()
     f = (LP.difference((1, 0)) * LP.difference((0, 1))
          * LP.difference((1, -1)))
     window = Window.box((0, 0), (199, 199))
@@ -242,7 +221,7 @@ def test_criterion_08_line_factorization_recovers_planted_directions():
 
 def test_criterion_09_nivat_scan_exceeds_everywhere():
     t0 = time.monotonic()
-    rows = nivat_scan(binary_irrational_2d(), range(2, 9), range(2, 9),
+    rows = nivat_scan(binary_irrational(), range(2, 9), range(2, 9),
                       Window.box((0, 0), (499, 499)))
     dt = time.monotonic() - t0
     assert len(rows) == 49
@@ -258,8 +237,7 @@ def _sturmian_floor_word(i: int) -> int:
 
 
 def test_criterion_10_sturmian_boundary():
-    r2 = QuadraticReal.sqrt(2)
-    c = Sum([(1, Mechanical((1, 1), r2)), (-1, Mechanical((1, 0), r2))])
+    c = sturmian_rows()
     anchors = Window.box((0, 1), (9999, 1))
     for n in range(1, 16):
         shape = Window.box((0, 0), (n - 1, 0))

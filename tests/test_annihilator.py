@@ -11,12 +11,7 @@ from nivatk.annihilator import (
     search_difference_annihilator,
     verify_expansion,
 )
-from nivatk.configurations import (
-    CosetIndicator,
-    Mechanical,
-    Periodic,
-    Sum,
-)
+from nivatk.configurations import Mechanical, Periodic
 from nivatk.errors import (
     NonIntegerCoefficientsError,
     NotPrimeError,
@@ -26,37 +21,11 @@ from nivatk.lattice import Lattice, Window
 from nivatk.laurent import LaurentPolynomial as LP, annihilates, apply
 from nivatk.quadratic import QuadraticReal
 
-
-def checkerboard():
-    return Periodic(
-        Lattice([(2, 0), (0, 2)]),
-        {(0, 0): 0, (1, 0): 1, (0, 1): 1, (1, 1): 0},
-    )
+from draws import binary_irrational, checkerboard, sturmian_rows, two_lines_3d
 
 
 def constant(value=5):
     return Periodic(Lattice([(1, 0), (0, 1)]), {(0, 0): value})
-
-
-def two_lines_3d():
-    return Sum([
-        (1, CosetIndicator((0, 0, 0), [(1, 0, 0)], 1)),
-        (1, CosetIndicator((0, 0, 3), [(0, 1, 0)], 1)),
-    ])
-
-
-def binary_irrational_2d():
-    r2 = QuadraticReal.sqrt(2)
-    return Sum([
-        (1, Mechanical((1, 1), r2)),
-        (-1, Mechanical((1, 0), r2)),
-        (-1, Mechanical((0, 1), r2)),
-    ])
-
-
-def sturmian_rows():
-    r2 = QuadraticReal.sqrt(2)
-    return Sum([(1, Mechanical((1, 1), r2)), (-1, Mechanical((1, 0), r2))])
 
 
 def test_find_annihilator_checkerboard():
@@ -218,7 +187,7 @@ def test_search_two_lines():
 
 
 def test_search_binary_irrational_needs_three_steps():
-    c = binary_irrational_2d()
+    c = binary_irrational()
     steps = search_difference_annihilator(c, 3, 1, Window.box((0, 0), (59, 59)))
     assert steps == [(0, 1), (1, -1), (1, 0)]
 
@@ -245,7 +214,7 @@ def test_search_skips_a_chain_that_fails_the_exact_check():
 
 
 def test_search_result_is_a_certificate():
-    c = binary_irrational_2d()
+    c = binary_irrational()
     steps = search_difference_annihilator(c, 3, 1, Window.box((0, 0), (59, 59)))
     f = LP.one(2)
     for v in steps:

@@ -22,76 +22,29 @@ from nivatk.configurations import (
     Mechanical,
     Periodic,
     Sum,
-    ValueMap,
     combine,
     extract_pattern,
     window_values,
 )
 from nivatk.errors import DimensionMismatchError, EmptyShapeError
-from nivatk.lattice import Lattice, Window, vec_sub
+from nivatk.lattice import Lattice, Window
 from nivatk.laurent import LaurentPolynomial, apply
 from nivatk.quadratic import QuadraticReal
 
-LEAVES = ("periodic", "coset", "mechanical", "finite")
-
-
-def _triangular_generators(rng, d, rank):
-    axes = sorted(rng.sample(range(d), rank))
-    gens = []
-    for i in axes:
-        g = [0] * d
-        g[i] = rng.choice((1, 2, 3, 4))
-        for j in range(i + 1, d):
-            g[j] = rng.randint(-3, 3)
-        gens.append(tuple(g))
-    return gens
-
-
-def random_alpha(rng):
-    return rng.choice((
-        QuadraticReal.sqrt(2),
-        QuadraticReal(1, 1, 5, 2),
-        QuadraticReal(-3, 2, 7, 5),
-        QuadraticReal.from_fraction(Fraction(rng.randint(-9, 9), rng.randint(1, 6))),
-    ))
-
-
-def random_config(rng, d, variant, depth=2):
-    if variant == "periodic":
-        lat = Lattice(_triangular_generators(rng, d, d))
-        return Periodic(lat, {r: rng.randint(-2, 3) for r in lat.residues()})
-    if variant == "coset":
-        offset = tuple(rng.randint(-5, 5) for _ in range(d))
-        gens = _triangular_generators(rng, d, rng.randint(1, d))
-        return CosetIndicator(offset, gens, rng.randint(-3, 3))
-    if variant == "mechanical":
-        return Mechanical(tuple(rng.randint(-3, 3) for _ in range(d)), random_alpha(rng))
-    if variant == "finite":
-        cells = {tuple(rng.randint(-6, 6) for _ in range(d)): rng.randint(-3, 3)
-                 for _ in range(rng.randint(0, 12))}
-        return FiniteSupport(cells, dim=d)
-    kinds = LEAVES + (("sum", "valuemap") if depth > 0 else ())
-    if variant == "sum":
-        return Sum([(rng.randint(-3, 3), random_config(rng, d, rng.choice(kinds), depth - 1))
-                    for _ in range(rng.randint(1, 3))])
-    inner = random_config(rng, d, rng.choice(kinds), depth - 1)
-    mapping = {k: rng.randint(-2, 4) for k in range(-4, 5) if rng.random() < 0.5}
-    return ValueMap(inner, mapping, rng.randint(-1, 1))
-
-
-def random_box(rng, d):
-    lo = tuple(rng.randint(-9, 3) for _ in range(d))
-    # extent 1 on some axes, up to 9 on others
-    extent = {1: 30, 2: 9, 3: 5}[d]
-    hi = tuple(a + (0 if rng.random() < 0.2 else rng.randint(0, extent - 1)) for a in lo)
-    return lo, hi
+from draws import (
+    LEAVES,
+    VARIANTS,
+    apply_reference,
+    binary_irrational,
+    random_box,
+    random_config,
+    random_poly,
+    sturmian_rows,
+)
 
 
 def reference(c, lo, hi):
     return [c.value(p) for p in Window.box(lo, hi)]
-
-
-VARIANTS = LEAVES + ("sum", "valuemap")
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -205,19 +158,6 @@ def test_window_values_and_extract_pattern_follow_window_order():
 # --- apply --------------------------------------------------------------------
 
 
-def random_poly(rng, d, integral):
-    terms = {}
-    for _ in range(rng.randint(1, 5)):
-        e = tuple(rng.randint(-3, 3) for _ in range(d))
-        a = rng.randint(-3, 3)
-        terms[e] = Fraction(a, 1 if integral else rng.randint(1, 4))
-    return LaurentPolynomial(d, terms)
-
-
-def apply_reference(f, c, window):
-    return {u: sum(a * c.value(vec_sub(u, e)) for e, a in f.terms.items()) for u in window}
-
-
 @pytest.mark.parametrize("d", (1, 2, 3))
 def test_apply_matches_per_cell_reference(d):
     rng = random.Random(f"apply/{d}")
@@ -239,9 +179,7 @@ def test_apply_zero_polynomial():
 
 def test_window_values_cost_follows_the_cells_not_their_bounding_box(floor_batches):
     # the bounding box of these 3 cells holds about 1.4 million
-    r2 = QuadraticReal.sqrt(2)
-    c = Sum([(1, Mechanical((1, 1), r2)), (-1, Mechanical((1, 0), r2)),
-             (-1, Mechanical((0, 1), r2))])
+    c = binary_irrational()
     f = LaurentPolynomial.difference((1, 0)) * LaurentPolynomial.difference((0, 1))
     window = Window.from_points([(0, 0), (1200, 3), (5, 1200)])
     pat = apply(f, c, window)
@@ -441,8 +379,7 @@ def test_sum_shares_floors_per_alpha_and_matches_value(d, floor_batches):
 
 
 def test_sturmian_block_floors_once_per_row(floor_batches):
-    r2 = QuadraticReal.sqrt(2)
-    sturmian = Sum([(1, Mechanical((1, 1), r2)), (-1, Mechanical((1, 0), r2))])
+    sturmian = sturmian_rows()
     for lo, hi in (((-7, -4000), (-7, 6010)), ((-4000, 1), (6010, 1))):
         floor_batches.clear()
         assert sturmian.block(lo, hi) == reference(sturmian, lo, hi)

@@ -16,12 +16,11 @@ import tracemalloc
 import pytest
 
 import nivatk.laurent
-from nivatk.configurations import Mechanical, Sum
+from nivatk.configurations import Sum
 from nivatk.lattice import Window
 from nivatk.laurent import LaurentPolynomial, annihilates, apply, coset_certificate
-from nivatk.quadratic import QuadraticReal
 
-from test_block import VARIANTS, random_box, random_config
+from draws import VARIANTS, binary_irrational, random_box, random_config, random_step
 
 
 def atoms(c):
@@ -30,13 +29,6 @@ def atoms(c):
             yield from atoms(t)
     else:
         yield c
-
-
-def random_step(rng, d):
-    while True:
-        v = tuple(rng.randint(-2, 2) for _ in range(d))
-        if any(v):
-            return v
 
 
 def polynomials(rng, c):
@@ -96,9 +88,7 @@ def test_certificate_matches_evaluation(monkeypatch):
 
 
 def test_certificate_on_the_irrational_board():
-    r2 = QuadraticReal.sqrt(2)
-    c = Sum([(1, Mechanical((1, 1), r2)), (-1, Mechanical((1, 0), r2)),
-             (-1, Mechanical((0, 1), r2))])
+    c = binary_irrational()
     f = LaurentPolynomial.difference_product(2, [(1, 0), (0, 1), (1, -1)])
     assert coset_certificate(f, c)
     assert not coset_certificate(LaurentPolynomial.difference_product(2, [(1, 0), (0, 1)]), c)
@@ -122,9 +112,7 @@ def test_certificate_is_skipped_where_an_exact_domain_exists(d, monkeypatch):
 
 
 def test_annihilates_tries_the_certificate_once(monkeypatch):
-    r2 = QuadraticReal.sqrt(2)
-    c = Sum([(1, Mechanical((1, 1), r2)), (-1, Mechanical((1, 0), r2)),
-             (-1, Mechanical((0, 1), r2))])
+    c = binary_irrational()
     calls = []
     monkeypatch.setattr(nivatk.laurent, "coset_certificate",
                         lambda f, d: calls.append(d) or coset_certificate(f, d))
@@ -135,9 +123,7 @@ def test_annihilates_tries_the_certificate_once(monkeypatch):
 
 def test_annihilates_allocates_nothing_window_sized_under_the_certificate():
     # 4 million cells: zeros laid out for them would take over 30 MB
-    r2 = QuadraticReal.sqrt(2)
-    c = Sum([(1, Mechanical((1, 1), r2)), (-1, Mechanical((1, 0), r2)),
-             (-1, Mechanical((0, 1), r2))])
+    c = binary_irrational()
     f = LaurentPolynomial.difference_product(2, [(1, 0), (0, 1), (1, -1)])
     tracemalloc.start()
     try:

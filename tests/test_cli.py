@@ -11,11 +11,8 @@ from nivatk.cli import run
 from nivatk.nivat import bound_two_directions
 
 CHECKERBOARD = "periodic lattice{(2,0) (0,2)} values{(0,0):0 (0,1):1 (1,0):1 (1,1):0}\n"
-TWO_LINES = ("sum { +coset offset(0,0,0) gens{(1,0,0)} value 1 "
-             "+coset offset(0,0,3) gens{(0,1,0)} value 1 }\n")
-BINARY_IRRATIONAL = ("sum { +mechanical weights(1,1) alpha sqrt(2) "
-                     "-mechanical weights(1,0) alpha sqrt(2) "
-                     "-mechanical weights(0,1) alpha sqrt(2) }\n")
+TWO_LINES = cli.TWO_LINES_3D + "\n"
+BINARY_IRRATIONAL = cli.BINARY_IRRATIONAL_2D + "\n"
 
 
 @pytest.fixture
@@ -310,6 +307,15 @@ def test_out_of_memory_exits_2(capsys, monkeypatch):
     assert captured.err == "error: out of memory\n"
 
 
+def test_an_os_error_other_than_a_closed_pipe_exits_2(capsys, monkeypatch):
+    def failing(*args):
+        raise OSError(5, "Input/output error")
+
+    monkeypatch.setattr(cli, "pattern_complexity", failing)
+    assert cli.main(["complexity", "--config", CHECKERBOARD.strip(), "--shape", "2x2"]) == 2
+    assert capsys.readouterr() == ("", "error: [Errno 5] Input/output error\n")
+
+
 # nested deeper than the interpreter's recursion limit allows any parser frame
 DEEP = "valuemap map{0:1} default 0 of " * sys.getrecursionlimit() + "finite dim 2 cells{}"
 
@@ -359,18 +365,37 @@ def test_output_determinism(cfg, capsys):
     assert capsys.readouterr().out == first
 
 
-def test_python_dash_m_matches_run(cfg, capsys):
-    path = cfg("cb.cfg", CHECKERBOARD)
+def python_dash_m(argv, **kwargs):
+    """nivatk run as `python -m nivatk argv` on this checkout's package,
+    stdout block-buffered as in a plain shell."""
     src = str(Path(nivatk.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen([sys.executable, "-m", "nivatk", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, **kwargs)
+
+
+def test_python_dash_m_matches_run(cfg, capsys):
+    path = cfg("cb.cfg", CHECKERBOARD)
     for argv in (["complexity", "--config", path, "--shape", "2x2"],
                  ["complexity", "--config", path, "--shape", "0x2"]):
         code = run(argv)
         want = capsys.readouterr().out
-        proc = subprocess.run([sys.executable, "-m", "nivatk", *argv],
-                              capture_output=True, text=True, env=env, timeout=60)
-        assert (proc.returncode, proc.stdout) == (code, want)
+        with python_dash_m(argv, text=True) as proc:
+            out, _ = proc.communicate(timeout=60)
+        assert (proc.returncode, out) == (code, want)
+
+
+def test_a_closed_stdout_exits_141_quietly():
+    # closed after 10 of 270 kB, more than a pipe holds, a write in the run
+    # meets the closed pipe; closed before the first byte, the last flush does
+    for argv, head in ((["lines", "--poly", "X^(1,20000) - X^(1,0) - X^(0,1) + 1"], 10),
+                       (["complexity", "--config", CHECKERBOARD.strip(), "--shape", "2x2"], 0)):
+        with python_dash_m(argv) as proc:
+            assert len(proc.stdout.read(head)) == head
+            proc.stdout.close()
+            assert (proc.stderr.read(), proc.wait(timeout=60)) == (b"", 141)
 
 
 def test_search_skips_a_certificate_true_only_on_the_window(capsys):

@@ -7,7 +7,6 @@ from nivatk.configurations import (
     CosetIndicator,
     FiniteSupport,
     Mechanical,
-    Periodic,
     Sum,
     ValueMap,
     extract_pattern,
@@ -19,35 +18,11 @@ from nivatk.errors import (
     EmptyShapeError,
     ZeroVectorError,
 )
-from nivatk.lattice import Lattice, Window, vec_add
+from nivatk.lattice import Window, vec_add
 from nivatk.laurent import periodicity_test
 from nivatk.quadratic import QuadraticReal
 
-from test_block import VARIANTS, random_box, random_config
-
-
-def checkerboard():
-    return Periodic(
-        Lattice([(2, 0), (0, 2)]),
-        {(0, 0): 0, (1, 0): 1, (0, 1): 1, (1, 1): 0},
-    )
-
-
-def two_lines_3d():
-    # ones on the i-axis and on the j-line at height 3, zero elsewhere
-    return Sum([
-        (1, CosetIndicator((0, 0, 0), [(1, 0, 0)], 1)),
-        (1, CosetIndicator((0, 0, 3), [(0, 1, 0)], 1)),
-    ])
-
-
-def binary_irrational_2d():
-    r2 = QuadraticReal.sqrt(2)
-    return Sum([
-        (1, Mechanical((1, 1), r2)),
-        (-1, Mechanical((1, 0), r2)),
-        (-1, Mechanical((0, 1), r2)),
-    ])
+from draws import VARIANTS, binary_irrational, checkerboard, random_box, random_config, two_lines_3d
 
 
 def test_periodic_values_and_translates():
@@ -85,7 +60,7 @@ def test_mechanical_rejects_non_integral_weights():
 
 
 def test_binary_irrational_values_are_bits():
-    c = binary_irrational_2d()
+    c = binary_irrational()
     values = {c.value((i, j)) for i in range(-30, 30) for j in range(-30, 30)}
     assert values == {0, 1}
 
@@ -136,7 +111,7 @@ def test_complexity_two_lines_matches_closed_form():
 
 
 def test_complexity_monotone_in_sample():
-    c = binary_irrational_2d()
+    c = binary_irrational()
     shape = Window.box((0, 0), (2, 2))
     small = pattern_complexity(c, shape, Window.box((0, 0), (20, 20)))
     large = pattern_complexity(c, shape, Window.box((0, 0), (60, 60)))
@@ -144,7 +119,7 @@ def test_complexity_monotone_in_sample():
 
 
 def test_complexity_requires_sample_for_aperiodic():
-    c = binary_irrational_2d()
+    c = binary_irrational()
     with pytest.raises(EmptySampleError):
         pattern_complexity(c, Window.box((0, 0), (1, 1)))
 
@@ -180,7 +155,7 @@ def test_merge_letters_identity_keeps_counts():
 
 
 def test_merge_letters_collapse_to_constant():
-    c = binary_irrational_2d()
+    c = binary_irrational()
     merged = ValueMap(c, {0: 0, 1: 0}, default=0)
     res = pattern_complexity(merged, Window.box((0, 0), (2, 2)),
                              Window.box((0, 0), (30, 30)))
@@ -203,7 +178,7 @@ def test_periodicity_test_rejects_non_integral_vectors():
 
 
 def test_periodicity_test_sampled_refutation_and_unknown():
-    c = binary_irrational_2d()
+    c = binary_irrational()
     sample = Window.box((0, 0), (30, 30))
     assert periodicity_test(c, (1, 0), sample).status == "not-periodic"
     # no finite sample can promote an aperiodic descriptor past "unknown"

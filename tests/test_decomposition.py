@@ -4,15 +4,7 @@ import random
 import pytest
 
 from nivatk import decomposition
-from nivatk.configurations import (
-    CosetIndicator,
-    FiniteSupport,
-    Mechanical,
-    Pattern,
-    Periodic,
-    Sum,
-    extract_pattern,
-)
+from nivatk.configurations import FiniteSupport, Pattern, Periodic, Sum, extract_pattern
 from nivatk.decomposition import decompose, difference, integrate
 from nivatk.errors import (
     DimensionMismatchError,
@@ -24,15 +16,8 @@ from nivatk.errors import (
 )
 from nivatk.lattice import Lattice, Window, vec_add, vec_scale, vec_sub
 from nivatk.linalg import _solve_echelon
-from nivatk.quadratic import QuadraticReal
-from test_laurent import rand_steps
 
-
-def checkerboard():
-    return Periodic(
-        Lattice([(2, 0), (0, 2)]),
-        {(0, 0): 0, (1, 0): 1, (0, 1): 1, (1, 1): 0},
-    )
+from draws import binary_irrational, checkerboard, rand_steps, two_lines_3d
 
 
 def ramp_pattern():
@@ -194,12 +179,7 @@ def test_default_halo_is_the_core_grown_by_every_step(dim, monkeypatch):
 
 
 def test_decompose_three_directions_on_irrational_sum():
-    r2 = QuadraticReal.sqrt(2)
-    c = Sum([
-        (1, Mechanical((1, 1), r2)),
-        (-1, Mechanical((1, 0), r2)),
-        (-1, Mechanical((0, 1), r2)),
-    ])
+    c = binary_irrational()
     core = Window.box((0, 0), (19, 19))
     dec = decompose(c, [(1, 0), (0, 1), (1, -1)], core)
     assert dec.residual_check
@@ -210,12 +190,7 @@ def test_decompose_three_directions_on_irrational_sum():
 def test_decompose_component_growth_is_unbounded():
     # window decompositions exist at every size, but the component values
     # must grow: no decomposition into bounded periodic parts exists
-    r2 = QuadraticReal.sqrt(2)
-    c = Sum([
-        (1, Mechanical((1, 1), r2)),
-        (-1, Mechanical((1, 0), r2)),
-        (-1, Mechanical((0, 1), r2)),
-    ])
+    c = binary_irrational()
     growth = []
     for hi in (9, 19, 29):
         dec = decompose(c, [(1, 0), (0, 1), (1, -1)],
@@ -226,10 +201,7 @@ def test_decompose_component_growth_is_unbounded():
 
 
 def test_decompose_3d_two_lines():
-    c = Sum([
-        (1, CosetIndicator((0, 0, 0), [(1, 0, 0)], 1)),
-        (1, CosetIndicator((0, 0, 3), [(0, 1, 0)], 1)),
-    ])
+    c = two_lines_3d()
     core = Window.box((-4, -4, -4), (4, 4, 4))
     dec = decompose(c, [(1, 0, 0), (0, 1, 0)], core)
     assert dec.residual_check
@@ -295,12 +267,7 @@ def walk_back_decomposition(c, vectors, core):
 def test_decompose_explicit_core_with_gaps_matches_walk_back():
     # a line that leaves an explicit core and re-enters it gets a second
     # unknown; a lexicographically negative step is walked the other way
-    r2 = QuadraticReal.sqrt(2)
-    c = Sum([
-        (1, Mechanical((1, 1), r2)),
-        (-1, Mechanical((1, 0), r2)),
-        (-1, Mechanical((0, 1), r2)),
-    ])
+    c = binary_irrational()
     rng = random.Random(37)
     box = list(Window.box((0, 0), (7, 7)))
     cores = [Window.from_points([u for u in box if u not in {(2, 2), (3, 5), (5, 1)}])]
@@ -399,12 +366,7 @@ def test_decompose_repeated_and_opposite_steps(vecs):
 def test_decompose_falls_back_when_the_stencil_back_solve_fails(monkeypatch):
     # on a core with gaps the stencils need not span the kernel of the
     # first two directions' rows; the full system then answers
-    r2 = QuadraticReal.sqrt(2)
-    c = Sum([
-        (1, Mechanical((1, 1), r2)),
-        (-1, Mechanical((1, 0), r2)),
-        (-1, Mechanical((0, 1), r2)),
-    ])
+    c = binary_irrational()
     results = record_stencil_solves(monkeypatch)
     rng = random.Random(37)
     box = list(Window.box((0, 0), (7, 7)))

@@ -1,4 +1,4 @@
-"""Import hygiene of the package source, read with the standard ast module.
+"""Import hygiene of the package source and the tests, read with the standard ast module.
 
 A name a module imports but never reads is left behind by a deletion; this
 fails on it.  The package's __init__ re-exports what it imports, and a name
@@ -6,7 +6,9 @@ a module lists in __all__ is exported, so both count as used.  A deletion
 can also leave a private helper behind: a module-level _name that no
 package module reads fails too.  Modules import each other at module
 level, so that the import graph is the layering; the one import below
-module level is named in its test.
+module level is named in its test.  The test modules share boards and
+draws through tests/draws.py only: none imports another test module, and
+no two top-level helpers in tests/ have the same body.
 """
 
 import ast
@@ -16,6 +18,7 @@ from pathlib import Path
 import nivatk.cli
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "nivatk"
+TESTS = Path(__file__).resolve().parent
 
 
 def _exported(tree) -> set:
@@ -45,6 +48,10 @@ def test_package_modules_read_every_import():
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     assert modules
     assert [u for p in modules for u in unused_imports(p)] == []
+
+
+def test_test_modules_read_every_import():
+    assert [u for p in sorted(TESTS.glob("*.py")) for u in unused_imports(p)] == []
 
 
 def test_unused_import_is_reported(tmp_path):
@@ -177,3 +184,52 @@ def test_cli_all_names_exist():
     assert nivatk.cli.__all__
     for name in nivatk.cli.__all__:
         assert hasattr(nivatk.cli, name), name
+
+
+def imports_of_test_modules(paths) -> list:
+    """Imports of a test_* module, as module:line imported name."""
+    return [f"{path.name}:{node.lineno} {name}" for path in paths
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for name in [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
+            if any(part.startswith("test_") for part in name.split("."))]
+
+
+def test_no_test_module_imports_another():
+    assert imports_of_test_modules(sorted(TESTS.glob("*.py"))) == []
+
+
+def test_test_module_import_is_reported(tmp_path):
+    path = tmp_path / "test_m.py"
+    path.write_text("import draws\nfrom test_a import x\nimport tests.test_b\n"
+                    "from tests import test_c\n", encoding="utf-8")
+    assert imports_of_test_modules([path]) == [
+        "test_m.py:2 test_a", "test_m.py:3 tests.test_b", "test_m.py:4 test_c"]
+
+
+def same_body_helpers(paths) -> list:
+    """Groups of top-level functions and classes, test_ functions aside, whose
+    bodies parse to the same tree past their docstrings, each as module:line name."""
+    groups = {}
+    for path in paths:
+        for node in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("test_")):
+                body = node.body[1:] if ast.get_docstring(node) else node.body
+                body = "\n".join(ast.dump(stmt) for stmt in body)
+                groups.setdefault(body, []).append(f"{path.name}:{node.lineno} {node.name}")
+    return sorted(group for group in groups.values() if len(group) > 1)
+
+
+def test_no_two_test_helpers_share_a_body():
+    assert same_body_helpers(sorted(TESTS.glob("*.py"))) == []
+
+
+def test_helpers_sharing_a_body_are_reported(tmp_path):
+    a, b = tmp_path / "a.py", tmp_path / "b.py"
+    a.write_text('def board():\n    """A docstring is not part of the body, nor is a comment."""\n'
+                 '    # the same list\n    return [1, 2]\n\n\ndef test_board():\n    return [1, 2]\n',
+                 encoding="utf-8")
+    b.write_text("def grid():\n    return [1, 2]\n\n\ndef other():\n    return [2, 1]\n",
+                 encoding="utf-8")
+    assert same_body_helpers([a, b]) == [["a.py:1 board", "b.py:1 grid"]]

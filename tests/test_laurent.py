@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from nivatk.annihilator import find_annihilator
-from nivatk.configurations import CosetIndicator, Mechanical, Periodic, Sum
+from nivatk.configurations import CosetIndicator, Periodic, Sum
 from nivatk.errors import DimensionMismatchError, ZeroPolynomialError
 from nivatk.lattice import Lattice, Window, vec_scale
 from nivatk.laurent import (
@@ -21,16 +21,10 @@ from nivatk.laurent import (
     normalize_integer_primitive,
 )
 from nivatk.linalg import _exact, integer_primitive
-from nivatk.quadratic import QuadraticReal
 from nivatk.textio import parse_poly
 from nivatk.tiling import ClusterTile, tile_polynomial
 
-
-def checkerboard():
-    return Periodic(
-        Lattice([(2, 0), (0, 2)]),
-        {(0, 0): 0, (1, 0): 1, (0, 1): 1, (1, 1): 0},
-    )
+from draws import binary_irrational, checkerboard, rand_steps
 
 
 def rand_poly(rng, dim=2, max_terms=6, coord=3, coeff=9):
@@ -63,21 +57,6 @@ def test_difference_of_the_zero_step_is_zero(dim):
     assert LP.difference(zero).is_zero and LP.difference(zero).dim == dim
     assert LP.difference_product(dim, [(1,) + zero[1:], zero]).is_zero
     assert LP.difference_product(dim, [zero, (-2,) * dim]) == LP.zero(dim)
-
-
-def rand_steps(rng, dim, m):
-    """m nonzero steps with small coordinates, zeros among them, and some
-    repeating or negating an earlier step."""
-    steps = []
-    while len(steps) < m:
-        if steps and rng.random() < 0.3:
-            v = rng.choice(steps)
-            steps.append(v if rng.random() < 0.5 else tuple(-x for x in v))
-            continue
-        v = tuple(rng.choice((-2, -1, 0, 0, 1, 2)) for _ in range(dim))
-        if any(v):
-            steps.append(v)
-    return steps
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -271,12 +250,7 @@ def test_annihilates_reports_witness():
 
 
 def test_annihilates_window_only_for_aperiodic():
-    r2 = QuadraticReal.sqrt(2)
-    c = Sum([
-        (1, Mechanical((1, 1), r2)),
-        (-1, Mechanical((1, 0), r2)),
-        (-1, Mechanical((0, 1), r2)),
-    ])
+    c = binary_irrational()
     f = (LP.difference((1, 0)) * LP.difference((0, 1))
          * LP.difference((1, -1)))
     res = annihilates(f, c, Window.box((0, 0), (40, 40)))
@@ -564,6 +538,28 @@ def test_upoly_gcd_matches_rational_euclid():
         assert all(x * want[-1] == y * got[-1] for x, y in zip(got, want)), (a, b)
         assert all(type(x) is int for x in got)
         assert math.gcd(*got) == 1
+
+
+class CountedInt(int):
+    """An int that counts the products it is a factor of."""
+
+    products = 0
+
+    def __mul__(self, other):
+        CountedInt.products += 1
+        return int(self) * other
+
+    __rmul__ = __mul__
+
+
+def test_upoly_prem_by_a_leading_minus_one_never_rescales_the_dividend():
+    # s^n - 1 by 1 - s: rescaling a by -1 at each of the n steps would take
+    # about n^2 / 2 products in all; the steps only subtract from a's entries
+    n = 1000
+    a = [CountedInt(x) for x in [-1] + [0] * (n - 1) + [1]]
+    CountedInt.products = 0
+    assert _upoly_prem(a, [1, -1]) == []
+    assert CountedInt.products == 0
 
 
 def test_upoly_exquo_matches_rational_division():

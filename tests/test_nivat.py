@@ -8,7 +8,6 @@ import pytest
 
 import nivatk.nivat
 from nivatk.configurations import (
-    Configuration,
     CosetIndicator,
     Mechanical,
     Periodic,
@@ -41,21 +40,7 @@ from nivatk.nivat import (
 )
 from nivatk.quadratic import QuadraticReal
 
-
-def checkerboard():
-    return Periodic(
-        Lattice([(2, 0), (0, 2)]),
-        {(0, 0): 0, (1, 0): 1, (0, 1): 1, (1, 1): 0},
-    )
-
-
-def binary_irrational_2d():
-    r2 = QuadraticReal.sqrt(2)
-    return Sum([
-        (1, Mechanical((1, 1), r2)),
-        (-1, Mechanical((1, 0), r2)),
-        (-1, Mechanical((0, 1), r2)),
-    ])
+from draws import BlockRecorder, binary_irrational, checkerboard, readme_board
 
 
 def test_bound_disjoint_lines_values():
@@ -151,7 +136,7 @@ def test_scan_inconclusive_for_low_complexity():
 
 
 def test_scan_exceeds_for_irrational_sum():
-    rows = nivat_scan(binary_irrational_2d(), range(2, 5), range(2, 5),
+    rows = nivat_scan(binary_irrational(), range(2, 5), range(2, 5),
                       Window.box((0, 0), (119, 119)))
     assert len(rows) == 9
     assert all(r.verdict == "ExceedsMN" for r in rows)
@@ -160,7 +145,7 @@ def test_scan_exceeds_for_irrational_sum():
 
 
 def test_scan_counts_are_certified_lower_bounds():
-    c = binary_irrational_2d()
+    c = binary_irrational()
     sample = Window.box((0, 0), (59, 59))
     for row in nivat_scan(c, range(2, 4), range(2, 4), sample):
         shape = Window.box((0, 0), (row.M - 1, row.N - 1))
@@ -171,7 +156,7 @@ def test_scan_counts_are_certified_lower_bounds():
 
 
 def test_scan_monotone_in_sample():
-    c = binary_irrational_2d()
+    c = binary_irrational()
     small = nivat_scan(c, range(2, 4), range(2, 4), Window.box((0, 0), (39, 39)))
     large = nivat_scan(c, range(2, 4), range(2, 4), Window.box((0, 0), (79, 79)))
     for a, b in zip(small, large):
@@ -214,7 +199,7 @@ def rotation_rows(alpha):
 def strip_inputs(rng):
     """2-D descriptors with neither a full rank periods() nor a support: every anchor is keyed."""
     r2, r3 = QuadraticReal.sqrt(2), QuadraticReal(1, 1, 5, 2)
-    yield binary_irrational_2d()
+    yield binary_irrational()
     yield Mechanical((rng.randint(-3, 3), rng.choice((1, 2))), r2)
     yield rotation_rows(r3)
     yield ValueMap(Sum([(1, Mechanical((1, 2), r2)), (2, Mechanical((2, -1), r3))]), {0: 5}, 1)
@@ -257,23 +242,8 @@ def test_strip_scan_matches_covering_pattern(height, strips):
     assert "Inconclusive" in verdicts
 
 
-class CellCounter(Configuration):
-    """Delegates to an inner descriptor and counts the cells its blocks return."""
-
-    def __init__(self, inner):
-        self.inner, self.dim, self.cells = inner, inner.dim, 0
-
-    def value(self, v):
-        return self.inner.value(v)
-
-    def block(self, lo, hi):
-        out = self.inner.block(lo, hi)
-        self.cells += len(out)
-        return out
-
-
 def test_strip_scan_reads_every_strip_for_inconclusive_rows(strips):
-    c = CellCounter(rotation_rows(QuadraticReal.sqrt(2)))
+    c = BlockRecorder(rotation_rows(QuadraticReal.sqrt(2)))
     sample = Window.box((-7, 3), (32, 30))
     rows = nivat_scan(c, [1, 3], [2, 4], sample)
     assert strips == [sample]
@@ -284,7 +254,7 @@ def test_strip_scan_reads_every_strip_for_inconclusive_rows(strips):
 
 def test_strip_scan_fills_a_tenth_of_the_covering_pattern():
     # criterion 09's scan: one covering pattern holds 407^2 cells
-    c = CellCounter(binary_irrational_2d())
+    c = BlockRecorder(binary_irrational())
     rows = nivat_scan(c, range(2, 9), range(2, 9), Window.box((0, 0), (399, 399)))
     assert all(r.verdict == "ExceedsMN" for r in rows)
     assert c.cells < 407 ** 2 // 10
@@ -292,7 +262,7 @@ def test_strip_scan_fills_a_tenth_of_the_covering_pattern():
 
 @pytest.mark.parametrize("c, verdict, limit", [
     # every size's key set held at once peaked at 9.6 MB, one at a time at 1.5 MB
-    (binary_irrational_2d(), "ExceedsMN", 5_000_000),
+    (binary_irrational(), "ExceedsMN", 5_000_000),
     # every row read: names of all 20 lengths held at once peaked at 3.1 MB, one length at 0.8 MB
     (rotation_rows(QuadraticReal.sqrt(2)), "Inconclusive", 1_500_000),
 ], ids=["exceeds", "inconclusive"])
@@ -332,7 +302,7 @@ def test_disjoint_pattern_line_count():
 
 
 def test_census_dimension_checks():
-    board = Periodic(Lattice([(2, 0), (1, 1)]), {(0, 0): 0, (1, 0): 1})
+    board = readme_board()
     sample = Window.box((0, 0), (5, 5))
     for census in (line_pattern_census, disjoint_pattern_line_count):
         with pytest.raises(DimensionMismatchError):
@@ -342,7 +312,7 @@ def test_census_dimension_checks():
 
 
 def test_census_rejects_non_integral_directions():
-    board = Periodic(Lattice([(2, 0), (1, 1)]), {(0, 0): 0, (1, 0): 1})
+    board = readme_board()
     for census in (line_pattern_census, disjoint_pattern_line_count):
         with pytest.raises(TypeError):
             census(board, Window.box((0, 0), (1, 1)), (1.5, 0), Window.box((0, 0), (5, 5)))

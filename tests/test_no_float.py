@@ -16,6 +16,8 @@ from nivatk.laurent import LaurentPolynomial as LP, line_content
 from nivatk.quadratic import QuadraticReal
 from nivatk.tiling import ClusterTile, PeriodicCoTiler
 
+from draws import checkerboard
+
 SOURCES = sorted(Path(nivatk.__file__).parent.glob("*.py"))
 
 
@@ -58,9 +60,6 @@ def test_checker_sees_each_form():
                      "int literal / x", "math.sqrt", "name float"]
 
 
-CHECKERBOARD = Periodic(Lattice([(2, 0), (0, 2)]), {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0})
-
-
 @pytest.mark.parametrize("build", [
     lambda: Window.box((0.5, 0), (2.9, 1)),
     lambda: Window((0, 0), (2.9, 1)),
@@ -69,7 +68,7 @@ CHECKERBOARD = Periodic(Lattice([(2, 0), (0, 2)]), {(0, 0): 0, (0, 1): 1, (1, 0)
     lambda: LP.monomial((1.5, 0)),
     lambda: LP.one(2).shift((0, 2.5)),
     lambda: line_content(LP.difference((2, 0)), (1.5, 0)),
-    lambda: decompose(CHECKERBOARD, [(1.5, 1)], Window.box((0, 0), (3, 3))),
+    lambda: decompose(checkerboard(), [(1.5, 1)], Window.box((0, 0), (3, 3))),
     lambda: build_radical_witness(LP.difference((1, 0)), 2, (0.5, 0)),
     lambda: Lattice([(2.5, 0), (0, 2)]),
     lambda: CosetIndicator((0.5, 0), [(1, 0)]),
@@ -77,7 +76,7 @@ CHECKERBOARD = Periodic(Lattice([(2, 0), (0, 2)]), {(0, 0): 0, (0, 1): 1, (1, 0)
     lambda: ClusterTile([(0, 0), (1.5, 0)]),
     lambda: PeriodicCoTiler(Lattice([(2, 0), (0, 1)]), [(0.5, 0)]),
     lambda: LP.difference((1, 0)).substitute_power(2.5),
-    lambda: verify_expansion(LP(2, {(1, 0): 1, (0, 1): -1}), CHECKERBOARD, [3.7],
+    lambda: verify_expansion(LP(2, {(1, 0): 1, (0, 1): -1}), checkerboard(), [3.7],
                              Window.box((0, 0), (5, 5))),
     lambda: Periodic(Lattice([(2, 0), (0, 1)]), {(0.5, 0): 0, (1, 0): 1}),
     lambda: Periodic(Lattice([(2, 0), (0, 1)]), {(0, 0): 0.5, (1, 0): 1}),
@@ -87,10 +86,10 @@ CHECKERBOARD = Periodic(Lattice([(2, 0), (0, 2)]), {(0, 0): 0, (0, 1): 1, (1, 0)
     lambda: Mechanical((1, 1), 0.1),
     lambda: CosetIndicator((0, 0), [(1, 0)], value=1.5),
     lambda: FiniteSupport({(0, 0): 2.7}),
-    lambda: Sum([(1.5, CHECKERBOARD)]),
-    lambda: ValueMap(CHECKERBOARD, {1: 2.5}, 0),
-    lambda: ValueMap(CHECKERBOARD, {1.5: 2}, 0),
-    lambda: ValueMap(CHECKERBOARD, {1: 2}, 0.9),
+    lambda: Sum([(1.5, checkerboard())]),
+    lambda: ValueMap(checkerboard(), {1: 2.5}, 0),
+    lambda: ValueMap(checkerboard(), {1.5: 2}, 0),
+    lambda: ValueMap(checkerboard(), {1: 2}, 0.9),
     lambda: LP(2, {(0, 0): 0.5}),
     lambda: expansion_bound(LP.difference((1, 0)), 2.5),
 ], ids=["Window.box", "Window", "Window.from_points", "LaurentPolynomial", "monomial", "shift",

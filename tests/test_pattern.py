@@ -18,7 +18,6 @@ import pytest
 
 from nivatk.annihilator import search_difference_annihilator
 from nivatk.configurations import (
-    Configuration,
     CosetIndicator,
     Mechanical,
     Pattern,
@@ -39,7 +38,15 @@ from nivatk.lattice import Window, canonical_sign, vec_add, vec_sub
 from nivatk.laurent import LaurentPolynomial, apply
 from nivatk.quadratic import QuadraticReal
 
-from test_block import VARIANTS, apply_reference, random_config, random_poly
+from draws import (
+    BlockRecorder,
+    VARIANTS,
+    apply_reference,
+    binary_irrational,
+    random_config,
+    random_poly,
+    random_step,
+)
 
 
 def random_window(rng, d, box_only=False, extent=None):
@@ -57,13 +64,6 @@ def random_window(rng, d, box_only=False, extent=None):
         return Window.from_points(pts)
     return Window.from_points(
         [tuple(x + rng.randint(0, extent) for x in lo) for _ in range(rng.randint(1, 12))])
-
-
-def random_step(rng, d, bound=2):
-    while True:
-        v = tuple(rng.randint(-bound, bound) for _ in range(d))
-        if any(v):
-            return v
 
 
 def random_values(rng, window):
@@ -348,28 +348,8 @@ def test_search_matches_dict_reference(d):
 # --- the covering block of apply and the +-1 combiner -----------------------------------
 
 
-class CountingBlocks(Configuration):
-    """An inner configuration that records every box its block() is asked for."""
-
-    def __init__(self, inner):
-        self.inner, self.dim, self.boxes = inner, inner.dim, []
-
-    def value(self, v):
-        return self.inner.value(v)
-
-    def block(self, lo, hi):
-        self.boxes.append((tuple(lo), tuple(hi)))
-        return self.inner.block(lo, hi)
-
-
-def binary_irrational():
-    r2 = QuadraticReal.sqrt(2)
-    return Sum([(1, Mechanical((1, 1), r2)), (-1, Mechanical((1, 0), r2)),
-                (-1, Mechanical((0, 1), r2))])
-
-
 def test_apply_on_a_box_reads_one_covering_block():
-    c = CountingBlocks(binary_irrational())
+    c = BlockRecorder(binary_irrational())
     f = LaurentPolynomial(2, {(2, 0): 1, (2, -1): -1, (1, 1): -1, (1, -1): 1, (0, 1): 1,
                               (0, 0): -1})
     window = Window.box((-3, 4), (9, 12))
@@ -381,7 +361,7 @@ def test_apply_on_a_box_reads_one_covering_block():
 
 
 def test_apply_keeps_per_term_blocks_for_far_spread_exponents():
-    c = CountingBlocks(binary_irrational())
+    c = BlockRecorder(binary_irrational())
     f = LaurentPolynomial.difference((2000000, 0))
     window = Window.box((0, 0), (2, 2))
     got = apply(f, c, window)

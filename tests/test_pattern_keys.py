@@ -40,7 +40,7 @@ from nivatk.linalg import integer_primitive, nullspace_basis
 from nivatk.nivat import disjoint_pattern_line_count, line_pattern_census, nivat_scan
 from nivatk.quadratic import QuadraticReal
 
-VARIANTS = ("periodic", "coset", "mechanical", "finite", "sum", "valuemap")
+from draws import VARIANTS, readme_board
 
 
 def _triangular_generators(rng, d, rank):
@@ -405,7 +405,7 @@ def test_line_census_by_residue_class_matches_reference(v, keyed_anchors):
 
 
 def test_line_census_keys_one_anchor_per_class_on_the_readme_board(keyed_anchors):
-    c = Periodic(Lattice([(2, 0), (1, 1)]), {(0, 0): 0, (1, 0): 1})
+    c = readme_board()
     sample = Window.box((0, 0), (59, 59))
     census = line_pattern_census(c, Window.box((0, 0), (2, 2)), (2, 1), sample)
     assert sum(n for _, n in census) > len(census)

@@ -21,7 +21,6 @@ import nivatk.configurations
 import nivatk.nivat
 from nivatk.annihilator import find_annihilator
 from nivatk.configurations import (
-    Configuration,
     CosetIndicator,
     FiniteSupport,
     Mechanical,
@@ -47,7 +46,15 @@ from nivatk.nivat import nivat_scan
 from nivatk.quadratic import QuadraticReal
 from nivatk.textio import parse_config
 
-from test_block import VARIANTS, _triangular_generators, random_box, random_config
+from draws import (
+    BlockRecorder,
+    VARIANTS,
+    _triangular_generators,
+    binary_irrational,
+    random_box,
+    random_config,
+    run_both,
+)
 
 
 def random_cell(rng, d):
@@ -214,25 +221,6 @@ def test_representatives_without_periods_are_the_anchors():
 # --- the rerouted sites, with and without the representatives -------------------
 
 
-class Recorder(Configuration):
-    """Delegates to an inner descriptor and counts the cells of every block."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.dim = inner.dim
-        self.cells = 0
-
-    def value(self, v):
-        return self.inner.value(v)
-
-    def block(self, lo, hi):
-        self.cells += len(Window.box(lo, hi))
-        return self.inner.block(lo, hi)
-
-    def periods(self):
-        return self.inner.periods()
-
-
 @pytest.fixture
 def every_anchor(monkeypatch):
     """Key every anchor: the helper replaced by the identity at each site."""
@@ -277,25 +265,9 @@ def samples(rng, d):
     yield Window.box(lo, vec_add(lo, (0,) * (d - 1) + (rng.randint(0, 3),)))
 
 
-def each_case(seed, dims):
-    rng = random.Random(seed)
-    for d in dims:
-        for _ in range(6):
-            for c in periodic_inputs(rng, d):
-                for sample in samples(rng, d):
-                    yield c, sample
-
-
-def run_both(request, call, dims=(1, 2, 3)):
-    """The call on every case, keying residue_representatives, then every anchor."""
-    got = [call(c, s) for c, s in each_case("sites", dims)]
-    request.getfixturevalue("every_anchor")
-    want = [call(c, s) for c, s in each_case("sites", dims)]
-    return got, want
-
-
 def test_nivat_scan_with_and_without_representatives(request):
-    got, want = run_both(request, lambda c, s: nivat_scan(c, range(1, 4), range(1, 4), s), dims=(2,))
+    got, want = run_both(request, "every_anchor", lambda c, s: nivat_scan(c, range(1, 4), range(1, 4), s),
+                         "sites", periodic_inputs, samples, repeats=6)
     assert got == want
     verdicts = {r.verdict for rows in got for r in rows}
     assert verdicts == {"ExceedsMN", "Inconclusive"}
@@ -308,7 +280,8 @@ def test_pattern_complexity_with_and_without_representatives(request):
                   Window.from_points([(0,) * d, (1,) + (0,) * (d - 1), (0,) * (d - 1) + (2,)]))
         return [pattern_complexity(c, shape, sample) for shape in shapes]
 
-    got, want = run_both(request, call)
+    got, want = run_both(request, "every_anchor", call, "sites", periodic_inputs, samples,
+                         dims=(1, 2, 3), repeats=6)
     assert got == want
 
 
@@ -322,7 +295,8 @@ def test_find_annihilator_with_and_without_representatives(request):
             return str(exc)
         return None if rep is None else (rep.g, rep.constant, rep.f)
 
-    got, want = run_both(request, call)
+    got, want = run_both(request, "every_anchor", call, "sites", periodic_inputs, samples,
+                         dims=(1, 2, 3), repeats=6)
     assert got == want
     assert any(isinstance(x, tuple) for x in got) and None in got
     # the verify window holds every residue class, so only the g*c check on
@@ -355,7 +329,7 @@ def test_scan_keys_one_anchor_per_class():
     # the scan fills one block around a few anchors, not the 60 x 60 sample
     lat = Lattice([(2, 0), (1, 2)])
     inner = Periodic(lat, {r: sum(r) % 3 for r in lat.residues()})
-    c = Recorder(inner)
+    c = BlockRecorder(inner)
     rows = nivat_scan(c, range(2, 9), range(2, 9), Window.box((0, 0), (59, 59)))
     assert c.cells <= len(Window.box((0, 0), (8, 8))) * lat.index()
     assert [r.lower_bound_count for r in rows] == [
@@ -365,15 +339,9 @@ def test_scan_keys_one_anchor_per_class():
 # --- covering_pattern on spread-out anchors -------------------------------------
 
 
-def binary_irrational():
-    r2 = QuadraticReal.sqrt(2)
-    return Sum([(1, Mechanical((1, 1), r2)), (-1, Mechanical((1, 0), r2)),
-                (-1, Mechanical((0, 1), r2))])
-
-
 @pytest.mark.parametrize("span", (60, 1200))
 def test_covering_pattern_fills_one_block_per_spread_anchor(span):
-    c = Recorder(binary_irrational())
+    c = BlockRecorder(binary_irrational())
     anchors = Window.from_points([(0, 0), (span, 7), (3, span)])
     cover = Window.box((0, 0), (3, 3))
     table, at = covering_pattern(c, cover, anchors)
@@ -390,7 +358,7 @@ def test_covering_pattern_fills_one_block_per_spread_anchor(span):
 
 
 def test_covering_pattern_keeps_one_box_for_dense_anchors():
-    c = Recorder(binary_irrational())
+    c = BlockRecorder(binary_irrational())
     anchors = Window.box((-2, 3), (9, 7))
     shape = Window.box((0, 0), (2, 1))
     _, at = covering_pattern(c, shape, anchors)
@@ -442,7 +410,7 @@ def test_a_window_of_the_wrong_dimension_is_refused(call):
 def test_periodicity_test_reads_no_cell_under_the_coset_certificate():
     # both terms are invariant under (1, -1): X^(-1,1) - 1 sums to 0 on their cosets
     r2 = QuadraticReal.sqrt(2)
-    c = Recorder(Sum([(1, Mechanical((1, 1), r2)), (1, CosetIndicator((0, 0), [(1, -1)]))]))
+    c = BlockRecorder(Sum([(1, Mechanical((1, 1), r2)), (1, CosetIndicator((0, 0), [(1, -1)]))]))
     res = periodicity_test(c, (1, -1), Window.box((0, 0), (19, 19)))
     assert (res.status, res.witness, c.cells) == ("unknown", None, 0)
 

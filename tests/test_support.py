@@ -20,7 +20,6 @@ from nivatk.configurations import (
     CosetIndicator,
     FiniteSupport,
     Mechanical,
-    Periodic,
     Sum,
     ValueMap,
     pattern_complexity,
@@ -32,7 +31,14 @@ from nivatk.nivat import nivat_scan
 from nivatk.quadratic import QuadraticReal
 from nivatk.textio import parse_config
 
-from test_block import VARIANTS, _triangular_generators, random_box, random_config
+from draws import (
+    VARIANTS,
+    _triangular_generators,
+    random_box,
+    random_config,
+    readme_board,
+    run_both,
+)
 
 
 def cover_test(support):
@@ -117,14 +123,13 @@ def test_support_by_variant():
     assert CosetIndicator((1, 2), [(2, 0), (1, 3)], 4).support() is None
     assert FiniteSupport({}, dim=2).support() == ((), 0)
     assert FiniteSupport({(0, 1): 2, (3, 3): 0}).support() == ((((0, 1), ()),), 0)
-    lat = Lattice([(2, 0), (1, 1)])
-    assert Periodic(lat, {(0, 0): 0, (1, 0): 1}).support() is None
+    assert readme_board().support() is None
     assert Mechanical((1, 2), QuadraticReal.sqrt(2)).support() is None
     assert Mechanical((0, 0), QuadraticReal.sqrt(2)).support() is None
     two = Sum([(2, line), (-3, ValueMap(FiniteSupport({(5, 5): 1}), {0: 4}, 9))])
     assert two.support() == (line.support().cosets + (((5, 5), ()),), -12)
     assert Sum([(1, line), (1, Mechanical((1, 0), QuadraticReal.sqrt(2)))]).support() is None
-    assert ValueMap(Periodic(lat, {(0, 0): 0, (1, 0): 1}), {0: 1}, 0).support() is None
+    assert ValueMap(readme_board(), {0: 1}, 0).support() is None
 
 
 def test_terms_cancelling_on_the_cover():
@@ -220,36 +225,22 @@ def no_support(monkeypatch):
             monkeypatch.setattr(cls, "support", lambda self: None)
 
 
-def site_inputs(rng):
-    """Supported 2-D descriptors: lines, points, their sums and recodings."""
+def site_inputs(rng, d):
+    """Supported descriptors in d = 2: lines, points, their sums and recodings."""
     yield Sum([(1, CosetIndicator((0, 0), [(1, 0)])), (1, CosetIndicator((0, 3), [(1, 1)]))])
     yield ValueMap(FiniteSupport({(1, 1): 1, (2, 1): 2, (4, 3): 3}), {0: 7}, 0)
     yield FiniteSupport({(0, 0): 1}, dim=2)
     for _ in range(4):
-        yield supported_config(rng, 2)
+        yield supported_config(rng, d)
 
 
-def site_samples(rng):
+def site_samples(rng, d):
+    """Windows in d = 2: a box, scattered cells, a column and a box near the origin."""
     yield Window.box((-3, -2), (12, 10))
     yield Window.from_points([(rng.randint(-8, 8), rng.randint(-8, 8)) for _ in range(15)])
     yield Window.box((0, 0), (0, 5))
     # every anchor's 3x3 block meets the point at the origin
     yield Window.box((-2, -2), (0, 0))
-
-
-def each_case(seed):
-    rng = random.Random(seed)
-    for c in site_inputs(rng):
-        for sample in site_samples(rng):
-            yield c, sample
-
-
-def run_both(request, call):
-    """The call on every case, keying near the support, then every anchor."""
-    got = [call(c, s) for c, s in each_case("support-sites")]
-    request.getfixturevalue("no_support")
-    want = [call(c, s) for c, s in each_case("support-sites")]
-    return got, want
 
 
 def test_a_sample_every_anchor_meets_is_kept():
@@ -259,7 +250,8 @@ def test_a_sample_every_anchor_meets_is_kept():
 
 
 def test_nivat_scan_with_and_without_support(request):
-    got, want = run_both(request, lambda c, s: nivat_scan(c, range(1, 4), range(1, 4), s))
+    got, want = run_both(request, "no_support", lambda c, s: nivat_scan(c, range(1, 4), range(1, 4), s),
+                         "support-sites", site_inputs, site_samples)
     assert got == want
     assert {r.verdict for rows in got for r in rows} == {"ExceedsMN", "Inconclusive"}
 
@@ -270,7 +262,7 @@ def test_pattern_complexity_with_and_without_support(request):
     def call(c, sample):
         return [pattern_complexity(c, shape, sample) for shape in shapes]
 
-    got, want = run_both(request, call)
+    got, want = run_both(request, "no_support", call, "support-sites", site_inputs, site_samples)
     assert got == want
     assert len({r.count for rs in got for r in rs}) > 3
 
@@ -283,7 +275,7 @@ def test_find_annihilator_with_and_without_support(request):
         except VerificationFailedError as exc:
             return str(exc)
 
-    got, want = run_both(request, call)
+    got, want = run_both(request, "no_support", call, "support-sites", site_inputs, site_samples)
     assert got == want
     assert any(r is not None and not isinstance(r, str) for r in got) and None in got
 

@@ -6,7 +6,6 @@ import pytest
 
 from nivatk.configurations import CosetIndicator, Mechanical, Periodic, Sum
 from nivatk.errors import ConfigSyntaxError, DimensionMismatchError, NonSquarefreeRadicandError
-from nivatk.lattice import Lattice
 from nivatk.laurent import LaurentPolynomial as LP
 from nivatk.quadratic import QuadraticReal
 from nivatk.textio import (
@@ -21,7 +20,7 @@ from nivatk.textio import (
 )
 from nivatk.tiling import ClusterTile
 
-from test_block import VARIANTS, random_box, random_config
+from draws import VARIANTS, random_box, random_config
 
 CANONICAL_CONFIGS = [
     "periodic lattice{(2,0) (0,2)} values{(0,0):0 (0,1):1 (1,0):1 (1,1):0}",
