@@ -185,8 +185,7 @@ def _cmd_bounds(args) -> int:
             raise ValueError("--v1 and --v2 each take exactly one vector")
         print(f"bound={bound_two_directions(v1[0], v2[0], args.M, args.N)}")
         return 0
-    print("error: bounds needs either --poly or both --v1 and --v2", file=sys.stderr)
-    return 2
+    raise ValueError("bounds needs either --poly or both --v1 and --v2")
 
 
 def _cmd_tile_verify(args) -> int:

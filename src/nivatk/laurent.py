@@ -498,20 +498,24 @@ def _upoly_prem(a, b):
     integer multiple of the rational remainder (Knuth, TAOCP vol. 2,
     4.6.1, Algorithm R).  Folded as g, b = b, _upoly_prem(g, b) until b is
     [], it leaves a gcd in coprime ints (Collins, JACM 1967).  b is signed
-    so that lc > 0: a leading -1 then never rescales a, which would make
-    each step rewrite all of it.
+    so that lc > 0.  A step rescales only the entries a[i:] it rewrites; the
+    entries below owe the running factor s and pay it as each joins them.
     """
     a = list(a)
     if b[-1] < 0:
         b = [-x for x in b]
     *body, lc = b
+    s = 1
     for i in range(len(a) - len(b), -1, -1):
         c = a.pop()
+        if s != 1 and body:
+            a[i] *= s
         if c:
             g = math.gcd(lc, c)
             m, c = lc // g, c // g
             if m != 1:
-                a = [m * x for x in a]
+                a[i:] = [m * x for x in a[i:]]
+                s *= m
             for j, bj in enumerate(body, i):
                 a[j] -= c * bj
     while a and a[-1] == 0:

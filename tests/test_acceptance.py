@@ -37,7 +37,7 @@ from nivatk.tiling import (
     verify_cotiler,
 )
 
-from draws import binary_irrational, sturmian_rows, two_lines_3d
+from draws import binary_irrational, random_poly, sturmian_rows, two_lines_3d
 
 
 def test_criterion_01_two_line_cube_complexity():
@@ -162,15 +162,9 @@ def test_criterion_07_power_substitution_congruence():
     rng = random.Random(303)
     primes = (2, 3, 5, 7, 11, 13)
     for _ in range(200):
-        terms = {}
-        for _ in range(rng.randint(1, 6)):
-            e = (rng.randint(-3, 3), rng.randint(-3, 3))
-            coeff = rng.randint(-9, 9)
-            if coeff:
-                terms[e] = Fraction(coeff)
-        if not terms:
+        f = random_poly(rng, 2, terms=6, coeff=9)
+        if f.is_zero:
             continue
-        f = LP(2, terms)
         for p in primes:
             fp = f
             for _ in range(p - 1):

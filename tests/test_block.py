@@ -1,10 +1,10 @@
 """Differential tests of the block evaluator.
 
 Configuration.block(lo, hi) is the fast path every value table, apply and
-pattern reads from; value(v) is the reference.  Seeded random descriptors
-of all six variants, nested sums and recodings included, are compared
-cell by cell against value() on boxes with negative coordinates and
-extent-1 axes in dimensions 1 to 3.  Mechanical floors are also checked
+pattern reads from; value(v) is the reference.  The rows of fast_paths.py
+compare seeded descriptors of all six variants cell by cell against
+value() on boxes with negative coordinates and extent-1 axes in
+dimensions 1 to 3.  Here Mechanical floors are also checked
 against an integer-only oracle at extreme weights and coordinates, and the
 one table of floors that a Sum's Mechanical terms of one alpha share
 against value() and against the terms' own blocks.
@@ -17,75 +17,30 @@ from fractions import Fraction
 import pytest
 
 from nivatk.configurations import (
-    CosetIndicator,
     FiniteSupport,
     Mechanical,
-    Periodic,
     Sum,
     combine,
     extract_pattern,
     window_values,
 )
 from nivatk.errors import DimensionMismatchError, EmptyShapeError
-from nivatk.lattice import Lattice, Window
+from nivatk.lattice import Window
 from nivatk.laurent import LaurentPolynomial, apply
 from nivatk.quadratic import QuadraticReal
 
 from draws import (
     LEAVES,
     VARIANTS,
-    apply_reference,
     binary_irrational,
     random_box,
     random_config,
-    random_poly,
+    random_window,
     sturmian_rows,
 )
+from fast_paths import apply_reference, block_reference, net
 
-
-def reference(c, lo, hi):
-    return [c.value(p) for p in Window.box(lo, hi)]
-
-
-@pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("d", (1, 2, 3))
-def test_block_matches_value(variant, d):
-    rng = random.Random(f"block/{variant}/{d}")
-    for _ in range(25):
-        c = random_config(rng, d, variant)
-        for _ in range(3):
-            lo, hi = random_box(rng, d)
-            assert c.block(lo, hi) == reference(c, lo, hi), (c, lo, hi)
-
-
-def test_block_with_large_index_lattices():
-    # the index exceeds the box on some axes and not on others
-    rng = random.Random(7)
-    for _ in range(20):
-        gens = [(rng.randint(1, 9), 0), (rng.randint(-9, 9), rng.randint(1, 9))]
-        lat = Lattice(gens)
-        c = Periodic(lat, {r: rng.randint(0, 5) for r in lat.residues()})
-        coset = CosetIndicator((rng.randint(-9, 9), 3), gens, 2)
-        lo = (rng.randint(-40, 0), rng.randint(-40, 0))
-        hi = (lo[0] + rng.randint(0, 30), lo[1] + rng.randint(0, 30))
-        assert c.block(lo, hi) == reference(c, lo, hi)
-        assert coset.block(lo, hi) == reference(coset, lo, hi)
-
-
-@pytest.mark.parametrize("d", (1, 2, 3))
-def test_finite_support_block_on_spread_cells_matches_value(d):
-    """Clusters of cells within +-10^6; boxes of one cell, of more cells than
-    the support, and in between."""
-    rng = random.Random(f"spread/{d}")
-    for _ in range(10):
-        centres = [tuple(rng.randint(-10**6, 10**6) for _ in range(d)) for _ in range(rng.randint(1, 8))]
-        c = FiniteSupport({tuple(x + rng.randint(-3, 3) for x in u): rng.randint(-3, 3)
-                           for u in centres for _ in range(rng.randint(1, 6))}, dim=d)
-        big = next(k for k in itertools.count() if (2 * k + 1) ** d > len(c.assoc))
-        for u in centres:
-            for r in (0, rng.randint(1, 4), big):
-                lo, hi = tuple(x - r for x in u), tuple(x + r for x in u)
-                assert c.block(lo, hi) == reference(c, lo, hi), (c.assoc, lo, hi)
+globals().update(net(__name__))  # this module's tests that are rows of fast_paths.ROWS
 
 
 class CountingCells(dict):
@@ -110,7 +65,7 @@ def test_finite_support_block_reads_the_box_or_the_support_whichever_is_smaller(
     c.assoc = CountingCells(c.assoc)
     for u in itertools.islice(c.assoc, 5):
         hi = (u[0] + 19, u[1] + 19)
-        want, c.assoc.reads = reference(c, u, hi), 0
+        want, c.assoc.reads = block_reference(c, u, hi), 0
         assert c.block(u, hi) == want
         assert c.assoc.reads <= 400
     c = FiniteSupport({(3, 5): 1, (299, 0): 2})
@@ -128,16 +83,6 @@ def test_block_rejects_wrong_dimension_and_empty_boxes(variant):
         c.block((0, 2), (3, 1))
 
 
-def l_shape(rng, d):
-    """A corner plus an arm along the first and the last axis."""
-    corner = tuple(rng.randint(-6, 2) for _ in range(d))
-    cells = {corner}
-    for axis in {0, d - 1}:
-        for k in range(1, rng.randint(2, 8)):
-            cells.add(tuple(x + k * (i == axis) for i, x in enumerate(corner)))
-    return Window.from_points(cells)
-
-
 def test_window_values_and_extract_pattern_follow_window_order():
     rng = random.Random(11)
     for d in (1, 2, 3):
@@ -147,7 +92,7 @@ def test_window_values_and_extract_pattern_follow_window_order():
             far = [tuple(rng.randint(-500, 500) for _ in range(d)) for _ in range(3)]
             single = Window.from_points([tuple(rng.randint(-8, 8) for _ in range(d))])
             for window in (Window.box(*random_box(rng, d)), Window.from_points(pts),
-                           Window.from_points(far), l_shape(rng, d), single):
+                           Window.from_points(far), random_window(rng, d, 8), single):
                 want = [c.value(p) for p in window]
                 assert window_values(c, window) == want
                 anchor = tuple(rng.randint(-3, 3) for _ in range(d))
@@ -156,19 +101,6 @@ def test_window_values_and_extract_pattern_follow_window_order():
 
 
 # --- apply --------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("d", (1, 2, 3))
-def test_apply_matches_per_cell_reference(d):
-    rng = random.Random(f"apply/{d}")
-    for k in range(30):
-        c = random_config(rng, d, VARIANTS[k % len(VARIANTS)])
-        f = random_poly(rng, d, integral=k % 4 != 0)
-        pts = [tuple(rng.randint(-8, 8) for _ in range(d)) for _ in range(rng.randint(1, 12))]
-        for window in (Window.box(*random_box(rng, d)), Window.from_points(pts)):
-            pat = apply(f, c, window)
-            assert list(pat.values) == list(window)
-            assert pat.values == apply_reference(f, c, window), (f, c, window)
 
 
 def test_apply_zero_polynomial():
@@ -226,7 +158,7 @@ def test_mechanical_block_exact_at_extremes(weights, corner):
         lo, hi = corner, (corner[0] + 6, corner[1] + 8)
         want = [mechanical_oracle(c, p) for p in Window.box(lo, hi)]
         assert c.block(lo, hi) == want
-        assert reference(c, lo, hi) == want
+        assert block_reference(c, lo, hi) == want
 
 
 def test_mechanical_block_cost_follows_the_box_not_the_range_of_m(floor_batches):
@@ -301,7 +233,7 @@ def test_mechanical_block_rows_match_value(weights, floor_batches):
         c = Mechanical(weights, alpha)
         for lo, hi in BOXES_2D:
             floor_batches.clear()
-            assert c.block(lo, hi) == reference(c, lo, hi), (weights, alpha, lo, hi)
+            assert c.block(lo, hi) == block_reference(c, lo, hi), (weights, alpha, lo, hi)
             assert max(floor_batches) <= len(Window.box(lo, hi))
 
 
@@ -312,7 +244,7 @@ def test_mechanical_block_rows_match_value_in_3d(weights, floor_batches):
     for lo, hi in [((-2, 1, 3), (3, 4, 3)), ((0, -3, 5), (4, -3, 5)), ((-1, -1, -1), (2, 3, 4)),
                    ((5, -2, 0), (5, -2, 7)), ((1, 2, 3), (1, 2, 3))]:
         floor_batches.clear()
-        assert c.block(lo, hi) == reference(c, lo, hi), (weights, lo, hi)
+        assert c.block(lo, hi) == block_reference(c, lo, hi), (weights, lo, hi)
         assert max(floor_batches) <= len(Window.box(lo, hi))
 
 
@@ -322,7 +254,7 @@ def test_mechanical_block_on_the_sturmian_layout():
     for weights in ((1, 1), (1, 0), (-1, 3)):
         c = Mechanical(weights, r2)
         lo, hi = (-4000, 1), (6010, 1)
-        assert c.block(lo, hi) == reference(c, lo, hi)
+        assert c.block(lo, hi) == block_reference(c, lo, hi)
 
 
 @pytest.mark.parametrize("p", [3, 4, 5, 6, 7])
@@ -336,7 +268,7 @@ def test_mechanical_block_on_both_sides_of_the_dense_span(p, floor_batches):
         for lo in ((0, 0), (-7, 11)):
             hi = (lo[0] + 3, lo[1] + 4)
             floor_batches.clear()
-            assert c.block(lo, hi) == reference(c, lo, hi), (weights, lo)
+            assert c.block(lo, hi) == block_reference(c, lo, hi), (weights, lo)
             assert floor_batches == [min(span, 20)]
 
 
@@ -371,7 +303,7 @@ def test_sum_shares_floors_per_alpha_and_matches_value(d, floor_batches):
             lo, hi = random_box(rng, d)
             floor_batches.clear()
             got = c.block(lo, hi)
-            assert got == reference(c, lo, hi), (c.terms, lo, hi)
+            assert got == block_reference(c, lo, hi), (c.terms, lo, hi)
             shared += len(floor_batches) < sum(isinstance(t, Mechanical) for _, t in c.terms)
             # each term on its own, Mechanical terms each flooring their own table
             assert got == combine((k, t.block(lo, hi)) for k, t in c.terms)
@@ -382,7 +314,7 @@ def test_sturmian_block_floors_once_per_row(floor_batches):
     sturmian = sturmian_rows()
     for lo, hi in (((-7, -4000), (-7, 6010)), ((-4000, 1), (6010, 1))):
         floor_batches.clear()
-        assert sturmian.block(lo, hi) == reference(sturmian, lo, hi)
+        assert sturmian.block(lo, hi) == block_reference(sturmian, lo, hi)
         assert len(floor_batches) == 1
 
 

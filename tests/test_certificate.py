@@ -20,7 +20,7 @@ from nivatk.configurations import Sum
 from nivatk.lattice import Window
 from nivatk.laurent import LaurentPolynomial, annihilates, apply, coset_certificate
 
-from draws import VARIANTS, binary_irrational, random_box, random_config, random_step
+from draws import binary_irrational, cases, random_box, random_config, random_step
 
 
 def atoms(c):
@@ -46,25 +46,18 @@ def polynomials(rng, c):
     yield LaurentPolynomial.difference_product(d, [random_step(rng, d) for _ in range(2)])
 
 
-def windows(rng, d):
-    yield Window.box(*random_box(rng, d))
-    yield Window.from_points([tuple(rng.randint(-8, 8) for _ in range(d)) for _ in range(6)])
-
-
-def cases():
+def certificate_cases():
     rng = random.Random("certificate")
-    for d in (1, 2, 3):
-        for variant in VARIANTS:
-            for _ in range(12):
-                c = random_config(rng, d, variant)
-                for f in polynomials(rng, c):
-                    for window in windows(rng, d):
-                        yield c, f, window
+    for d, variant in cases(216):
+        c = random_config(rng, d, variant)
+        for f in polynomials(rng, c):
+            yield c, f, Window.box(*random_box(rng, d))
+            yield c, f, Window.from_points([tuple(rng.randint(-8, 8) for _ in range(d)) for _ in range(6)])
 
 
 def answers():
     out = []
-    for c, f, window in cases():
+    for c, f, window in certificate_cases():
         res = annihilates(f, c, window)
         out.append((res.status, res.witness, apply(f, c, window).cells))
     return out
@@ -72,14 +65,14 @@ def answers():
 
 def test_certificate_matches_evaluation(monkeypatch):
     fired = {}
-    for c, f, window in cases():
+    for c, f, window in certificate_cases():
         if c.exact_domain() is None and coset_certificate(f, c):
             fired[c.dim] = fired.get(c.dim, 0) + 1
     got = answers()
     monkeypatch.setattr(nivatk.laurent, "coset_certificate", lambda f, c: False)
     want = answers()
     assert len(got) == len(want)
-    for case, a, b in zip(cases(), got, want):
+    for case, a, b in zip(certificate_cases(), got, want):
         assert a == b, case
     statuses = {status for status, _, _ in want}
     assert statuses == {"exact", "window", "no"}

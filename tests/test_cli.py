@@ -257,6 +257,7 @@ def test_bounds_takes_one_vector_per_direction(v1, v2, capsys):
 
 def test_bounds_needs_an_input(capsys):
     assert run(["bounds", "--M", "4", "--N", "5"]) == 2
+    assert capsys.readouterr().err == "error: bounds needs either --poly or both --v1 and --v2\n"
 
 
 def test_tile_verify(capsys):

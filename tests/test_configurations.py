@@ -18,11 +18,14 @@ from nivatk.errors import (
     EmptyShapeError,
     ZeroVectorError,
 )
-from nivatk.lattice import Window, vec_add
+from nivatk.lattice import Window
 from nivatk.laurent import periodicity_test
 from nivatk.quadratic import QuadraticReal
 
-from draws import VARIANTS, binary_irrational, checkerboard, random_box, random_config, two_lines_3d
+from draws import binary_irrational, checkerboard, two_lines_3d
+from fast_paths import net
+
+globals().update(net(__name__))  # this module's tests that are rows of fast_paths.ROWS
 
 
 def test_periodic_values_and_translates():
@@ -190,38 +193,3 @@ def test_periodicity_test_sampled_refutation_and_unknown():
 def test_periodicity_test_rejects_zero_vector():
     with pytest.raises(ZeroVectorError):
         periodicity_test(checkerboard(), (0, 0))
-
-
-def periodicity_reference(c, v, sample):
-    """The per-cell loop: the first cell u, in window order, with c(u) != c(u + v)."""
-    domain = c.exact_domain()
-    for u in sample if domain is None else domain:
-        if c.value(u) != c.value(vec_add(u, v)):
-            return "not-periodic", u
-    return ("unknown" if domain is None else "periodic"), None
-
-
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_periodicity_test_matches_per_cell_loop(variant):
-    rng = random.Random(f"periodicity/{variant}")
-    statuses = set()
-    for k in range(60):
-        d = 1 + k % 3
-        c = random_config(rng, d, variant)
-        lattice = c.periods()
-        if lattice is not None and rng.random() < 0.5:
-            v = rng.choice(lattice.basis())
-        else:
-            v = tuple(rng.randint(-2, 2) for _ in range(d))
-            if not any(v):
-                v = (1,) + v[1:]
-        pts = [tuple(rng.randint(-8, 8) for _ in range(d)) for _ in range(rng.randint(1, 12))]
-        for sample in (Window.box(*random_box(rng, d)), Window.from_points(pts)):
-            got = periodicity_test(c, v, sample)
-            assert (got.status, got.witness) == periodicity_reference(c, v, sample), (c, v, sample)
-            statuses.add(got.status)
-    if variant == "periodic":
-        assert statuses == {"periodic", "not-periodic"}
-    else:
-        assert statuses == {"unknown", "not-periodic"}
-

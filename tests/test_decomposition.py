@@ -300,15 +300,6 @@ POOLS = {
 CORES = {2: Window.box((0, 0), (7, 7)), 3: Window.box((0, 0, 0), (3, 3, 3))}
 
 
-def random_steps(rng, dim, m):
-    """m steps from the pool, lexicographically negative ones included; at
-    times the second repeats the first or is its negative."""
-    vecs = [rng.choice(POOLS[dim]) for _ in range(m)]
-    if m > 1 and rng.random() < 0.3:
-        vecs[1] = rng.choice([vecs[0], tuple(-x for x in vecs[0])])
-    return vecs
-
-
 def record_stencil_solves(monkeypatch):
     """Patch decomposition._stencil_solve to log each of its results."""
     results = []
@@ -333,7 +324,7 @@ def test_decompose_matches_the_full_system_oracle(dim, monkeypatch):
     core = CORES[dim]
     for trial in range(48):
         m = trial % 4 + 1
-        vecs = random_steps(rng, dim, m)
+        vecs = rand_steps(rng, dim, m, POOLS[dim])
         c = Sum([(1, periodic_part(rng, v)) for v in vecs])
         want = walk_back_decomposition(c, vecs, core)
         dec = decompose(c, vecs, core)
@@ -388,7 +379,7 @@ def test_decompose_infeasible_equations_match_the_oracle(dim, monkeypatch):
     cells = list(core)
     for m in (1, 2, 3, 4):
         for _ in range(3):
-            vecs = random_steps(rng, dim, m)
+            vecs = rand_steps(rng, dim, m, POOLS[dim])
             c = FiniteSupport({u: rng.randint(1, 3) for u in rng.sample(cells, 5)}, dim)
             want = walk_back_decomposition(c, vecs, core)
             assert isinstance(want, list) and isinstance(want[0], tuple)

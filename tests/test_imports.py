@@ -6,9 +6,10 @@ a module lists in __all__ is exported, so both count as used.  A deletion
 can also leave a private helper behind: a module-level _name that no
 package module reads fails too.  Modules import each other at module
 level, so that the import graph is the layering; the one import below
-module level is named in its test.  The test modules share boards and
-draws through tests/draws.py only: none imports another test module, and
-no two top-level helpers in tests/ have the same body.
+module level is named in its test.  The test modules share boards, draws
+and references through tests/draws.py and tests/fast_paths.py only: none
+imports another test module, none defines a helper under a name those two
+define, and no two top-level helpers in tests/ have the same body.
 """
 
 import ast
@@ -233,3 +234,27 @@ def test_helpers_sharing_a_body_are_reported(tmp_path):
     b.write_text("def grid():\n    return [1, 2]\n\n\ndef other():\n    return [2, 1]\n",
                  encoding="utf-8")
     assert same_body_helpers([a, b]) == [["a.py:1 board", "b.py:1 grid"]]
+
+
+def shadowed_names(paths, shared) -> list:
+    """Top-level functions and classes of paths named like one of shared's, as module:line name."""
+    def defs(path):
+        return [node for node in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+
+    names = {node.name for path in shared for node in defs(path)}
+    return sorted(f"{path.name}:{node.lineno} {node.name}" for path in paths
+                  for node in defs(path) if node.name in names)
+
+
+def test_no_test_module_defines_a_name_of_the_shared_modules():
+    shared = [TESTS / "draws.py", TESTS / "fast_paths.py"]
+    assert shadowed_names(sorted(TESTS.glob("test_*.py")), shared) == []
+
+
+def test_a_shadowed_name_is_reported(tmp_path):
+    draws, a = tmp_path / "draws.py", tmp_path / "test_a.py"
+    draws.write_text("def random_box(rng):\n    return rng\n\n\nclass Recorder:\n    pass\n", encoding="utf-8")
+    a.write_text("def random_box(rng, d):\n    return d\n\n\ndef Recorder():\n    pass\n\n\n"
+                 "def test_random_box():\n    random_box = 1\n    assert random_box\n", encoding="utf-8")
+    assert shadowed_names([a], [draws]) == ["test_a.py:1 random_box", "test_a.py:5 Recorder"]

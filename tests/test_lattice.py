@@ -19,6 +19,8 @@ from nivatk.lattice import (
     vec_sub,
 )
 
+from draws import random_lattice
+
 
 def test_canonical_sign_makes_first_nonzero_positive():
     assert canonical_sign((-1, 2)) == (1, -2)
@@ -126,17 +128,6 @@ def test_lattice_3d():
     assert lat.reduce((7, -1, 12)) == (1, 2, 2)
 
 
-def random_full_rank(rng, d, max_index):
-    """A full rank lattice of random generators, kept in its Hermite basis, of index <= max_index."""
-    while True:
-        try:
-            lat = Lattice([[rng.randint(-4, 4) for _ in range(d)] for _ in range(d)])
-        except (RankDeficientError, ZeroVectorError):
-            continue
-        if lat.index() <= max_index:
-            return lat
-
-
 def classes(lat, window):
     return {lat.reduce(a) for a in window}
 
@@ -145,7 +136,7 @@ def classes(lat, window):
 def test_every_translate_of_the_residue_box_holds_each_class_once(d):
     rng = random.Random(f"residue-box/{d}")
     for _ in range(40):
-        lat = random_full_rank(rng, d, 60)
+        lat = random_lattice(rng, d, max_index=60)
         for _ in range(5):
             box = lat.residue_box().shift([rng.randint(-30, 30) for _ in range(d)])
             assert len(box) == len(classes(lat, box)) == lat.index()
@@ -155,7 +146,7 @@ def test_every_translate_of_the_residue_box_holds_each_class_once(d):
 def test_the_index_corner_of_a_box_meets_the_same_classes(d):
     rng = random.Random(f"index-corner/{d}")
     for _ in range(40):
-        lat = random_full_rank(rng, d, {1: 40, 2: 24, 3: 12}[d])
+        lat = random_lattice(rng, d, max_index={1: 40, 2: 24, 3: 12}[d])
         n = lat.index()
         lo = [rng.randint(-30, 30) for _ in range(d)]
         # thin axes of one cell, and others up to past the index

