@@ -64,7 +64,7 @@ def find_annihilator(c: Configuration, shape: Window, sample: Window,
 
     Builds one augmented row (1, values of c on v + shape) per distinct
     pattern at the sample anchors v, keyed as support_anchors cuts them:
-    to a box meeting a box sample's residue classes of a full rank
+    to anchors meeting the sample's residue classes of a full rank
     c.periods(), and to those near c.support().  Takes the exact rational
     kernel and keeps the canonical kernel vector: first in the
     reduced-echelon kernel basis, scaled to coprime integers, sign chosen
@@ -98,7 +98,7 @@ def find_annihilator(c: Configuration, shape: Window, sample: Window,
     e1 = (1,) + (0,) * (c.dim - 1)
     f = LaurentPolynomial.difference(e1) * g
 
-    # g*c has the periods of c, so its values on a box of the verify window
+    # g*c has the periods of c, so its values on cells of the verify window
     # meeting the same residue classes are its values on the whole window
     got = apply(g, c, residue_representatives(c, verify)).constant_value()
     if got != constant:

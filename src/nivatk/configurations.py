@@ -594,18 +594,25 @@ def covering_pattern(c: Configuration, shape: Window, anchors: Window):
 
 
 def residue_representatives(c: Configuration, anchors: Window) -> Window:
-    """A box in a box of anchors meeting the same residue classes of c.periods().
+    """Anchors meeting the same residue classes of c.periods() as anchors.
 
     Anchors in one class see the same pattern, so keying it gives the same
-    keys, counts and early exits.  The lattice's residue_box() moved to the
-    anchors' corner, when it fits, holds each class once: basis row i is
-    zero past axis i.  Otherwise their corner of side index() meets every
-    class they do, as index() * e_i is a period.  Explicit anchors, or a
-    periods() not of full rank, come back unchanged.
+    keys, counts and early exits.  Of a box, they are a box: the lattice's
+    residue_box() moved to the anchors' corner, when it fits, holds each
+    class once, as basis row i is zero past axis i.  Otherwise their corner
+    of side index() meets every class they do, as index() * e_i is a
+    period.  Of explicit anchors, they are each class's first anchor.  The
+    anchors come back unchanged when that is all of them, or when
+    periods() is not of full rank.
     """
     lattice = c.periods()
-    if lattice is None or not lattice.is_full_rank or not anchors.is_box:
+    if lattice is None or not lattice.is_full_rank:
         return anchors
+    if not anchors.is_box:
+        firsts = {}
+        for a in anchors:
+            firsts.setdefault(lattice.reduce(a), a)
+        return anchors if len(firsts) == len(anchors) else Window.from_points(firsts.values())
     lo, hi = anchors.bounds()
     box = lattice.residue_box().shift(lo)
     if all(map(operator.le, box.hi, hi)):
@@ -668,9 +675,9 @@ def pattern_complexity(c: Configuration, shape: Window,
 
     Where c.exact_domain() is a window it replaces the anchors: it covers
     every translate, so the count is exact.  Otherwise anchors range over
-    the sample window, cut to a box meeting its residue classes of a full
-    rank c.periods() and to those near c.support() (support_anchors), and
-    the count is a certified lower bound.
+    the sample window, cut to anchors meeting its residue classes of a
+    full rank c.periods() and to those near c.support() (support_anchors),
+    and the count is a certified lower bound.
     """
     if shape.dim != c.dim or (sample is not None and sample.dim != c.dim):
         raise DimensionMismatchError("shape/sample vs configuration dimension")

@@ -198,13 +198,13 @@ def scan_reference(c, Ms, Ns, sample):
 SCAN_SIZES = [[2, 3, 5, 8], [8, 5, 3, 2], [1], [4], [3, 1, 3], list(range(1, 5))]
 
 
-def scan_cases(rng, height):
+def scan_cases(rng, height, widest=25):
     """Descriptors keyed at every anchor, then one of each variant; box
-    samples height rows tall, one or up to 25 columns wide, and explicit
+    samples height rows tall, one or up to widest columns wide, and explicit
     samples; block sizes out of order and repeated."""
     for k, c in enumerate([*strip_inputs(rng), *(random_config(rng, 2, v) for v in VARIANTS)]):
         lo = (rng.randint(-60, 60), rng.randint(-60, 60))
-        width = 1 if k % 3 == 0 else rng.randint(2, 25)
+        width = 1 if k % 3 == 0 else rng.randint(2, widest)
         sample = (random_window(rng, 2, height + 5).shift(lo) if k % 4 == 3
                   else Window.box(lo, (lo[0] + height - 1, lo[1] + width - 1)))
         yield c, rng.choice(SCAN_SIZES), rng.choice(SCAN_SIZES), sample
@@ -870,7 +870,10 @@ ROWS = [
     Row("nivat.nivat_scan", scan, scan_reference, scan_cases,
         [("test_pattern_keys::test_nivat_scan_matches_reference", str(s), s, 6) for s in (33, 44)]
         + [("test_nivat::test_strip_scan_matches_covering_pattern", str(h), f"scan/strips/{h}", h)
-           for h in (1, 2, 3, 7, 8, 9, 15, 16, 17)],
+           for h in (1, 2, 3, 7, 8, 9, 15, 16, 17)]
+        # wide and short, then tall and narrow: the squares stop growing on one axis, not the other
+        + [("test_nivat::test_strip_scan_matches_covering_pattern", f"{h}x{w}", f"scan/thin/{h}x{w}", h, w)
+           for h, w in ((1, 200), (2, 200), (3, 200), (100, 3), (200, 3))],
         (lambda args, rows: {row[3] for row in rows}, both_verdicts)),
     Row("nivat.line_pattern_census", census, census_reference, census_cases,
         [("test_pattern_keys::test_line_census_matches_reference", str(s), s, 54) for s in (55, 66)]

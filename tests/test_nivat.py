@@ -224,6 +224,19 @@ def test_strip_scan_fills_a_tenth_of_the_covering_pattern():
     assert c.cells < 407 ** 2 // 10
 
 
+@pytest.mark.parametrize("sizes, hi", [
+    (range(2, 5), (9, 999_999)),
+    (range(2, 5), (999_999, 9)),
+    # criterion 09's scan, which read 4,477 cells in anchor rows as wide as the sample
+    (range(2, 9), (399, 399)),
+], ids=["10x10^6", "10^6x10", "criterion-09"])
+def test_an_early_exit_reads_cells_by_its_answer_not_by_the_sample(sizes, hi):
+    c = BlockRecorder(binary_irrational())
+    rows = nivat_scan(c, sizes, sizes, Window.box((0, 0), hi))
+    assert all(r.verdict == "ExceedsMN" for r in rows)
+    assert c.cells < 1000
+
+
 @pytest.mark.parametrize("c, verdict, limit", [
     # every size's key set held at once peaked at 9.6 MB, one at a time at 1.5 MB
     (binary_irrational(), "ExceedsMN", 5_000_000),

@@ -179,7 +179,7 @@ def test_mechanical_periods_are_w_perp(d):
 
 def test_representatives_are_a_box_of_the_sample_with_its_classes():
     rng = random.Random("representatives")
-    seen = set()
+    seen, cut = set(), set()
     for _ in range(60):
         d = rng.randint(1, 3)
         c = random_board(rng, d, values=(0, 2))
@@ -194,8 +194,12 @@ def test_representatives_are_a_box_of_the_sample_with_its_classes():
             assert len(reps) == lat.index()
         seen.add(holds)
         explicit = Window.from_points([random_cell(rng, d) for _ in range(rng.randint(1, 15))])
-        assert residue_representatives(c, explicit) is explicit
-    assert seen == {True, False}
+        points = list(explicit)
+        # each class once, at its first point in sample order
+        firsts = [a for k, a in enumerate(points) if lat.reduce(a) not in {lat.reduce(b) for b in points[:k]}]
+        assert list(residue_representatives(c, explicit)) == firsts
+        cut.add(len(firsts) < len(points))
+    assert seen == {True, False} and cut == {True, False}
 
 
 def test_representatives_without_periods_are_the_anchors():
