@@ -42,7 +42,7 @@ from .laurent import (
     annihilates,
     apply,
 )
-from .linalg import nullspace_basis
+from .linalg import kernel_vector
 from .quadratic import is_prime
 
 
@@ -65,11 +65,12 @@ def find_annihilator(c: Configuration, shape: Window, sample: Window,
     Builds one augmented row (1, values of c on v + shape) per distinct
     pattern at the sample anchors v, keyed as support_anchors cuts them:
     to anchors meeting the sample's residue classes of a full rank
-    c.periods(), and to those near c.support().  Takes the exact rational
-    kernel and keeps the canonical kernel vector: first in the
-    reduced-echelon kernel basis, scaled to coprime integers, sign chosen
-    so g's graded-lex leading coefficient is positive.  Returns None when the kernel is trivial, which certifies
-    that the sampled pattern count exceeds the shape size.
+    c.periods(), and to those near c.support().  Back-substitutes only the
+    canonical kernel vector (kernel_vector): first in the reduced-echelon
+    kernel basis, scaled to coprime integers, sign chosen so g's
+    graded-lex leading coefficient is positive.  Returns None when the
+    kernel is trivial, which certifies that the sampled pattern count
+    exceeds the shape size.
     """
     if shape.dim != c.dim or sample.dim != c.dim or verify.dim != c.dim:
         raise DimensionMismatchError("shape/sample/verify vs configuration")
@@ -79,14 +80,13 @@ def find_annihilator(c: Configuration, shape: Window, sample: Window,
     table, at = covering_pattern(c, shape, keyed)
     keys = set(table.keys(shape, at))
     rows = sorted((1,) + tuple(itertools.chain.from_iterable(k)) for k in keys)
-    kernel = nullspace_basis(rows)
+    a = kernel_vector(rows)
     if len(rows) <= len(shape_pts):
         # n+1 columns and at most n independent rows force a dependency
-        assert kernel, "trivial kernel despite pattern count <= shape size"
-    if not kernel:
+        assert a is not None, "trivial kernel despite pattern count <= shape size"
+    if a is None:
         return None
 
-    a = kernel[0]
     g = LaurentPolynomial(
         c.dim, {vec_neg(u): a[i + 1] for i, u in enumerate(shape_pts) if a[i + 1]})
     assert not g.is_zero, "kernel vector supported on the augmentation only"

@@ -4,8 +4,9 @@ One engine with two entry points.  `_echelon` brings sparse integer rows
 to row echelon form fraction-free: integer row combinations, each row's
 content stripped by its gcd.  `_kernel_vector` back-substitutes one
 integer kernel vector from that form over a common denominator.
-`nullspace_basis` serves the annihilator systems, one coprime kernel
-vector per free column; `solve_sparse` serves the decomposition systems,
+`kernel_vector` serves the annihilator systems with the first coprime
+kernel vector of `nullspace_basis`, which has one per free column and is
+the tests' reference; `solve_sparse` serves the decomposition systems,
 with -b riding along as one more integer column, so a solution is the
 kernel vector of (A | -b) that is 1 at that column.  Pivot columns are
 scanned strictly left to right, so the pivot column set, and with it the
@@ -42,18 +43,27 @@ def nullspace_basis(rows):
     zero at the other free columns and, divided by that entry, equals the
     reduced echelon parameterization.
     """
+    return list(_kernel_vectors(rows))
+
+
+def kernel_vector(rows):
+    """The first vector of nullspace_basis(rows), None when the kernel is
+    trivial; only that one is back-substituted."""
+    return next(_kernel_vectors(rows), None)
+
+
+def _kernel_vectors(rows):
+    """nullspace_basis(rows) one vector at a time, after one `_echelon`."""
     if not rows:
-        return []
+        return
     ncols = len(rows[0])
     work = [{c: v for c, v in enumerate(integer_primitive(row)) if v} for row in rows]
     pivot_of_col, _ = _echelon(work, ncols)
-    basis = []
     for fc in range(ncols):
         if fc not in pivot_of_col:
             y, _ = _kernel_vector(work, pivot_of_col, fc)
             g = math.gcd(*y.values())
-            basis.append([y.get(c, 0) // g for c in range(ncols)])
-    return basis
+            yield [y.get(c, 0) // g for c in range(ncols)]
 
 
 def solve_sparse(rows, rhs, ncols):

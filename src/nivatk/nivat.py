@@ -177,9 +177,10 @@ def nivat_scan(c: Configuration, M_range, N_range, sample: Window) -> list:
     classes of a full rank c.periods(), a box of a box sample, and of those
     only the ones whose largest block meets c.support() and one that does
     not), which leaves every count unchanged.  A box of them is counted
-    one block size at a time over a square of it, at its corner, that
-    doubles while a size has seen at most M*N blocks (_strip_counts), so
-    an early exit reads cells by its answer, not by the sample's width.
+    one block size at a time over a square of it, at its corner, refilled
+    at twice the side while a size has seen at most M*N blocks
+    (_strip_counts), so an early exit reads cells by its answer, not by
+    the sample's width.
     Other anchors share one box pattern covering the largest block at
     each, or those blocks stacked when spread (covering_pattern).  Rows
     come in M-major order.
@@ -214,21 +215,24 @@ def _strip_counts(c: Configuration, Ms, Ns, anchors: Window) -> dict:
     length N at its anchor.  The sizes are counted N by N in increasing
     order, each on a key set of its own, over the rows' values and their
     names of length N only.  The anchors are filled, with the halo of the
-    largest block, in a square at the box's corner that doubles along both
-    axes, the first max(Ms) x max(Ns) cut to the box.  A size keys the
-    square filled so far row by row, and grows it while it has at most M*N
-    keys.  A growth fills only its new cells and keys only its new
-    anchors.  It names the new rows, and the new end of each filled row
-    with its last N - 1 old cells, from length 1, on the same tables, so
-    that equal segments keep equal names.  The count is min(len(keys),
-    M*N + 1), which no order of the anchors changes: an early exit fills
-    only the square it reads, and a size that keys every anchor fills each
-    cell once.
+    largest block, in a square at the box's corner, the first max(Ms) x
+    max(Ns) cut to the box.  A size keys the square row by row; while it
+    has at most M*N keys and the square is not the whole box, the square
+    doubles along both axes, cut to the box, and is refilled in one block
+    and named from length 1 on the same tables, so that equal segments keep
+    equal names, and keyed again whole into the same key set.  The count is
+    min(len(keys), M*N + 1), which no order of the anchors, and no anchor
+    keyed twice, changes: an early exit fills only the square it reads.
     """
     (x0, y0), (x1, y1) = anchors.bounds()
     height, width, tall, wide = x1 - x0 + 1, y1 - y0 + 1, max(Ms), max(Ns)
-    rows, names, n, h, w = [], [], 1, 0, 0  # the filled square: h x w anchors
     tables, ids = [{} for _ in range(wide)], itertools.count()
+
+    def filled(h, w):
+        """The rows of values under an h x w square of anchors and its halo."""
+        span = w + wide - 1
+        cells = c.block((x0, y0), (x0 + h + tall - 2, y0 + span - 1))
+        return [cells[j:j + span] for j in range(0, len(cells), span)]
 
     def named(rows, names, k, n):
         """The rows' names of length n, from their names of length k."""
@@ -237,48 +241,23 @@ def _strip_counts(c: Configuration, Ms, Ns, anchors: Window) -> dict:
                      for prev, row in zip(names, rows)]
         return names
 
-    def grow():
-        """Double the filled square: lengthen the filled rows, then add rows."""
-        nonlocal rows, names, h, w
-        h2, w2 = min(2 * h or tall, height), min(2 * w or wide, width)
-        span = w2 + wide - 1
-        if rows and w2 > w:
-            old = len(rows[0])
-            k = span - old
-            cells = c.block((x0, y0 + old), (x0 + len(rows) - 1, y0 + span - 1))
-            # new lists, never extended in place: at n = 1 a row is its own names
-            rows = [row + cells[j * k:(j + 1) * k] for j, row in enumerate(rows)]
-            tails = [row[old - n + 1:] for row in rows]
-            names = [line + tail for line, tail in zip(names, named(tails, tails, 1, n))]
-        if h2 > h:
-            cells = c.block((x0 + len(rows), y0), (x0 + h2 + tall - 2, y0 + span - 1))
-            new = [cells[j:j + span] for j in range(0, len(cells), span)]
-            rows += new
-            names += named(new, new, 1, n)
-        h, w = h2, w2
-
-    def segments(M):
-        """Per anchor row of the filled square, then of each growth's new
-        anchors, the keys there."""
-        done = (0, 0)  # the square keyed so far
-        while done != (height, width):
-            if done == (h, w):
-                grow()
-            (h0, w0), done = done, (h, w)
-            for i in range(h):
-                a = w0 if i < h0 else 0
-                if a < w:
-                    yield itertools.islice(zip(*names[i:i + M]), a, w)
-
-    counts = {}
+    h, w = min(tall, height), min(wide, width)  # the filled square of anchors
+    rows = names = filled(h, w)  # at n = 1 a row is its own names
+    n, counts = 1, {}
     for N in sorted(set(Ns)):
         names, n = named(rows, names, n, N), N
         for M in set(Ms):
             keys = set()
-            for segment in segments(M):
-                keys.update(segment)
-                if len(keys) > M * N:
+            while True:
+                for i in range(h):
+                    keys.update(itertools.islice(zip(*names[i:i + M]), w))
+                    if len(keys) > M * N:
+                        break
+                if len(keys) > M * N or (h, w) == (height, width):
                     break
+                h, w = min(2 * h, height), min(2 * w, width)
+                rows = filled(h, w)
+                names = named(rows, rows, 1, N)
             counts[M, N] = min(len(keys), M * N + 1)
     return counts
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import nivatk.linalg
 from nivatk.annihilator import (
     build_radical_witness,
     expansion_bound,
@@ -21,7 +22,7 @@ from nivatk.lattice import Lattice, Window
 from nivatk.laurent import LaurentPolynomial as LP, annihilates, apply
 from nivatk.quadratic import QuadraticReal
 
-from draws import binary_irrational, checkerboard, sturmian_rows, two_lines_3d
+from draws import binary_irrational, checkerboard, readme_board, sturmian_rows, two_lines_3d
 
 
 def constant(value=5):
@@ -69,6 +70,23 @@ def test_find_annihilator_absent_when_complexity_exceeds_shape():
     sample = Window.box((0, 1), (499, 1))
     rep = find_annihilator(c, shape, sample, sample)
     assert rep is None
+
+
+def test_find_annihilator_back_substitutes_one_kernel_vector(monkeypatch):
+    # two patterns and a 20 x 20 shape leave 399 free columns; the whole
+    # kernel basis took one back-substitution for each
+    calls = []
+    real = nivatk.linalg._kernel_vector
+
+    def counting(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(nivatk.linalg, "_kernel_vector", counting)
+    sample = Window.box((0, 0), (9, 9))
+    rep = find_annihilator(readme_board(), Window.box((0, 0), (19, 19)), sample, sample)
+    assert rep.g.terms == {(0, 0): 1, (0, -1): 1} and rep.constant == 1
+    assert len(calls) == 1
 
 
 def test_expansion_bound():

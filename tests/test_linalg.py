@@ -6,6 +6,7 @@ from nivatk.linalg import (
     _echelon,
     _solve_graph,
     integer_primitive,
+    kernel_vector,
     nullspace_basis,
     solve_sparse,
 )
@@ -42,6 +43,8 @@ def test_nullspace_of_augmented_pattern_rows():
 def test_nullspace_full_rank_is_empty():
     assert nullspace_basis([[1, 0], [0, 1]]) == []
     assert nullspace_basis([]) == []
+    assert kernel_vector([[1, 0], [0, 1]]) is None
+    assert kernel_vector([]) is None
 
 
 def _dense_kernel(rows):
@@ -91,6 +94,7 @@ def test_nullspace_matches_dense_rref_kernel():
         rows = _random_matrix(rng)
         basis = nullspace_basis(rows)
         assert basis == _dense_kernel(rows)
+        assert kernel_vector(rows) == (basis[0] if basis else None)
         for vec in basis:
             assert all(type(x) is int for x in vec)
             assert math.gcd(*vec) == 1

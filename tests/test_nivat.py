@@ -214,6 +214,10 @@ def test_strip_scan_reads_every_strip_for_inconclusive_rows(strips):
     assert [(r.M, r.N, r.lower_bound_count, r.verdict) for r in rows] == scan_reference(c, [1, 3], [2, 4], sample)
     assert [r.verdict for r in rows] == ["ExceedsMN", "ExceedsMN", "Inconclusive", "Inconclusive"]
     assert c.cells >= len(sample)
+    # each square on the way to the whole box is filled once, not once per
+    # size; cover is the cells under the anchors' blocks
+    cover = (40 + 3 - 1) * (28 + 4 - 1)
+    assert c.cells < 3 * cover
 
 
 def test_strip_scan_fills_a_tenth_of_the_covering_pattern():
