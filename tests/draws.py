@@ -20,7 +20,7 @@ from nivatk.configurations import (
     Sum,
     ValueMap,
 )
-from nivatk.lattice import Lattice, Window, vec_add, vec_sub
+from nivatk.lattice import Lattice, Window, vec_add, vec_scale, vec_sub
 from nivatk.laurent import LaurentPolynomial
 from nivatk.quadratic import QuadraticReal
 
@@ -327,6 +327,55 @@ def upoly_mul(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+def random_matrix(rng):
+    """Small dense matrix with dependent rows, and at times zero rows, a zero
+    column, rational rows or entries up to 10^6."""
+    ncols = rng.randint(1, 8)
+    big = rng.choice([3, 10**6])
+    rows = [[rng.randint(-big, big) if rng.random() < 0.6 else 0 for _ in range(ncols)]
+            for _ in range(rng.randint(1, 6))]
+    for _ in range(rng.randint(0, 3)):
+        u, v = rng.choice(rows), rng.choice(rows)
+        k, m = rng.randint(-3, 3), rng.randint(-3, 3)
+        rows.append([k * a + m * b for a, b in zip(u, v)])
+    if rng.random() < 0.3:
+        rows.insert(rng.randrange(len(rows) + 1), [0] * ncols)
+    if rng.random() < 0.3:
+        j = rng.randrange(ncols)
+        for row in rows:
+            row[j] = 0
+    if rng.random() < 0.3:
+        i = rng.randrange(len(rows))
+        rows[i] = [Fraction(a, rng.randint(1, 7)) for a in rows[i]]
+    rng.shuffle(rows)
+    return rows
+
+
+def periodic_part(rng, v):
+    """A random configuration with period v: values on the residues of v
+    and scaled unit vectors along every axis but one where v is nonzero."""
+    axis = next(k for k, x in enumerate(v) if x)
+    units = [tuple(int(k == a) for k in range(len(v))) for a in range(len(v)) if a != axis]
+    lat = Lattice([v] + [vec_scale(rng.randint(1, 2), e) for e in units])
+    return Periodic(lat, {r: rng.randint(-3, 3) for r in lat.residues()})
+
+
+# the decomposition draws' steps and box cores, by dimension
+STEP_POOLS = {
+    2: [(1, 0), (0, 1), (1, 1), (1, -1), (0, -1), (-1, 1), (-1, -2), (2, 1)],
+    3: [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, -1, 1), (-1, 0, 1), (0, 0, -1)],
+}
+CORES = {2: Window.box((0, 0), (7, 7)), 3: Window.box((0, 0, 0), (3, 3, 3))}
+
+
+def periodic_sums(rng, dim, trials=48):
+    """Sums of one to four periodic parts, in turn, on steps from STEP_POOLS,
+    with the box core: (c, steps, core)."""
+    for trial in range(trials):
+        steps = rand_steps(rng, dim, trial % 4 + 1, STEP_POOLS[dim])
+        yield Sum([(1, periodic_part(rng, v)) for v in steps]), steps, CORES[dim]
 
 
 # --- what a fast path reads ----------------------------------------------------------

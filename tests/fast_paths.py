@@ -3,18 +3,15 @@
 ROWS is one table of Row(id, fast, reference, draw, seeds).  A row's id is
 the dotted name, under nivatk, of the fast path it checks.  fast and
 reference take the same arguments, which draw(rng, *params) yields.  Each
-seed entry (test, case, seed, *params) runs the draw once on
-random.Random(seed), as case `case` (None for a test of one case) of the
-test `test`, named module::function.  Each test module binds its tests
-with globals().update(net(__name__)), so every seed keeps the test id its
-comparison had before the table.  Answers compare through outcome(): an
-empty difference or a failed verification compares by its type, and any
-other error fails the test, as does a seed whose every case raises.  A
-reference is a slow reimplementation or the same call with the fast path
-switched off.  A row may also name the kinds of answer each seed's draw
-must reach.  pytest does not collect this
-module; tests/test_fast_paths.py checks that every listed fast path has a
-row and that every module the rows name binds its tests.
+seed entry (seed, *params) runs the draw once on random.Random(seed), as
+one case of tests/test_fast_paths.py::test_fast_path_matches_reference.
+Answers compare through outcome(): an empty difference or a failed
+verification compares by its type, and any other error fails the case, as
+does a seed whose every draw raises.  A reference is a slow
+reimplementation or the same call with the fast path switched off.  A row
+may also name the kinds of answer each seed's draw must reach.  Adding an
+oracle takes one row here and nothing else.  pytest does not collect this
+module.
 """
 
 import itertools
@@ -28,6 +25,7 @@ import pytest
 
 import nivatk.annihilator
 import nivatk.configurations
+import nivatk.decomposition
 from nivatk import tiling
 from nivatk.annihilator import find_annihilator, search_difference_annihilator
 from nivatk.cli import TWO_LINES_3D
@@ -42,7 +40,7 @@ from nivatk.configurations import (
     pattern_complexity,
     support_anchors,
 )
-from nivatk.decomposition import _repeats, difference, difference_vanishes, integrate
+from nivatk.decomposition import _repeats, decompose, difference, difference_vanishes, integrate
 from nivatk.errors import EmptyResultError, VerificationFailedError, WindowTooSmallError
 from nivatk.lattice import Lattice, Window, canonical_sign, vec_add, vec_neg, vec_scale, vec_sub
 from nivatk.laurent import (
@@ -52,7 +50,15 @@ from nivatk.laurent import (
     apply,
     periodicity_test,
 )
-from nivatk.linalg import _exact, _solve_echelon, _solve_graph, integer_primitive, nullspace_basis, solve_sparse
+from nivatk.linalg import (
+    _exact,
+    _solve_echelon,
+    _solve_graph,
+    integer_primitive,
+    kernel_vector,
+    nullspace_basis,
+    solve_sparse,
+)
 from nivatk.nivat import disjoint_pattern_line_count, line_pattern_census, nivat_scan
 from nivatk.quadratic import QuadraticReal
 from nivatk.textio import parse_config
@@ -65,9 +71,11 @@ from draws import (
     line_constant_values,
     periodic_inputs,
     periodic_samples,
+    periodic_sums,
     rand_upoly,
     random_box,
     random_config,
+    random_matrix,
     random_poly,
     random_step,
     random_values,
@@ -642,7 +650,7 @@ def gcd_cases(rng):
                 for _ in range(2)), len(common)
 
 
-# --- the graph walk and the sparse solver against elimination -----------------------
+# --- the graph walk, the sparse solver and kernel vectors against elimination -----
 
 
 def random_graph_system(rng):
@@ -783,6 +791,11 @@ def dense_solution(rows, rhs, ncols):
     return (sol, []) if sol is not None else (None, inconsistent_rows(rows, rhs, ncols))
 
 
+def matrices(rng, count):
+    for _ in range(count):
+        yield random_matrix(rng),
+
+
 def graph_systems(rng):
     for _ in range(600):
         yield random_graph_system(rng)[:3]
@@ -852,102 +865,82 @@ EVERY_KIND = {(box, x) for box in (True, False) for x in (True, False, "empty")}
 
 ROWS = [
     *(Row(f"configurations.{CLASSES[v]}.block", block, block_reference, config_boxes,
-          [("test_block::test_block_matches_value", f"{d}-{v}", f"block/{v}/{d}", d, v) for d in DIMS])
-      for v in VARIANTS),
-    *(Row(f"configurations.{CLASSES[v]}.block", block, block_reference, large_index_boxes,
-          [("test_block::test_block_with_large_index_lattices", None, 7, v)]) for v in ("periodic", "coset")),
+          [(f"block/{v}/{d}", d, v) for d in DIMS]) for v in VARIANTS),
+    *(Row(f"configurations.{CLASSES[v]}.block", block, block_reference, large_index_boxes, [(7, v)])
+      for v in ("periodic", "coset")),
     Row("configurations.FiniteSupport.block", block, block_reference, spread_supports,
-        [("test_block::test_finite_support_block_on_spread_cells_matches_value", str(d), f"spread/{d}", d) for d in DIMS]),
+        [(f"spread/{d}", d) for d in DIMS]),
     Row("laurent.apply", fields(apply, "shape", "cells"),
         lambda f, c, window: (window, tuple(apply_reference(f, c, window).values())), apply_cases,
-        [(test, str(d), f"{prefix}/{d}", d) for d in DIMS for test, prefix in (
-            ("test_block::test_apply_matches_per_cell_reference", "apply"),
-            ("test_pattern::test_apply_matches_dict_reference", "flat-apply"),
-            ("test_pattern::test_apply_on_explicit_windows_matches_reference", "explicit-apply"))]),
+        [(f"{prefix}/{d}", d) for d in DIMS for prefix in ("apply", "flat-apply", "explicit-apply")]),
     Row("configurations.pattern_complexity", fields(pattern_complexity, "count", "exact", "sample_window"),
-        complexity_reference, keyed_cases,
-        [("test_pattern_keys::test_pattern_complexity_matches_reference", str(s), s, 72) for s in (11, 22)]),
+        complexity_reference, keyed_cases, [(s, 72) for s in (11, 22)]),
     Row("nivat.nivat_scan", scan, scan_reference, scan_cases,
-        [("test_pattern_keys::test_nivat_scan_matches_reference", str(s), s, 6) for s in (33, 44)]
-        + [("test_nivat::test_strip_scan_matches_covering_pattern", str(h), f"scan/strips/{h}", h)
-           for h in (1, 2, 3, 7, 8, 9, 15, 16, 17)]
+        [(s, 6) for s in (33, 44)]
+        + [(f"scan/strips/{h}", h) for h in (1, 2, 3, 7, 8, 9, 15, 16, 17)]
         # wide and short, then tall and narrow: the squares stop growing on one axis, not the other
-        + [("test_nivat::test_strip_scan_matches_covering_pattern", f"{h}x{w}", f"scan/thin/{h}x{w}", h, w)
-           for h, w in ((1, 200), (2, 200), (3, 200), (100, 3), (200, 3))],
+        + [(f"scan/thin/{h}x{w}", h, w) for h, w in ((1, 200), (2, 200), (3, 200), (100, 3), (200, 3))],
         (lambda args, rows: {row[3] for row in rows}, both_verdicts)),
     Row("nivat.line_pattern_census", census, census_reference, census_cases,
-        [("test_pattern_keys::test_line_census_matches_reference", str(s), s, 54) for s in (55, 66)]
-        + [("test_pattern_keys::test_line_census_on_awkward_steps_matches_reference", f"v{k}", repr(v), 12, v)
-           for k, v in enumerate(CENSUS_STEPS)]),
-    Row("annihilator.find_annihilator", annihilator, annihilator_reference, keyed_cases,
-        [("test_pattern_keys::test_find_annihilator_matches_reference", str(s), s, 54) for s in (77, 88)]),
+        [(s, 54) for s in (55, 66)] + [(repr(v), 12, v) for v in CENSUS_STEPS]),
+    Row("annihilator.find_annihilator", annihilator, annihilator_reference, keyed_cases, [(s, 54) for s in (77, 88)]),
     Row("configurations.support_anchors", support_keyed, support_keyed_reference, supported_cases,
-        [("test_support::test_keyed_anchors_match_brute_force_on_box_shapes", str(d), f"support/anchors/{d}", d) for d in DIMS]),
+        [(f"support/anchors/{d}", d) for d in DIMS]),
     Row("configurations.residue_representatives", site_scan, switched_off(site_scan, EVERY_ANCHOR), sites,
-        [("test_periods::test_nivat_scan_with_and_without_representatives", None, "sites",
-          periodic_inputs, periodic_samples, (2,), 6)],
-        (verdicts, both_verdicts)),
+        [("sites", periodic_inputs, periodic_samples, (2,), 6)], (verdicts, both_verdicts)),
     Row("configurations.residue_representatives", site_complexities,
         switched_off(site_complexities, EVERY_ANCHOR), sites,
-        [("test_periods::test_pattern_complexity_with_and_without_representatives", None, "sites",
-          periodic_inputs, periodic_samples, DIMS, 6)]),
+        [("sites", periodic_inputs, periodic_samples, DIMS, 6)]),
     # the verify window holds every residue class, so only the g*c check on
     # it can fail: f*c then vanishes on the whole board
     Row("configurations.residue_representatives", site_annihilator,
         switched_off(site_annihilator, EVERY_ANCHOR), sites,
-        [("test_periods::test_find_annihilator_with_and_without_representatives", None, "sites",
-          periodic_inputs, periodic_samples, DIMS, 6)],
+        [("sites", periodic_inputs, periodic_samples, DIMS, 6)],
         (annihilator_kinds, lambda kinds, *_: kinds == {"found", None, "g*c"})),
     Row("configurations.support_anchors", site_scan, switched_off(site_scan, NO_SUPPORT), sites,
-        [("test_support::test_nivat_scan_with_and_without_support", None, "support-sites", site_inputs, site_samples, (2,), 1)],
-        (verdicts, both_verdicts)),
+        [("support-sites", site_inputs, site_samples, (2,), 1)], (verdicts, both_verdicts)),
     Row("configurations.support_anchors", site_complexities, switched_off(site_complexities, NO_SUPPORT), sites,
-        [("test_support::test_pattern_complexity_with_and_without_support", None, "support-sites",
-          site_inputs, site_samples, (2,), 1)],
+        [("support-sites", site_inputs, site_samples, (2,), 1)],
         (lambda args, rs: {r.count for r in rs}, lambda kinds, *_: len(kinds) > 3)),
     Row("configurations.support_anchors", site_annihilator, switched_off(site_annihilator, NO_SUPPORT), sites,
-        [("test_support::test_find_annihilator_with_and_without_support", None, "support-sites",
-          site_inputs, site_samples, (2,), 1)],
+        [("support-sites", site_inputs, site_samples, (2,), 1)],
         (annihilator_kinds, lambda kinds, *_: {"found", None} <= kinds)),
     Row("configurations.support_anchors", site_3d, switched_off(site_3d, NO_SUPPORT), sites_3d,
-        [("test_support::test_three_dimensional_sites_with_and_without_support", None, "support-sites/3d")]),
-    Row("decomposition.difference", difference_cells, difference_reference, pattern_steps,
-        [("test_pattern::test_difference_matches_dict_reference", str(s), s, 90) for s in (3, 4)]),
+        [("support-sites/3d",)]),
+    Row("decomposition.difference", difference_cells, difference_reference, pattern_steps, [(s, 90) for s in (3, 4)]),
     Row("decomposition.integrate", fields(integrate, "shape", "cells"), integrate_reference, pattern_steps,
-        [("test_pattern::test_integrate_matches_dict_reference", str(s), s, 60, 3, True) for s in (5, 6)]),
-    Row("decomposition._repeats", _repeats, repeats_reference, pattern_steps,
-        [("test_pattern::test_period_check_matches_dict_reference", str(s), s, 90, 2) for s in (9, 10)],
+        [(s, 60, 3, True) for s in (5, 6)]),
+    Row("decomposition._repeats", _repeats, repeats_reference, pattern_steps, [(s, 90, 2) for s in (9, 10)],
         (lambda args, answer: {answer}, lambda kinds, *_: kinds == {True, False})),
     Row("decomposition.difference_vanishes", difference_vanishes, lambda p, v: difference(p, v).is_zero(),
-        pattern_steps, [("test_pattern::test_row_slice_repeat_test_matches_the_difference", str(s), s, 120) for s in (13, 14)],
+        pattern_steps, [(s, 120) for s in (13, 14)],
         (lambda args, answer: {(args[0].shape.is_box, answer if isinstance(answer, bool) else "empty")},
          lambda kinds, *_: kinds == EVERY_KIND)),
+    Row("decomposition._stencil_solve", decompose,
+        switched_off(decompose, [(nivatk.decomposition, "_stencil_solve", lambda *a: None)]), periodic_sums,
+        [(f"stencil/{d}", d) for d in (2, 3)]),
     Row("annihilator.search_difference_annihilator", search_outcome(search_difference_annihilator),
-        search_outcome(ref_search), search_cases,
-        [("test_pattern::test_search_matches_dict_reference", str(d), f"flat-search/{d}", d) for d in DIMS],
+        search_outcome(ref_search), search_cases, [(f"flat-search/{d}", d) for d in DIMS],
         (lambda args, found: {len(found) if isinstance(found, list) else found and found[0]},
          lambda kinds, d: kinds >= {1, 2, None, "WindowTooSmallError"})),
     Row("laurent.periodicity_test", fields(periodicity_test, "status", "witness"), periodicity_reference,
-        periodicity_cases,
-        [("test_configurations::test_periodicity_test_matches_per_cell_loop", v, f"periodicity/{v}", v) for v in VARIANTS],
+        periodicity_cases, [(f"periodicity/{v}", v) for v in VARIANTS],
         (lambda args, answer: {answer[0]}, lambda kinds, variant: kinds == {
             "periodic" if variant == "periodic" else "unknown", "not-periodic"})),
     Row("laurent.LaurentPolynomial.__mul__", product, reference_product, product_cases,
-        [("test_laurent::test_packed_product_matches_the_tuple_convolution", str(d), 67 + d, d) for d in (1, 2, 3, 4)]),
-    Row("laurent.LaurentPolynomial.__mul__", product, reference_product, spread_axis_products,
-        [("test_laurent::test_packed_product_unpacks_every_axis", None, 79)]),
+        [(67 + d, d) for d in (1, 2, 3, 4)]),
+    Row("laurent.LaurentPolynomial.__mul__", product, reference_product, spread_axis_products, [(79,)]),
     Row("laurent._upoly_prem", gcd, lambda a, b, planted: (monic(rational_gcd(a, b)), True, 1, True), gcd_cases,
-        [("test_laurent::test_upoly_gcd_matches_rational_euclid", None, 37)]),
+        [(37,)]),
     Row("linalg.solve_sparse", exact_solution, lambda *system: (*dense_solution(*system), True), systems,
-        [("test_linalg::test_solve_sparse_matches_dense_reference", None, 23, 4, False, 60),
-         ("test_linalg::test_solve_sparse_fraction_rhs_matches_dense_reference", None, 29, 10**6, True, 200)]),
-    Row("linalg.solve_sparse", solve_sparse, _solve_echelon, graph_systems,
-        [("test_fast_paths::test_fast_path_matches_reference", "linalg.solve_sparse", 43)]),
+        [(23, 4, False, 60), (29, 10**6, True, 200)]),
+    Row("linalg.solve_sparse", solve_sparse, _solve_echelon, graph_systems, [(43,)]),
     Row("linalg._solve_graph", graph_walk, lambda rows, rhs, ncols: _solve_echelon(rows, rhs, ncols)[0],
-        graph_systems, [("test_fast_paths::test_fast_path_matches_reference", "linalg._solve_graph", 43)]),
+        graph_systems, [(43,)]),
+    Row("linalg.kernel_vector", kernel_vector, lambda rows: next(iter(nullspace_basis(rows)), None), matrices,
+        [(41, 300)], (lambda args, vec: {vec is None}, lambda kinds, *_: kinds == {True, False})),
     Row("tiling.search_periodic_cotiler", lambda tile: repr(search_periodic_cotiler(tile, 12)),
-        lambda tile: repr(list_search(tile, 12)), tile_cases,
-        [("test_tiling::test_bitmask_cover_matches_the_list_search", str(d), f"exact-cover/{d}", d) for d in DIMS],
+        lambda tile: repr(list_search(tile, 12)), tile_cases, [(f"exact-cover/{d}", d) for d in DIMS],
         (lambda args, answer: {answer == "None"}, lambda kinds, dim: kinds == {True, False})),
 ]
 
@@ -964,28 +957,3 @@ def check(row, seed, params):
     assert not row.reaches or row.reaches[1](kinds, *params), (row.id, seed, kinds)
 
 
-def make_test(runs):
-    """The test of runs of (row, seed, params, case): parametrized by case,
-    or one test over every run when case is None."""
-    if runs[0][3] is None:
-        def one():
-            for row, seed, params, _ in runs:
-                check(row, seed, params)
-        return one
-
-    def cases(row, seed, params):
-        check(row, seed, params)
-    return pytest.mark.parametrize("row, seed, params", [
-        pytest.param(*run[:3], id=run[3]) for run in runs])(cases)
-
-
-def net(module):
-    """The tests ROWS assigns to module, by name; a test module binds them
-    with globals().update(net(__name__))."""
-    runs = {}
-    for row in ROWS:
-        for test, case, seed, *params in row.seeds:
-            where, _, name = test.partition("::")
-            if where == module.rpartition(".")[2]:
-                runs.setdefault(name, []).append((row, seed, tuple(params), case))
-    return {name: make_test(cases) for name, cases in runs.items()}

@@ -38,9 +38,7 @@ from draws import (
     random_window,
     sturmian_rows,
 )
-from fast_paths import apply_reference, block_reference, net
-
-globals().update(net(__name__))  # this module's tests that are rows of fast_paths.ROWS
+from fast_paths import apply_reference, block_reference
 
 
 class CountingCells(dict):

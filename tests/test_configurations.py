@@ -23,9 +23,6 @@ from nivatk.laurent import periodicity_test
 from nivatk.quadratic import QuadraticReal
 
 from draws import binary_irrational, checkerboard, two_lines_3d
-from fast_paths import net
-
-globals().update(net(__name__))  # this module's tests that are rows of fast_paths.ROWS
 
 
 def test_periodic_values_and_translates():

@@ -14,10 +14,19 @@ from nivatk.errors import (
     WindowTooSmallError,
     ZeroVectorError,
 )
-from nivatk.lattice import Lattice, Window, vec_add, vec_scale, vec_sub
+from nivatk.lattice import Lattice, Window, vec_add, vec_sub
 from nivatk.linalg import _solve_echelon
 
-from draws import binary_irrational, checkerboard, rand_steps, two_lines_3d
+from draws import (
+    CORES,
+    STEP_POOLS,
+    binary_irrational,
+    checkerboard,
+    periodic_part,
+    periodic_sums,
+    rand_steps,
+    two_lines_3d,
+)
 
 
 def ramp_pattern():
@@ -284,22 +293,6 @@ def test_decompose_explicit_core_with_gaps_matches_walk_back():
             assert dec.residual_check
 
 
-def periodic_part(rng, v):
-    """A random configuration with period v: values on the residues of v
-    and scaled unit vectors along every axis but one where v is nonzero."""
-    axis = next(k for k, x in enumerate(v) if x)
-    units = [tuple(int(k == a) for k in range(len(v))) for a in range(len(v)) if a != axis]
-    lat = Lattice([v] + [vec_scale(rng.randint(1, 2), e) for e in units])
-    return Periodic(lat, {r: rng.randint(-3, 3) for r in lat.residues()})
-
-
-POOLS = {
-    2: [(1, 0), (0, 1), (1, 1), (1, -1), (0, -1), (-1, 1), (-1, -2), (2, 1)],
-    3: [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, -1, 1), (-1, 0, 1), (0, 0, -1)],
-}
-CORES = {2: Window.box((0, 0), (7, 7)), 3: Window.box((0, 0, 0), (3, 3, 3))}
-
-
 def record_stencil_solves(monkeypatch):
     """Patch decomposition._stencil_solve to log each of its results."""
     results = []
@@ -320,18 +313,13 @@ def parallel(u, v):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_decompose_matches_the_full_system_oracle(dim, monkeypatch):
     results = record_stencil_solves(monkeypatch)
-    rng = random.Random(53 + dim)
-    core = CORES[dim]
-    for trial in range(48):
-        m = trial % 4 + 1
-        vecs = rand_steps(rng, dim, m, POOLS[dim])
-        c = Sum([(1, periodic_part(rng, v)) for v in vecs])
+    for c, vecs, core in periodic_sums(random.Random(53 + dim), dim):
         want = walk_back_decomposition(c, vecs, core)
         dec = decompose(c, vecs, core)
         assert [comp.values for comp in dec.components] == want
         assert dec.residual_check
         assert dec.integral == all(x.denominator == 1 for comp in want for x in comp.values())
-        if m > 2 and not parallel(vecs[0], vecs[1]):
+        if len(vecs) > 2 and not parallel(vecs[0], vecs[1]):
             # on a box the stencils of two independent steps answer alone
             assert results[-1] is not None
 
@@ -379,7 +367,7 @@ def test_decompose_infeasible_equations_match_the_oracle(dim, monkeypatch):
     cells = list(core)
     for m in (1, 2, 3, 4):
         for _ in range(3):
-            vecs = rand_steps(rng, dim, m, POOLS[dim])
+            vecs = rand_steps(rng, dim, m, STEP_POOLS[dim])
             c = FiniteSupport({u: rng.randint(1, 3) for u in rng.sample(cells, 5)}, dim)
             want = walk_back_decomposition(c, vecs, core)
             assert isinstance(want, list) and isinstance(want[0], tuple)

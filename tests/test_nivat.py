@@ -36,9 +36,7 @@ from nivatk.nivat import (
 from nivatk.quadratic import QuadraticReal
 
 from draws import BlockRecorder, binary_irrational, checkerboard, readme_board, rotation_rows, strip_inputs
-from fast_paths import SCAN_SIZES, net, scan_reference
-
-globals().update(net(__name__))  # this module's tests that are rows of fast_paths.ROWS
+from fast_paths import SCAN_SIZES, scan_reference
 
 
 def test_bound_disjoint_lines_values():

@@ -35,9 +35,7 @@ from draws import (
     random_values,
     random_window,
 )
-from fast_paths import apply_reference, net
-
-globals().update(net(__name__))  # this module's tests that are rows of fast_paths.ROWS
+from fast_paths import apply_reference
 
 
 def test_pattern_rejects_a_value_sequence_of_the_wrong_length():

@@ -1,10 +1,10 @@
 """Pattern keys and the line census against keys read anchor by anchor.
 
 pattern_complexity, nivat_scan, the line census and find_annihilator are
-rows of the differential table in fast_paths.py, bound here under their
-test names.  The key layouts on axes of extent 1 and the census keyed by
-residue class are checked here on seeded descriptors of all six variants
-in dimensions 1 to 3.
+rows of the differential table in fast_paths.py, which test_fast_paths.py
+runs.  The key layouts on axes of extent 1 and the census keyed by residue
+class are checked here on seeded descriptors of all six variants in
+dimensions 1 to 3.
 """
 
 import itertools
@@ -26,9 +26,7 @@ from nivatk.nivat import disjoint_pattern_line_count, line_pattern_census
 from nivatk.quadratic import QuadraticReal
 
 from draws import ANCHORS, _triangular_generators, cases, random_board, random_config, random_window, readme_board
-from fast_paths import CENSUS_STEPS, census_reference, net, ref_keys
-
-globals().update(net(__name__))  # this module's tests that are rows of fast_paths.ROWS
+from fast_paths import CENSUS_STEPS, census_reference, ref_keys
 
 
 def ref_slice_keys(table, shape, anchors):

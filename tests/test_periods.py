@@ -54,9 +54,7 @@ from draws import (
     random_config,
     random_lattice,
 )
-from fast_paths import complexity_reference, net
-
-globals().update(net(__name__))  # this module's tests that are rows of fast_paths.ROWS
+from fast_paths import complexity_reference
 
 
 # --- soundness ----------------------------------------------------------------

@@ -34,9 +34,7 @@ from draws import (
     readme_board,
     supported_config,
 )
-from fast_paths import cover_test, net
-
-globals().update(net(__name__))  # this module's tests that are rows of fast_paths.ROWS
+from fast_paths import cover_test
 
 
 def assert_sound(c, rng, boxes=3):

@@ -18,9 +18,6 @@ from nivatk.tiling import (
     verify_cotiler,
 )
 
-from fast_paths import net
-
-globals().update(net(__name__))  # this module's tests that are rows of fast_paths.ROWS
 
 
 def tromino():
