@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections import Counter
 from dataclasses import dataclass
 
 from .configurations import Periodic
@@ -80,7 +81,7 @@ class PeriodicCoTiler:
         self.residues = tuple(sorted(reduced))
 
     def configuration(self) -> Periodic:
-        """Indicator of the co-tiler set as a lattice-periodic descriptor."""
+        """Indicator of the co-tiler set as a Periodic of index-many values."""
         inside = set(self.residues)
         values = {r: (1 if r in inside else 0) for r in self.lattice.residues()}
         return Periodic(self.lattice, values)
@@ -108,20 +109,26 @@ class TilingResult:
         return self.status == "Valid"
 
 
+def _translate_counts(tile: ClusterTile, cotiler: PeriodicCoTiler, k: int) -> Counter:
+    """(f_D(X^k) * 1_C)(u) per class u of C's lattice: how many translates r + k*d
+    land in it, since each d meets one r at most (residues are distinct mod L)."""
+    if tile.dim != cotiler.lattice.dim:
+        raise DimensionMismatchError("tile vs co-tiler dimension")
+    reduce = cotiler.lattice.reduce
+    return Counter(reduce(vec_add(r, vec_scale(k, d))) for r in cotiler.residues for d in tile.cells)
+
+
 def verify_cotiler(tile: ClusterTile, cotiler: PeriodicCoTiler) -> TilingResult:
     """Exact check of D + C = Z^d on one fundamental domain.
 
-    D tiles with C exactly when f_D * 1_C = 1, which the residue box of C's
-    lattice settles; the first cell in canonical residue order where the
-    product is not 1 is reported as an Overlap (above 1) or a Gap (0).
+    D tiles with C exactly when f_D * 1_C = 1, a count of the |D|*|R|
+    translates r + d per class of C's lattice.  The first residue box cell
+    whose count is not 1 is reported as an Overlap (above 1) or a Gap (0).
     """
-    if tile.dim != cotiler.lattice.dim:
-        raise DimensionMismatchError("tile vs co-tiler dimension")
-    config = cotiler.configuration()
-    box = config.exact_domain()
-    for cell, k in zip(box, apply(tile_polynomial(tile), config, box).cells):
-        if k != 1:
-            return TilingResult("Overlap" if k > 1 else "Gap", cell)
+    counts = _translate_counts(tile, cotiler, 1)
+    for cell in cotiler.lattice.residue_box():
+        if counts[cell] != 1:
+            return TilingResult("Overlap" if counts[cell] > 1 else "Gap", cell)
     return TilingResult("Valid")
 
 
@@ -247,12 +254,13 @@ def search_periodic_cotiler(tile: ClusterTile, max_index: int) -> PeriodicCoTile
 def prime_periodicity_check(tile: ClusterTile, cotiler, window: Window | None = None):
     """Verified period vectors p*(v - u) of a co-tiler of a prime-size tile.
 
-    For a PeriodicCoTiler the periods are checked exactly against the
-    descriptor; a plain configuration is checked on the window instead
-    (refutations drop the vector from the list).  The mod-p congruence of
-    the power-substituted tile polynomial against the co-tiler indicator is
-    run as a cross-check and a failure raises, since it contradicts the
-    co-tiling hypothesis.
+    For a PeriodicCoTiler C = L + R, w is a period when the r + w reduce to R,
+    and the congruence counts the translates r + p*d per class of L (at the
+    window's classes, if one is given).  A plain configuration is checked on
+    the window instead (refutations drop the vector from the list).  The
+    mod-p congruence of the power-substituted tile polynomial against the
+    co-tiler indicator is run as a cross-check and a failure raises, since it
+    contradicts the co-tiling hypothesis.
     """
     p = len(tile)
     if not is_prime(p):
@@ -264,26 +272,16 @@ def prime_periodicity_check(tile: ClusterTile, cotiler, window: Window | None = 
     })
 
     if isinstance(cotiler, PeriodicCoTiler):
-        config = cotiler.configuration()
+        counts = _translate_counts(tile, cotiler, p)
+        reduce, residues = cotiler.lattice.reduce, set(cotiler.residues)
+        verified = [w for w in candidates if {reduce(vec_add(r, w)) for r in residues} == residues]
+        products = counts.values() if window is None else (counts[reduce(u)] for u in window)
     else:
-        config = cotiler
         if window is None:
             raise ValueError("a window is required for non-lattice co-tiler inputs")
-
-    verified = []
-    for w in candidates:
-        res = periodicity_test(config, w, window)
-        if res.status != "not-periodic":
-            verified.append(w)
-
-    f = tile_polynomial(tile)
-    fp = f.substitute_power(p)
-    if window is None:
-        # f(X^p)*c inherits the co-tiler's lattice periods, so one
-        # fundamental domain checks the congruence everywhere
-        window = config.exact_domain()
-    pat = apply(fp, config, window)
-    if any(v % p != 0 for v in pat.cells):
+        verified = [w for w in candidates if periodicity_test(cotiler, w, window).status != "not-periodic"]
+        products = apply(tile_polynomial(tile).substitute_power(p), cotiler, window).cells
+    if any(v % p != 0 for v in products):
         raise VerificationFailedError(
             "power-substituted tile polynomial breaks the mod-p congruence")
     return verified

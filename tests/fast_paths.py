@@ -62,7 +62,15 @@ from nivatk.linalg import (
 from nivatk.nivat import disjoint_pattern_line_count, line_pattern_census, nivat_scan
 from nivatk.quadratic import QuadraticReal
 from nivatk.textio import parse_config
-from nivatk.tiling import ClusterTile, PeriodicCoTiler, search_periodic_cotiler
+from nivatk.tiling import (
+    ClusterTile,
+    PeriodicCoTiler,
+    TilingResult,
+    prime_periodicity_check,
+    search_periodic_cotiler,
+    tile_polynomial,
+    verify_cotiler,
+)
 
 from draws import (
     ANCHORS,
@@ -74,7 +82,9 @@ from draws import (
     periodic_sums,
     rand_upoly,
     random_box,
+    random_cell,
     random_config,
+    random_lattice,
     random_matrix,
     random_poly,
     random_step,
@@ -845,6 +855,63 @@ def tile_cases(rng, dim):
         yield ClusterTile(rng.sample(box, rng.randint(1, 4))),
 
 
+# --- co-tiler checks: translate counts against the Periodic descriptor ---------------
+
+
+def verify_reference(tile, cot):
+    """The first residue box cell where f_D * 1_C, applied to cot.configuration(), is not 1."""
+    box = cot.lattice.residue_box()
+    for cell, k in zip(box, apply(tile_polynomial(tile), cot.configuration(), box).cells):
+        if k != 1:
+            return TilingResult("Overlap" if k > 1 else "Gap", cell)
+    return TilingResult("Valid")
+
+
+def periods_reference(tile, cot, window):
+    """periodicity_test and the mod-p congruence, by apply, on cot.configuration()
+    over the window, or over its residue box without one."""
+    config, p = cot.configuration(), len(tile)
+    candidates = sorted({canonical_sign(vec_scale(p, vec_sub(v, u))) for u in tile.cells for v in tile.cells if u != v})
+    periods = [w for w in candidates if periodicity_test(config, w, window).status != "not-periodic"]
+    congruence = apply(tile_polynomial(tile).substitute_power(p), config, window or config.exact_domain())
+    if any(k % p for k in congruence.cells):
+        raise VerificationFailedError("congruence")
+    return periods
+
+
+def cotiler_cases(rng, d, windowed):
+    """Tiles beside co-tilers L + R.  Every third draw tiles: the tile is a
+    complete residue system of a lattice L', and R lists the classes of L'
+    modulo a sublattice L.  The others draw the tile, L and R at random.
+    Windowed, the tile size is prime and a window (or None) joins the args."""
+    sizes = (2, 3, 5) if windowed else range(1, 7)
+    for k in range(60):
+        if k % 3 == 0:
+            coarse = random_lattice(rng, d, max_index=max(sizes))
+            while coarse.index() not in sizes:
+                coarse = random_lattice(rng, d, max_index=max(sizes))
+            gens = coarse.basis()
+            tile = ClusterTile(vec_add(r, vec_scale(rng.randint(-1, 1), rng.choice(gens))) for r in coarse.residues())
+            m = rng.randint(1, 3)
+            cot = PeriodicCoTiler(Lattice([vec_scale(m, gens[0]), *gens[1:]]),
+                                  [vec_scale(j, gens[0]) for j in range(m)])
+        else:
+            lat = random_lattice(rng, d, max_index=12)
+            side = 6 if d == 1 else 3
+            tile = ClusterTile(rng.sample(list(itertools.product(range(side), repeat=d)), rng.choice(sizes)))
+            cot = PeriodicCoTiler(lat, dict.fromkeys(lat.reduce(random_cell(rng, d)) for _ in range(rng.randint(1, 3))))
+        if not windowed:
+            yield tile, cot
+        else:
+            yield tile, cot, rng.choice((None, random_window(rng, d)))
+
+
+def periods_kinds(args, answer):
+    """The tiling status of the draw, and whether the congruence failed, with or without a window."""
+    tile, cot, window = args
+    return {verify_cotiler(tile, cot).status, (window is None, answer is VerificationFailedError)}
+
+
 # --- the table ---------------------------------------------------------------------
 
 
@@ -939,6 +1006,13 @@ ROWS = [
         graph_systems, [(43,)]),
     Row("linalg.kernel_vector", kernel_vector, lambda rows: next(iter(nullspace_basis(rows)), None), matrices,
         [(41, 300)], (lambda args, vec: {vec is None}, lambda kinds, *_: kinds == {True, False})),
+    Row("tiling.verify_cotiler", verify_cotiler, verify_reference, cotiler_cases,
+        [(f"cotiler/{d}", d, False) for d in DIMS],
+        (lambda args, answer: {answer.status}, lambda kinds, *_: kinds == {"Valid", "Overlap", "Gap"})),
+    Row("tiling.prime_periodicity_check", prime_periodicity_check, periods_reference, cotiler_cases,
+        [(f"periods/{d}", d, True) for d in DIMS],
+        (periods_kinds, lambda kinds, *_: kinds == {"Valid", "Overlap", "Gap"} | {
+            (unwindowed, failed) for unwindowed in (True, False) for failed in (True, False)})),
     Row("tiling.search_periodic_cotiler", lambda tile: repr(search_periodic_cotiler(tile, 12)),
         lambda tile: repr(list_search(tile, 12)), tile_cases, [(f"exact-cover/{d}", d) for d in DIMS],
         (lambda args, answer: {answer == "None"}, lambda kinds, dim: kinds == {True, False})),

@@ -1,10 +1,12 @@
 import pytest
 
 from nivatk import tiling
+from nivatk.cli import run
 from nivatk.errors import (
     DimensionMismatchError,
     NotPrimeError,
     RankDeficientError,
+    VerificationFailedError,
 )
 from nivatk.lattice import Lattice, Window, vec_neg
 from nivatk.laurent import apply
@@ -12,11 +14,14 @@ from nivatk.tiling import (
     ClusterTile,
     _is_polyomino,
     PeriodicCoTiler,
+    TilingResult,
     prime_periodicity_check,
     search_periodic_cotiler,
     tile_polynomial,
     verify_cotiler,
 )
+
+from fast_paths import outcome
 
 
 
@@ -166,6 +171,33 @@ def test_prime_periodicity_plain_configuration_needs_window():
     periods = prime_periodicity_check(
         tromino(), config, Window.box((-6, -6), (6, 6)))
     assert periods == [(0, 3), (3, -3), (3, 0)]
+
+
+def test_the_checks_and_the_search_read_translates_not_the_descriptor(monkeypatch, capsys):
+    skew = PeriodicCoTiler(Lattice([(3, 0), (1, 1)]), [(0, 0)])
+    tall = PeriodicCoTiler(Lattice([(3, 0), (1, 10)]), [(0, 0)])
+    box = Window.box((-6, -6), (6, 6))
+
+    def answers():
+        assert run(["examples"]) == 0
+        return [verify_cotiler(tromino(), skew),
+                verify_cotiler(domino(), PeriodicCoTiler(Lattice([(3, 0), (0, 1)]), [(0, 0)])),
+                verify_cotiler(domino(), PeriodicCoTiler(Lattice([(1, 0), (0, 1)]), [(0, 0)])),
+                *(outcome(prime_periodicity_check, tromino(), cot, window)
+                  for cot in (skew, tall) for window in (None, box)),
+                repr(search_periodic_cotiler(tromino(), 3)), capsys.readouterr().out]
+
+    before = answers()
+    monkeypatch.setattr(PeriodicCoTiler, "configuration", lambda self: pytest.fail("descriptor built"))
+    assert answers() == before
+    assert [r.status for r in before[:3]] == ["Valid", "Gap", "Overlap"]
+    assert before[3:7] == [[(0, 3), (3, -3), (3, 0)]] * 2 + [VerificationFailedError] * 2
+
+
+def test_a_search_hit_that_fails_re_verification_raises(monkeypatch):
+    monkeypatch.setattr(tiling, "verify_cotiler", lambda tile, cot: TilingResult("Gap", (0, 0)))
+    with pytest.raises(VerificationFailedError):
+        search_periodic_cotiler(tromino(), 3)
 
 
 def fixed_polyominoes(size):
