@@ -7,12 +7,16 @@ Line-oriented, whitespace-tolerant grammar.  Descriptor variants:
     mechanical weights(1,1) alpha sqrt(2)
     finite dim 2 cells{(0,0):1 (2,3):-4}
     sum { +mechanical weights(1,1) alpha sqrt(2) -coset offset(0,0) gens{(1,0)} value 1 }
-    valuemap map{0:5 1:7} default 0 of periodic ...
+    valuemap map{0:5 1:7} default 0 of coset offset(0,0) gens{(1,0)} value 1
 
 Numbers take an optional sign, written either as ASCII '-' or the typeset
 minus U+2212; rationals are p/q.  Radicands must be squarefree: sqrt(8)
 is rejected rather than silently rewritten as 2*sqrt(2).  Every printer
 emits the canonical form, and parsing a printed value reproduces it.
+
+A ConfigSyntaxError carries the (line, col) of the character or token it
+is about, both counted from 1, with a tab as one column.  An error at the
+end of the input points at the last token, and one about no token at (1, 1).
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .tiling import ClusterTile
 
 _PUNCT = "(){}:,*/^"
 MINUS = "−"
+_SUGAR = {"x": (1, 0), "y": (0, 1)}  # the 2-D variables of parse_poly
 
 
 class _Token:
@@ -47,53 +52,37 @@ class _Token:
         self.line = line
         self.col = col
 
-    def __repr__(self):
-        return f"{self.kind}:{self.text}@{self.line}:{self.col}"
-
 
 def _tokenize(text: str):
+    """The tokens of text, each at the (line, col) of its first character.
+
+    Lines and columns count from 1; a column is the number of characters
+    from the line's start, so a tab is one column like any other.
+    """
     tokens = []
-    line, col = 1, 1
-    i = 0
+    line, start, i = 1, 0, 0  # start: the index of the line's first character
     while i < len(text):
-        ch = text[i]
+        ch, j = text[i], i + 1
         if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(ch, ch, line, col))
-            col += 1
-            i += 1
-            continue
-        if ch in "+-" or ch == MINUS:
-            tokens.append(_Token("sign", "-" if ch == MINUS else ch, line, col))
-            col += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
+            line, start = line + 1, j
+        elif ch.isspace():
+            pass
+        elif ch in _PUNCT:
+            tokens.append(_Token(ch, ch, line, i - start + 1))
+        elif ch in "+-" or ch == MINUS:
+            tokens.append(_Token("sign", "-" if ch == MINUS else ch, line, i - start + 1))
+        elif ch.isdigit():
             while j < len(text) and text[j].isdigit():
                 j += 1
-            tokens.append(_Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
+            tokens.append(_Token("int", text[i:j], line, i - start + 1))
+        elif ch.isalpha() or ch == "_":
             while j < len(text) and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(_Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ConfigSyntaxError(
-            f"unexpected character {ch!r}", position=(line, col))
+            tokens.append(_Token("name", text[i:j], line, i - start + 1))
+        else:
+            raise ConfigSyntaxError(
+                f"unexpected character {ch!r}", position=(line, i - start + 1))
+        i = j
     return tokens
 
 
@@ -106,18 +95,9 @@ class _Cursor:
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            self.fail("unexpected end of input")
-        self.pos += 1
-        return tok
-
     def accept(self, kind, text=None):
         tok = self.peek()
-        if tok is None or tok.kind != kind:
-            return None
-        if text is not None and tok.text != text:
+        if tok is None or tok.kind != kind or (text is not None and tok.text != text):
             return None
         self.pos += 1
         return tok
@@ -126,10 +106,8 @@ class _Cursor:
         tok = self.accept(kind, text)
         if tok is None:
             got = self.peek()
-            want = text or kind
-            if got is None:
-                self.fail(f"expected {want!r}, found end of input")
-            self.fail(f"expected {want!r}, found {got.text!r}", got)
+            found = "end of input" if got is None else repr(got.text)
+            self.fail(f"expected {text or kind!r}, found {found}", got)
         return tok
 
     def done(self):
@@ -178,22 +156,22 @@ def _parse_vector_set(cur: _Cursor) -> list:
     return out
 
 
-def _parse_cell_map(cur: _Cursor) -> dict:
+def _parse_map(cur: _Cursor, key) -> dict:
+    """`{key:int ...}`, each key read by key(cur); a repeated key overrides."""
     cur.expect("{")
     out = {}
     while not cur.accept("}"):
-        cell = _parse_vector(cur)
+        k = key(cur)
         cur.expect(":")
-        out[cell] = _parse_int(cur)
+        out[k] = _parse_int(cur)
     return out
 
 
 def _parse_alpha(cur: _Cursor) -> QuadraticReal:
     """sqrt(n), quad(a, b, n, q) for (a + b*sqrt(n)) / q, or a rational."""
-    tok = cur.peek()
-    if tok is None or tok.kind != "name" or tok.text not in ("sqrt", "quad"):
+    tok = cur.accept("name", "sqrt") or cur.accept("name", "quad")
+    if tok is None:
         return QuadraticReal.from_fraction(_parse_rational(cur))
-    cur.next()
     cur.expect("(")
     args = [_parse_int(cur)]
     if tok.text == "sqrt":
@@ -219,7 +197,7 @@ def _parse_descriptor(cur: _Cursor) -> Configuration:
         cur.expect("name", "lattice")
         gens = _parse_vector_set(cur)
         cur.expect("name", "values")
-        values = _parse_cell_map(cur)
+        values = _parse_map(cur, _parse_vector)
         return Periodic(Lattice(gens), values)
     if kind == "coset":
         cur.expect("name", "offset")
@@ -240,7 +218,7 @@ def _parse_descriptor(cur: _Cursor) -> Configuration:
         if cur.accept("name", "dim"):
             dim = _parse_int(cur)
         cur.expect("name", "cells")
-        cells = _parse_cell_map(cur)
+        cells = _parse_map(cur, _parse_vector)
         if dim is None and not cells:
             cur.fail("empty finite descriptor needs an explicit dim")
         return FiniteSupport(cells, dim=dim)
@@ -248,21 +226,16 @@ def _parse_descriptor(cur: _Cursor) -> Configuration:
         cur.expect("{")
         terms = []
         while not cur.accept("}"):
-            sign_tok = cur.expect("sign")
-            coeff = 1 if sign_tok.text == "+" else -1
-            if cur.peek() is not None and cur.peek().kind == "int":
-                coeff *= int(cur.next().text)
+            coeff = 1 if cur.expect("sign").text == "+" else -1
+            tok = cur.accept("int")
+            if tok is not None:
+                coeff *= int(tok.text)
                 cur.expect("*")
             terms.append((coeff, _parse_descriptor(cur)))
         return Sum(terms)
     if kind == "valuemap":
         cur.expect("name", "map")
-        cur.expect("{")
-        mapping = {}
-        while not cur.accept("}"):
-            key = _parse_int(cur)
-            cur.expect(":")
-            mapping[key] = _parse_int(cur)
+        mapping = _parse_map(cur, _parse_int)
         cur.expect("name", "default")
         default = _parse_int(cur)
         cur.expect("name", "of")
@@ -326,70 +299,49 @@ def format_config(c: Configuration) -> str:
 def parse_poly(text: str, dim: int | None = None) -> LaurentPolynomial:
     """Sum of signed terms: coef, coef*X^(e1,e2), X^(e1,...), or x/y sugar."""
     cur = _Cursor(_tokenize(text), "polynomial")
-    terms = []  # (exponent or None, coefficient)
+    terms = []  # (exponent, or () for a constant, coefficient)
 
     def parse_atom():
-        tok = cur.peek()
-        if tok is not None and tok.kind == "name":
-            if tok.text in ("X",):
-                cur.next()
-                cur.expect("^")
-                return _parse_vector(cur)
-            if tok.text == "x":
-                cur.next()
-                return (1, 0)
-            if tok.text == "y":
-                cur.next()
-                return (0, 1)
-            cur.fail(f"unknown symbol {tok.text!r}", tok)
-        return None
+        tok = cur.accept("name")
+        if tok is None:
+            return None
+        if tok.text == "X":
+            cur.expect("^")
+            return _parse_vector(cur)
+        if tok.text in _SUGAR:
+            return _SUGAR[tok.text]
+        cur.fail(f"unknown symbol {tok.text!r}", tok)
 
-    first = True
     while cur.peek() is not None:
-        sign = 1
+        sign = cur.accept("sign")
         tok = cur.peek()
-        if tok.kind == "sign":
-            cur.next()
-            sign = -1 if tok.text == "-" else 1
-        elif not first:
+        if sign is None and terms:
             cur.fail(f"expected '+' or '-', found {tok.text!r}", tok)
-        first = False
-
-        tok = cur.peek()
         if tok is None:
             cur.fail("dangling sign")
         if tok.kind == "int":
-            coeff = sign * _parse_rational(cur)
+            coeff, exp = _parse_rational(cur), ()
             if cur.accept("*"):
                 exp = parse_atom()
                 if exp is None:
                     cur.fail("expected a monomial after '*'")
-                terms.append((exp, coeff))
-            else:
-                terms.append((None, coeff))
         else:
-            exp = parse_atom()
+            coeff, exp = 1, parse_atom()
             if exp is None:
                 cur.fail(f"expected a term, found {tok.text!r}", tok)
-            terms.append((exp, sign))
+        terms.append((exp, -coeff if sign is not None and sign.text == "-" else coeff))
     if not terms:
         cur.fail("empty polynomial text")
-    cur.done()
 
-    d = dim
-    for exp, _ in terms:
-        if exp is not None:
-            if d is None:
-                d = len(exp)
-            elif len(exp) != d:
-                raise ConfigSyntaxError(
-                    "mixed exponent dimensions", position=(1, 1))
-    if d is None:
-        d = 2 if dim is None else dim
-
+    lengths = {len(exp) for exp, _ in terms if exp}
+    if dim is not None:
+        lengths.add(dim)
+    if len(lengths) > 1:
+        raise ConfigSyntaxError("mixed exponent dimensions", position=(1, 1))
+    d = lengths.pop() if lengths else 2
     out = {}
     for exp, coeff in terms:
-        e = exp if exp is not None else (0,) * d
+        e = exp or (0,) * d
         out[e] = out.get(e, 0) + coeff
     return LaurentPolynomial(d, out)
 

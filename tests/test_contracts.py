@@ -44,7 +44,7 @@ from nivatk.nivat import (
     nivat_scan,
 )
 from nivatk.quadratic import QuadraticReal
-from nivatk.textio import _Cursor, format_config, parse_poly, parse_tile, parse_window
+from nivatk.textio import format_config, parse_poly, parse_tile, parse_window
 from nivatk.tiling import ClusterTile, PeriodicCoTiler, prime_periodicity_check, search_periodic_cotiler, verify_cotiler
 
 BRICKS = Lattice([(2, 0), (1, 1)])
@@ -131,8 +131,6 @@ CONTRACTS = [
     # text
     ("format_config", lambda: format_config(Configuration()), TypeError),
     ("parse_window-span", lambda: parse_window("0..x,0..3"), ConfigSyntaxError),
-    # every parser peeks before it takes a token, so only a bare cursor runs out
-    ("_Cursor-end", lambda: _Cursor([], "tile").next(), ConfigSyntaxError),
     ("parse_tile-expected", lambda: parse_tile("tile ( (0,0) }"), ConfigSyntaxError),
     ("parse_tile-trailing", lambda: parse_tile("tile { (0,0) } (1,1)"), ConfigSyntaxError),
     ("parse_tile-empty", lambda: parse_tile("tile { }"), ConfigSyntaxError),

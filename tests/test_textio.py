@@ -1,9 +1,11 @@
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from nivatk.cli import _strip_comments
 from nivatk.configurations import CosetIndicator, Mechanical, Periodic, Sum
 from nivatk.errors import ConfigSyntaxError, DimensionMismatchError, NonSquarefreeRadicandError
 from nivatk.laurent import LaurentPolynomial as LP
@@ -114,6 +116,75 @@ def test_syntax_errors_carry_position():
     with pytest.raises(ConfigSyntaxError) as exc:
         parse_config("periodic\nlattice{(2,0) %}")
     assert exc.value.position == (2, 15)
+
+
+# One row per error site of textio that parser input reaches: (parser, text,
+# error type, str(exc), position).  The CLI prints these strings on stderr.
+ERRORS = [
+    (parse_config, "mechanical weights(1,1) alpha sqrt(2)  % not a comment here", ConfigSyntaxError,
+     "unexpected character '%' (near token (1, 40))", (1, 40)),
+    (parse_config, "periodic\n\tlattice{(2,0) %}", ConfigSyntaxError,
+     "unexpected character '%' (near token (2, 16))", (2, 16)),
+    (parse_config, "periodic lattice{(2,0)} values{", ConfigSyntaxError,
+     "configuration: expected '(', found end of input (near token (1, 31))", (1, 31)),
+    (parse_config, "coset offset(0,0) gens{(1,0)} value\n\t x", ConfigSyntaxError,
+     "configuration: expected 'int', found 'x' (near token (2, 3))", (2, 3)),
+    (parse_tile, "tile {", ConfigSyntaxError,
+     "tile: expected '(', found end of input (near token (1, 6))", (1, 6)),
+    (parse_tile, "tile { (0,0) } (1,1)", ConfigSyntaxError,
+     "tile: trailing input from '(' (near token (1, 16))", (1, 16)),
+    (parse_poly, "1/0", ConfigSyntaxError,
+     "polynomial: zero denominator (near token (1, 3))", (1, 3)),
+    (parse_config, "mechanical weights(1,1) alpha quad(1,1,2,0)", ConfigSyntaxError,
+     "configuration: zero denominator (near token (1, 42))", (1, 42)),
+    (parse_config, "mechanical weights(1,1) alpha sqrt(8)", NonSquarefreeRadicandError,
+     "radicand 8 is not squarefree", None),
+    (parse_config, "finite cells{}", ConfigSyntaxError,
+     "configuration: empty finite descriptor needs an explicit dim (near token (1, 14))", (1, 14)),
+    (parse_config, "sum { +2*blah }", ConfigSyntaxError,
+     "configuration: unknown descriptor 'blah' (near token (1, 10))", (1, 10)),
+    (parse_poly, "x + 2*z", ConfigSyntaxError,
+     "polynomial: unknown symbol 'z' (near token (1, 7))", (1, 7)),
+    (parse_poly, "X^(1,0) X^(0,1)", ConfigSyntaxError,
+     "polynomial: expected '+' or '-', found 'X' (near token (1, 9))", (1, 9)),
+    (parse_poly, "x -", ConfigSyntaxError,
+     "polynomial: dangling sign (near token (1, 3))", (1, 3)),
+    (parse_poly, "2*", ConfigSyntaxError,
+     "polynomial: expected a monomial after '*' (near token (1, 2))", (1, 2)),
+    (parse_poly, "+ )", ConfigSyntaxError,
+     "polynomial: expected a term, found ')' (near token (1, 3))", (1, 3)),
+    (parse_poly, " \n\t ", ConfigSyntaxError,
+     "polynomial: empty polynomial text (near token (1, 1))", (1, 1)),
+    (parse_poly, "X^(1,0) + X^(1,0,0)", ConfigSyntaxError,
+     "mixed exponent dimensions (near token (1, 1))", (1, 1)),
+    (parse_tile, "tile { }", ConfigSyntaxError,
+     "tile: a tile needs at least one cell (near token (1, 8))", (1, 8)),
+    (parse_window, "0..x,0..3", ConfigSyntaxError,
+     "bad span '0..x' (near token (1, 1))", (1, 1)),
+    (parse_window, "3xy", ConfigSyntaxError,
+     "bad window size '3xy' (near token (1, 1))", (1, 1)),
+    (parse_window, "0x4", ConfigSyntaxError,
+     "window extents must be positive (near token (1, 1))", (1, 1)),
+    (parse_vectors, " ; ", ConfigSyntaxError,
+     "no vectors given (near token (1, 1))", (1, 1)),
+]
+
+
+@pytest.mark.parametrize("parse, text, error, message, position", ERRORS,
+                         ids=[f"{row[0].__name__}-{k}" for k, row in enumerate(ERRORS)])
+def test_parser_errors_keep_their_message_and_position(parse, text, error, message, position):
+    with pytest.raises(error) as exc:
+        parse(text)
+    assert (str(exc.value), getattr(exc.value, "position", None)) == (message, position)
+
+
+def test_every_readme_descriptor_is_canonical_once_the_cli_cuts_its_comments():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Text formats", 1)[1].split("```", 2)[1]
+    lines = [line.strip() for line in _strip_comments(block).splitlines() if line.strip()]
+    assert len(lines) == 7
+    for line in lines:
+        assert format_config(parse_config(line)) == line
 
 
 def test_empty_finite_needs_dim():
