@@ -26,6 +26,7 @@ from .textio import (
     format_poly,
     parse_config,
     parse_poly,
+    parse_range,
     parse_tile,
     parse_vectors,
     parse_window,
@@ -59,14 +60,6 @@ def _fmt_vecs(vs) -> str:
 
 def _bool(b) -> str:
     return "true" if b else "false"
-
-
-def _parse_range(text: str):
-    a, sep, b = text.partition("..")
-    if not sep:
-        v = int(a)
-        return range(v, v + 1)
-    return range(int(a), int(b) + 1)
 
 
 def _load_config(args) -> Configuration:
@@ -159,7 +152,7 @@ def _cmd_lines(args) -> int:
 def _cmd_nivat_scan(args) -> int:
     c = _load_config(args)
     sample = parse_window(args.sample, c.dim)
-    rows = nivat_scan(c, _parse_range(args.M), _parse_range(args.N), sample)
+    rows = nivat_scan(c, parse_range(args.M), parse_range(args.N), sample)
     sys.stdout.write(scan_csv(rows))
     return 0
 

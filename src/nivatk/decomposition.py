@@ -20,9 +20,8 @@ from .errors import (
     InfeasibleError,
     VerificationFailedError,
     WindowTooSmallError,
-    ZeroVectorError,
 )
-from .lattice import Window, check_same_dim, is_zero_vector, vec_add, vec_dot, vec_neg
+from .lattice import Window, checked_step, vec_add, vec_dot, vec_neg
 from .laurent import LaurentPolynomial, annihilates
 from .linalg import solve_sparse
 
@@ -39,10 +38,7 @@ def difference(p: Pattern, v) -> Pattern:
 
 def _overlap(p: Pattern, v):
     """The checked step, and the cells u of p's window with u - v in it too."""
-    v = tuple(v)
-    check_same_dim(p.shape.lo, v)
-    if is_zero_vector(v):
-        raise ZeroVectorError("difference step must be nonzero")
+    v = checked_step(v, p.shape.dim, "difference step")
     dom = p.shape.intersect(p.shape.shift(v))
     if dom is None:
         raise EmptyResultError("difference domain is empty")
@@ -62,10 +58,7 @@ def integrate(d: Pattern, v) -> Pattern:
     then o[u] = o[u-v] - d[u] walking forward.  difference(integrate(d, v), v)
     reproduces d wherever the difference is defined.
     """
-    v = tuple(v)
-    check_same_dim(d.shape.lo, v)
-    if is_zero_vector(v):
-        raise ZeroVectorError("integration step must be nonzero")
+    v = checked_step(v, d.shape.dim, "integration step")
     if not d.shape.is_box:
         raise ValueError("integrate needs a box domain")
     out = [0] * len(d.cells)
@@ -177,13 +170,7 @@ def decompose(c: Configuration, vectors, core: Window, halo: Window | None = Non
     that reduction finds no solution.  Raises InfeasibleError, with the
     rows that elimination leaves as 0 = nonzero, when there is none.
     """
-    vs = []
-    for v in vectors:
-        v = tuple(map(operator.index, v))
-        check_same_dim(core.lo, v)
-        if is_zero_vector(v):
-            raise ZeroVectorError("period direction must be nonzero")
-        vs.append(v)
+    vs = [checked_step(v, core.dim, "period direction") for v in vectors]
     if not vs:
         raise ValueError("at least one period direction required")
     if core.dim != c.dim:

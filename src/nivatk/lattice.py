@@ -45,9 +45,16 @@ def is_zero_vector(v) -> bool:
     return all(a == 0 for a in v)
 
 
-def check_same_dim(u, v):
-    if len(u) != len(v):
-        raise DimensionMismatchError(f"dimension {len(u)} vs {len(v)}")
+def checked_step(v, dim: int, name: str):
+    """v as a tuple of ints of length dim, for a step or direction: raises
+    TypeError on a non-integer coordinate, DimensionMismatchError on another
+    length and ZeroVectorError on the zero vector."""
+    v = tuple(map(operator.index, v))
+    if len(v) != dim:
+        raise DimensionMismatchError(f"{name} {v} vs dimension {dim}")
+    if is_zero_vector(v):
+        raise ZeroVectorError(f"{name} must be nonzero")
+    return v
 
 
 def canonical_sign(v):
@@ -170,10 +177,8 @@ def kernel_lattice(rows, d: int):
     in Computational Algebraic Number Theory, 2.4); None when that is {0}.
     """
     pivots = _triangular_basis(rows, len(rows[0]))
-    lattice = object.__new__(Lattice)
-    lattice.dim, lattice._pivots = d, {c: row[:d] for c, row in pivots.items() if c < d}
-    lattice.generators = lattice.basis()
-    return lattice if lattice._pivots else None
+    basis = [pivots[c][:d] for c in sorted(pivots) if c < d]
+    return Lattice(basis) if basis else None
 
 
 class Lattice:
@@ -337,7 +342,8 @@ class Window:
         return all(a <= x <= b for x, a, b in zip(p, self.lo, self.hi))
 
     def shift(self, v):
-        check_same_dim(self.lo, v)
+        if len(v) != self.dim:
+            raise DimensionMismatchError(f"shift {v} vs dimension {self.dim}")
         if self._points is not None:
             return Window(points=[vec_add(p, v) for p in self._points])
         return Window(lo=vec_add(self.lo, v), hi=vec_add(self.hi, v))

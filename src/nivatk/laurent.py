@@ -21,13 +21,12 @@ from .errors import (
     DimensionMismatchError,
     EmptySampleError,
     ZeroPolynomialError,
-    ZeroVectorError,
 )
 from .configurations import Configuration, Pattern, Sum, combine, window_values
 from .lattice import (
     Window,
     canonical_sign,
-    is_zero_vector,
+    checked_step,
     primitive_vector,
     unimodular_complement,
     vec_add,
@@ -393,11 +392,9 @@ def periodicity_test(c: Configuration, v, sample: Window | None = None) -> Perio
     domain and coset certificate: exact reads periodic, window unknown and
     no not-periodic, the witness the first u with c(u + v) != c(u).
     """
-    v = tuple(map(operator.index, v))
-    if len(v) != c.dim or (sample is not None and sample.dim != c.dim):
-        raise DimensionMismatchError("vector/sample vs configuration dimension")
-    if is_zero_vector(v):
-        raise ZeroVectorError("the zero vector is not a period candidate")
+    if sample is not None and sample.dim != c.dim:
+        raise DimensionMismatchError("sample vs configuration dimension")
+    v = checked_step(v, c.dim, "period candidate")
 
     window = sample or c.exact_domain()
     if window is None:

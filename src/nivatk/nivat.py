@@ -30,11 +30,11 @@ from .errors import (
     NonPrimitiveError,
     ParallelDirectionsError,
     ZeroAreaError,
-    ZeroVectorError,
 )
 from .lattice import (
     Window,
     canonical_sign,
+    checked_step,
     is_zero_vector,
     primitive_vector,
     vec_dot,
@@ -72,15 +72,10 @@ def bound_two_directions(v1, v2, M: int, N: int) -> Fraction:
     lower bound on the complexity of the (M+m1+m2) x (N+n1+n2) block.
     Symmetric in the two directions.
     """
-    v1 = tuple(map(operator.index, v1))
-    v2 = tuple(map(operator.index, v2))
-    if len(v1) != 2 or len(v2) != 2:
-        raise DimensionMismatchError("two-direction bound is two-dimensional")
+    v1, v2 = checked_step(v1, 2, "direction"), checked_step(v2, 2, "direction")
     if M < 0 or N < 0:
         raise ValueError("block extents must be nonnegative")
     for v in (v1, v2):
-        if is_zero_vector(v):
-            raise ZeroVectorError("direction must be nonzero")
         if primitive_vector(v) not in (v, vec_scale(-1, v)):
             raise NonPrimitiveError(f"{v} is not primitive")
     if v1[0] * v2[1] - v1[1] * v2[0] == 0:
@@ -282,12 +277,9 @@ def _line_groups(c: Configuration, shape: Window, v, sample: Window) -> dict:
     sample meets a line in one run, one strided slice of the labels; an
     explicit sample groups its labels anchor by anchor.
     """
-    v = tuple(map(operator.index, v))
-    if len(v) != c.dim or shape.dim != c.dim or sample.dim != c.dim:
-        raise DimensionMismatchError("direction/shape/sample vs configuration")
-    if is_zero_vector(v):
-        raise ZeroVectorError("census direction must be nonzero")
-    step = canonical_sign(v)
+    if shape.dim != c.dim or sample.dim != c.dim:
+        raise DimensionMismatchError("shape/sample vs configuration")
+    step = canonical_sign(checked_step(v, c.dim, "census direction"))
     i = next(k for k, x in enumerate(step) if x)
     lattice = c.periods()
     if lattice is None or not lattice.is_full_rank or lattice.index() > len(sample):

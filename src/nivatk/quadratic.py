@@ -15,13 +15,20 @@ import operator
 from fractions import Fraction
 
 
+MAX_RADICAND = 10**18
+
+
 def squarefree_part(n: int):
-    """Split n >= 0 as s*s*m with m squarefree; returns (s, m)."""
-    if n < 0:
-        raise ValueError("radicand must be nonnegative")
-    s, m = 1, 1
-    d = 2
-    while d * d <= n:
+    """Split 0 <= n <= MAX_RADICAND as s*s*m with m squarefree; returns (s, m).
+
+    Trial division runs while d**3 <= n; what is left then has no prime
+    factor below d and is below d**3, so it is 1, a prime, a product of two
+    distinct primes or a prime squared, and one isqrt tells which.
+    """
+    if not 0 <= n <= MAX_RADICAND:
+        raise ValueError(f"radicand {n} is outside 0..{MAX_RADICAND}")
+    s, m, d = 1, 1, 2
+    while d * d * d <= n:
         e = 0
         while n % d == 0:
             n //= d
@@ -30,10 +37,14 @@ def squarefree_part(n: int):
         if e % 2:
             m *= d
         d += 1 if d == 2 else 2
+    r = math.isqrt(n)
+    if n > 1 and r * r == n:
+        return s * r, m
     return s, m * n
 
 
 def is_squarefree(n: int) -> bool:
+    """False for n < 0; raises ValueError above MAX_RADICAND, as squarefree_part does."""
     return n >= 0 and squarefree_part(n)[0] == 1
 
 
@@ -76,8 +87,6 @@ class QuadraticReal:
         a, b, n, q = map(operator.index, (a, b, n, q))
         if q == 0:
             raise ZeroDivisionError("denominator q must be nonzero")
-        if n < 0:
-            raise ValueError("radicand must be nonnegative")
         s, m = squarefree_part(n)
         b, n = b * s, m
         if n == 1:

@@ -1,4 +1,4 @@
-"""Text formats for configurations, polynomials, tiles, and windows.
+"""Text formats for configurations, polynomials, tiles, windows and ranges.
 
 Line-oriented, whitespace-tolerant grammar.  Descriptor variants:
 
@@ -9,10 +9,10 @@ Line-oriented, whitespace-tolerant grammar.  Descriptor variants:
     sum { +mechanical weights(1,1) alpha sqrt(2) -coset offset(0,0) gens{(1,0)} value 1 }
     valuemap map{0:5 1:7} default 0 of coset offset(0,0) gens{(1,0)} value 1
 
-Numbers take an optional sign, written either as ASCII '-' or the typeset
-minus U+2212; rationals are p/q.  Radicands must be squarefree: sqrt(8)
-is rejected rather than silently rewritten as 2*sqrt(2).  Every printer
-emits the canonical form, and parsing a printed value reproduces it.
+Integers are ASCII digits with an optional sign, '-' or the typeset minus
+U+2212; rationals are p/q.  Radicands must be squarefree and at most 10**18:
+sqrt(8) is rejected rather than silently rewritten as 2*sqrt(2).  Every
+printer emits the canonical form, and parsing a printed value reproduces it.
 
 A ConfigSyntaxError carries the (line, col) of the character or token it
 is about, both counted from 1, with a tab as one column.  An error at the
@@ -35,7 +35,7 @@ from .configurations import (
 from .errors import ConfigSyntaxError, NonSquarefreeRadicandError
 from .lattice import Lattice, Window
 from .laurent import LaurentPolynomial
-from .quadratic import QuadraticReal, is_squarefree
+from .quadratic import MAX_RADICAND, QuadraticReal, is_squarefree
 from .tiling import ClusterTile
 
 _PUNCT = "(){}:,*/^"
@@ -57,7 +57,8 @@ def _tokenize(text: str):
     """The tokens of text, each at the (line, col) of its first character.
 
     Lines and columns count from 1; a column is the number of characters
-    from the line's start, so a tab is one column like any other.
+    from the line's start, so a tab is one column like any other.  Ints are
+    ASCII digits and names letters and '_': `3x4` is three tokens, '²' none.
     """
     tokens = []
     line, start, i = 1, 0, 0  # start: the index of the line's first character
@@ -71,14 +72,17 @@ def _tokenize(text: str):
             tokens.append(_Token(ch, ch, line, i - start + 1))
         elif ch in "+-" or ch == MINUS:
             tokens.append(_Token("sign", "-" if ch == MINUS else ch, line, i - start + 1))
-        elif ch.isdigit():
-            while j < len(text) and text[j].isdigit():
+        elif "0" <= ch <= "9":
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(_Token("int", text[i:j], line, i - start + 1))
         elif ch.isalpha() or ch == "_":
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+            while j < len(text) and (text[j].isalpha() or text[j] == "_"):
                 j += 1
             tokens.append(_Token("name", text[i:j], line, i - start + 1))
+        elif text.startswith("..", i):
+            j += 1
+            tokens.append(_Token("..", "..", line, i - start + 1))
         else:
             raise ConfigSyntaxError(
                 f"unexpected character {ch!r}", position=(line, i - start + 1))
@@ -87,7 +91,7 @@ def _tokenize(text: str):
 
 
 class _Cursor:
-    def __init__(self, tokens, text_kind="input"):
+    def __init__(self, tokens, text_kind):
         self.tokens = tokens
         self.pos = 0
         self.text_kind = text_kind
@@ -173,18 +177,20 @@ def _parse_alpha(cur: _Cursor) -> QuadraticReal:
     if tok is None:
         return QuadraticReal.from_fraction(_parse_rational(cur))
     cur.expect("(")
-    args = [_parse_int(cur)]
+    toks, args = [cur.peek()], [_parse_int(cur)]
     if tok.text == "sqrt":
-        args = [0, 1, args[0], 1]
+        toks, args = toks * 4, [0, 1, args[0], 1]
     else:
         for _ in range(3):
             cur.expect(",")
-            den = cur.peek()
+            toks.append(cur.peek())
             args.append(_parse_int(cur))
         if args[3] == 0:
-            cur.fail("zero denominator", den)
+            cur.fail("zero denominator", toks[3])
     cur.expect(")")
     n = args[2]
+    if n > MAX_RADICAND:
+        cur.fail(f"radicand {n} is above {MAX_RADICAND}", toks[2])
     if n < 0 or not is_squarefree(n):
         raise NonSquarefreeRadicandError(f"radicand {n} is not squarefree")
     return QuadraticReal(*args)
@@ -386,28 +392,35 @@ def format_tile(t: ClusterTile) -> str:
 
 def parse_window(text: str, dim: int | None = None) -> Window:
     """Box windows: `MxN[xK]` or `500` anchored at 0, or `a..b,c..d` spans."""
-    text = text.strip().replace(MINUS, "-")
-    if ".." in text:
-        lo, hi = [], []
-        for part in text.split(","):
-            a, _, b = part.partition("..")
-            try:
-                lo.append(int(a))
-                hi.append(int(b))
-            except ValueError:
-                raise ConfigSyntaxError(
-                    f"bad span {part!r}", position=(1, 1)) from None
+    cur = _Cursor(_tokenize(text), "window")
+    tok, n = cur.peek(), _parse_int(cur)
+    if cur.accept(".."):
+        lo, hi = [n], [_parse_int(cur)]
+        while cur.accept(","):
+            lo.append(_parse_int(cur))
+            cur.expect("..")
+            hi.append(_parse_int(cur))
+        cur.done()
         return Window.box(tuple(lo), tuple(hi))
-    sizes = text.split("x")
-    try:
-        sizes = [int(s) for s in sizes]
-    except ValueError:
-        raise ConfigSyntaxError(f"bad window size {text!r}", position=(1, 1)) from None
+    sizes = [n]
+    while n >= 1 and cur.accept("name", "x"):
+        tok, n = cur.peek(), _parse_int(cur)
+        sizes.append(n)
+    if n < 1:
+        cur.fail("extents must be positive", tok)
+    cur.done()
     if len(sizes) == 1 and dim is not None:
         sizes = sizes * dim
-    if any(s < 1 for s in sizes):
-        raise ConfigSyntaxError("window extents must be positive", position=(1, 1))
-    return Window.box((0,) * len(sizes), tuple(s - 1 for s in sizes))
+    return Window.box((0,) * len(sizes), tuple(n - 1 for n in sizes))
+
+
+def parse_range(text: str) -> range:
+    """`a..b` for the integers a to b, or `a` alone."""
+    cur = _Cursor(_tokenize(text), "range")
+    lo = _parse_int(cur)
+    hi = _parse_int(cur) if cur.accept("..") else lo
+    cur.done()
+    return range(lo, hi + 1)
 
 
 def parse_vectors(text: str) -> list:

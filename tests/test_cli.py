@@ -340,9 +340,18 @@ DEEP = "valuemap map{0:1} default 0 of " * sys.getrecursionlimit() + "finite dim
       "--sample", "4x4"], "error:"),
     (["complexity", "--config", "/nonexistent.cfg", "--shape", "2x2"], "error:"),
     (["bounds", "--M", "4", "--N", "5"], "error:"),
+    (["nivat-scan", "--config", CHECKERBOARD.strip(), "--M", "2..²", "--N", "2", "--sample", "4"],
+     "error: unexpected character '²' (near token (1, 4))\n"),
+    (["complexity", "--config", CHECKERBOARD.strip(), "--shape", "2x2", "--sample", "30٣30"],
+     "error: unexpected character '٣' (near token (1, 3))\n"),
+    (["complexity", "--config", "mechanical weights(1,1) alpha sqrt(100000000000000000039)",
+      "--shape", "2x2", "--sample", "4x4"],
+     "error: configuration: radicand 100000000000000000039 is above 1000000000000000000"
+     " (near token (1, 36))\n"),
 ], ids=["verify-zero-denominator", "lines-zero-denominator", "alpha-zero-denominator",
         "quad-zero-denominator", "search-dim-0", "complexity-dim-minus-1", "deep-nesting",
-        "unclosed-values", "non-squarefree-radicand", "missing-file", "bounds-without-input"])
+        "unclosed-values", "non-squarefree-radicand", "missing-file", "bounds-without-input",
+        "range-superscript-digit", "window-arabic-indic-digit", "radicand-above-bound"])
 def test_input_errors_exit_2_with_an_error_line(argv, err, capsys):
     """Nothing raised, nothing on stdout, and stderr that starts with err."""
     assert run(argv) == 2

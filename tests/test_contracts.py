@@ -18,7 +18,7 @@ from nivatk.annihilator import (
     verify_expansion,
 )
 from nivatk.configurations import Configuration, CosetIndicator, FiniteSupport, Pattern, Periodic, Sum, extract_pattern
-from nivatk.decomposition import decompose, integrate
+from nivatk.decomposition import decompose, difference, integrate
 from nivatk.errors import (
     ConfigSyntaxError,
     DimensionMismatchError,
@@ -34,6 +34,7 @@ from nivatk.laurent import (
     line_content,
     newton_polygon_directions,
     normalize_integer_primitive,
+    periodicity_test,
 )
 from nivatk.nivat import (
     bound_disjoint_lines,
@@ -145,3 +146,26 @@ def test_a_broken_precondition_raises_its_error(call, error):
     with pytest.raises(error):
         call()
 
+
+# Every step or direction is read by lattice.checked_step: one row per reader,
+# each called with a float, a wrong length and the zero vector.
+STEP_READERS = [
+    ("difference", lambda v: difference(Pattern(SQUARE, [0] * 4), v)),
+    ("integrate", lambda v: integrate(Pattern(SQUARE, [0] * 4), v)),
+    ("decompose", lambda v: decompose(BOARD, [v], SQUARE)),
+    ("periodicity_test", lambda v: periodicity_test(BOARD, v, SQUARE)),
+    ("line_pattern_census", lambda v: line_pattern_census(BOARD, SQUARE, v, SQUARE)),
+    ("bound_two_directions-v1", lambda v: bound_two_directions(v, (0, 1), 2, 2)),
+    ("bound_two_directions-v2", lambda v: bound_two_directions((0, 1), v, 2, 2)),
+]
+
+
+@pytest.mark.parametrize("step, error", [
+    pytest.param((1.0, 0), TypeError, id="float"),
+    pytest.param((1, 0, 0), DimensionMismatchError, id="length"),
+    pytest.param((0, 0), ZeroVectorError, id="zero"),
+])
+@pytest.mark.parametrize("call", [pytest.param(call, id=name) for name, call in STEP_READERS])
+def test_a_step_reader_checks_type_length_and_zero(call, step, error):
+    with pytest.raises(error):
+        call(step)

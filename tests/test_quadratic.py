@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from nivatk.configurations import Mechanical
-from nivatk.quadratic import QuadraticReal, is_prime, is_squarefree, squarefree_part
+from nivatk.quadratic import MAX_RADICAND, QuadraticReal, is_prime, is_squarefree, squarefree_part
 
 
 def test_squarefree_part_splits_square_factor():
@@ -16,6 +16,31 @@ def test_squarefree_part_splits_square_factor():
     assert squarefree_part(0) == (1, 0)
     with pytest.raises(ValueError):
         squarefree_part(-8)
+    with pytest.raises(ValueError):
+        squarefree_part(MAX_RADICAND + 1)
+
+
+def squarefree_part_by_square_root(n):
+    """The reference split: trial division by every d with d*d <= n."""
+    s, m, d = 1, 1, 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        s *= d ** (e // 2)
+        if e % 2:
+            m *= d
+        d += 1 if d == 2 else 2
+    return s, m * n
+
+
+def test_squarefree_part_stops_at_the_cube_root_with_the_same_split():
+    rng = random.Random("squarefree_part")
+    planted = [p * q * 12 for p, q in ((99991, 99989), (99991, 99991), (1009, 99991), (97, 101))]
+    squares = [p * p * k for p in (1009, 99991) for k in (1, 2, 1008, 1010)]
+    for n in [*range(5000), *(rng.randrange(10**9) for _ in range(300)), *planted, *squares]:
+        assert squarefree_part(n) == squarefree_part_by_square_root(n), n
 
 
 def test_is_squarefree():

@@ -16,6 +16,7 @@ from nivatk.textio import (
     format_tile,
     parse_config,
     parse_poly,
+    parse_range,
     parse_tile,
     parse_vectors,
     parse_window,
@@ -139,6 +140,12 @@ ERRORS = [
      "configuration: zero denominator (near token (1, 42))", (1, 42)),
     (parse_config, "mechanical weights(1,1) alpha sqrt(8)", NonSquarefreeRadicandError,
      "radicand 8 is not squarefree", None),
+    (parse_config, "mechanical weights(1,1) alpha sqrt(1000000000000000001)", ConfigSyntaxError,
+     "configuration: radicand 1000000000000000001 is above 1000000000000000000 (near token (1, 36))",
+     (1, 36)),
+    (parse_config, "mechanical weights(1,1) alpha quad(0, 1, 1000000000000000001, 1)", ConfigSyntaxError,
+     "configuration: radicand 1000000000000000001 is above 1000000000000000000 (near token (1, 42))",
+     (1, 42)),
     (parse_config, "finite cells{}", ConfigSyntaxError,
      "configuration: empty finite descriptor needs an explicit dim (near token (1, 14))", (1, 14)),
     (parse_config, "sum { +2*blah }", ConfigSyntaxError,
@@ -160,13 +167,48 @@ ERRORS = [
     (parse_tile, "tile { }", ConfigSyntaxError,
      "tile: a tile needs at least one cell (near token (1, 8))", (1, 8)),
     (parse_window, "0..x,0..3", ConfigSyntaxError,
-     "bad span '0..x' (near token (1, 1))", (1, 1)),
+     "window: expected 'int', found 'x' (near token (1, 4))", (1, 4)),
     (parse_window, "3xy", ConfigSyntaxError,
-     "bad window size '3xy' (near token (1, 1))", (1, 1)),
+     "window: trailing input from 'xy' (near token (1, 2))", (1, 2)),
     (parse_window, "0x4", ConfigSyntaxError,
-     "window extents must be positive (near token (1, 1))", (1, 1)),
+     "window: extents must be positive (near token (1, 1))", (1, 1)),
+    (parse_window, "0..3,0", ConfigSyntaxError,
+     "window: expected '..', found end of input (near token (1, 6))", (1, 6)),
     (parse_vectors, " ; ", ConfigSyntaxError,
      "no vectors given (near token (1, 1))", (1, 1)),
+    (parse_range, "2..x", ConfigSyntaxError,
+     "range: expected 'int', found 'x' (near token (1, 4))", (1, 4)),
+    (parse_range, "2..3..4", ConfigSyntaxError,
+     "range: trailing input from '..' (near token (1, 5))", (1, 5)),
+    (parse_range, "2..", ConfigSyntaxError,
+     "range: expected 'int', found end of input (near token (1, 2))", (1, 2)),
+    (parse_range, "", ConfigSyntaxError,
+     "range: expected 'int', found end of input (near token (1, 1))", (1, 1)),
+    # an int is ASCII digits only: a superscript or Arabic-Indic digit is no token
+    (parse_config, "finite dim 2 cells{(²,0):1}", ConfigSyntaxError,
+     "unexpected character '²' (near token (1, 21))", (1, 21)),
+    (parse_config, "finite dim 2 cells{(٣,0):1}", ConfigSyntaxError,
+     "unexpected character '٣' (near token (1, 21))", (1, 21)),
+    (parse_poly, "X^(²,0) - 1", ConfigSyntaxError,
+     "unexpected character '²' (near token (1, 4))", (1, 4)),
+    (parse_poly, "X^(٣,0) - 1", ConfigSyntaxError,
+     "unexpected character '٣' (near token (1, 4))", (1, 4)),
+    (parse_tile, "tile { (0,²) }", ConfigSyntaxError,
+     "unexpected character '²' (near token (1, 11))", (1, 11)),
+    (parse_tile, "tile { (٣,0) }", ConfigSyntaxError,
+     "unexpected character '٣' (near token (1, 9))", (1, 9)),
+    (parse_vectors, "(²,1)", ConfigSyntaxError,
+     "unexpected character '²' (near token (1, 2))", (1, 2)),
+    (parse_vectors, "(1,0);(٣,1)", ConfigSyntaxError,
+     "unexpected character '٣' (near token (1, 8))", (1, 8)),
+    (parse_window, "2x²", ConfigSyntaxError,
+     "unexpected character '²' (near token (1, 3))", (1, 3)),
+    (parse_window, "30٣30", ConfigSyntaxError,
+     "unexpected character '٣' (near token (1, 3))", (1, 3)),
+    (parse_range, "2..²", ConfigSyntaxError,
+     "unexpected character '²' (near token (1, 4))", (1, 4)),
+    (parse_range, "٣", ConfigSyntaxError,
+     "unexpected character '٣' (near token (1, 1))", (1, 1)),
 ]
 
 
@@ -323,6 +365,13 @@ def test_window_specs():
         parse_window("0x4")
     with pytest.raises(ConfigSyntaxError):
         parse_window("axb")
+
+
+def test_range_specs():
+    assert parse_range("2..8") == range(2, 9)
+    assert parse_range("3") == range(3, 4)
+    assert parse_range("−1..1") == range(-1, 2)
+    assert parse_range(" 5 .. 4 ") == range(5, 5)
 
 
 def test_vector_lists():
