@@ -25,6 +25,7 @@ from .textio import (
     _format_vector,
     format_poly,
     parse_config,
+    parse_int,
     parse_poly,
     parse_range,
     parse_tile,
@@ -313,8 +314,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="search for a difference-product annihilator")
     p.add_argument("--config", required=True)
-    p.add_argument("--max-factors", type=int, default=3)
-    p.add_argument("--coord-bound", type=int, default=1)
+    p.add_argument("--max-factors", type=parse_int, default=3)
+    p.add_argument("--coord-bound", type=parse_int, default=1)
     p.add_argument("--window", required=True)
     p.set_defaults(func=_cmd_search)
 
@@ -340,8 +341,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly", help="annihilator to analyse")
     p.add_argument("--v1", help="first direction, one vector (with --v2)")
     p.add_argument("--v2", help="second direction, one vector")
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--M", type=parse_int, required=True)
+    p.add_argument("--N", type=parse_int, required=True)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("tile-verify", help="check a periodic co-tiler")
@@ -352,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tile-search", help="search for a periodic co-tiler")
     p.add_argument("--tile", required=True)
-    p.add_argument("--max-index", type=int, required=True)
+    p.add_argument("--max-index", type=parse_int, required=True)
     p.set_defaults(func=_cmd_tile_search)
 
     p = sub.add_parser("examples", help="run the built-in example suite")

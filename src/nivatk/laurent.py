@@ -28,7 +28,6 @@ from .lattice import (
     canonical_sign,
     checked_step,
     primitive_vector,
-    unimodular_complement,
     vec_add,
     vec_neg,
     vec_scale,
@@ -449,41 +448,23 @@ def newton_polygon_directions(f: LaurentPolynomial):
     return tuple(sorted(dirs))
 
 
-def _line_coordinates(v):
-    """Unimodular coordinates (alpha, beta) with X^e = s^alpha t^beta for
-    s = X^v, t = X^w.  Returns the map e -> (alpha, beta) and w."""
-    w = unimodular_complement(v)
-    v1, v2 = v
-    w1, w2 = w
-
-    def coords(e):
-        # inverse of the column matrix (v w); its determinant is +1
-        return (w2 * e[0] - w1 * e[1], -v2 * e[0] + v1 * e[1])
-
-    return coords, w
-
-
-def _levels(f, coords):
-    """Group terms by the t-level beta: {beta: (min alpha, {alpha: coeff})}."""
+def _levels(f, v):
+    """Group f's terms by the line e + Zv through them, keyed by det(v, e):
+    {det: (lowest <e, v>, {<e, v>: coeff})}.  Along a line <e, v> grows by
+    |v|^2 per step of v, and e = (<e, v> v + det(v, e) (-v1, v0)) / |v|^2."""
+    v0, v1 = v
     raw = {}
-    for e, a in f.terms.items():
-        al, be = coords(e)
-        raw.setdefault(be, {})[al] = a
-    return {be: (min(table), table) for be, table in raw.items()}
-
-
-def _step(levels):
-    """gcd of every alpha offset from its level's minimum, 1 when there is
-    none: each level is then a polynomial in s^step."""
-    return math.gcd(*(al - lo for lo, table in levels.values() for al in table)) or 1
+    for (e0, e1), a in f.terms.items():
+        raw.setdefault(v0 * e1 - v1 * e0, {})[v0 * e0 + v1 * e1] = a
+    return {de: (min(table), table) for de, table in raw.items()}
 
 
 def _dense(level, step):
-    """Coefficients of one level as a dense polynomial in s^step."""
+    """Coefficients of one level, lowest first, one entry per step of <e, v>."""
     lo, table = level
     dense = [0] * ((max(table) - lo) // step + 1)
-    for al, a in table.items():
-        dense[(al - lo) // step] = a
+    for dot, a in table.items():
+        dense[(dot - lo) // step] = a
     return dense
 
 
@@ -542,12 +523,16 @@ def _upoly_exquo(a, b):
 
 def _line_split(f: LaurentPolynomial, v):
     """(line_content(f, v), f / line_content(f, v)) for a primitive v, or
-    None when the content is 1.  f's levels, dense lists in s^step, are
-    scaled once to coprime ints, an int scale for an int level; phi, their
-    gcd folded by _upoly_prem, divides each on ints, scaled back after."""
-    coords, w = _line_coordinates(v)
-    levels = _levels(f, coords)
-    step = _step(levels)
+    None when the content is 1.  f's levels, dense lists in a power of X^v,
+    are scaled once to coprime ints, an int scale for an int level; their
+    gcd g, folded by _upoly_prem and signed as phi, divides each on ints,
+    scaled back after.  phi's lowest term is X^-m, so a quotient term is
+    X^(m + its level's lowest exponent + a multiple of v)."""
+    v0, v1 = v
+    n2 = v0 * v0 + v1 * v1
+    levels = _levels(f, v)
+    # each level is a polynomial in X^(step v / |v|^2), 1 when no level has two terms
+    step = math.gcd(*(dot - lo for lo, table in levels.values() for dot in table)) or 1
     scaled, g = [], []
     for level in levels.values():
         d = _dense(level, step)
@@ -557,34 +542,35 @@ def _line_split(f: LaurentPolynomial, v):
             g, b = b, _upoly_prem(g, b)
         if len(g) == 1:
             return None
-    phi = LaurentPolynomial(f.dim, {vec_scale(k * step, v): a for k, a in enumerate(g) if a})
-    phi = normalize_integer_primitive(phi.shift(vec_neg(phi.min_exponent())))
-    ((beta0, phi_level),) = _levels(phi, coords).items()
-    p = _dense(phi_level, step)
+    phi = LaurentPolynomial(f.dim, {vec_scale(k * step // n2, v): a for k, a in enumerate(g) if a})
+    m = phi.min_exponent()
+    phi = normalize_integer_primitive(phi.shift(vec_neg(m)))
+    if phi.terms[vec_neg(m)] != g[0]:
+        g = [-a for a in g]
     out = {}
-    for (be, (lo, _)), (d, scale) in zip(levels.items(), scaled):
-        base = vec_add(vec_scale(lo - phi_level[0], v), vec_scale(be - beta0, w))
-        q = _upoly_exquo(d, p)
+    for (de, (lo, _)), (d, scale) in zip(levels.items(), scaled):
+        base = ((lo * v0 - de * v1) // n2 + m[0], (lo * v1 + de * v0) // n2 + m[1])
+        q = _upoly_exquo(d, g)
         n, den = scale.numerator, scale.denominator
-        out.update((vec_add(base, vec_scale(k * step, v)), _exact(a * n, den)) for k, a in enumerate(q) if a)
+        out.update((vec_add(base, vec_scale(k * step // n2, v)), _exact(a * n, den)) for k, a in enumerate(q) if a)
     return phi, LaurentPolynomial._from_clean(f.dim, out)
 
 
 def line_content(f: LaurentPolynomial, v) -> LaurentPolynomial:
     """Product of all line factors of f in direction v, canonically scaled.
 
-    Rewriting f in unimodular coordinates s = X^v, t = X^w turns every line
-    factor of direction v into a polynomial in s alone, so their product is
-    the gcd of the t-level coefficient polynomials.  Returns 1 when that
-    gcd is trivial.  The result has coprime integer coefficients, positive
-    graded lexicographic leading coefficient, and componentwise minimal
-    exponent zero.
+    A line factor of direction v is a polynomial in X^v alone, so it
+    divides each line of f parallel to v, the terms X^e of one det(v, e)
+    ordered by <e, v>, and their product is the gcd of those lines.
+    Returns 1 when that gcd is trivial.  The result has coprime integer
+    coefficients, positive graded lexicographic leading coefficient, and
+    componentwise minimal exponent zero.
     """
     if f.dim != 2:
         raise DimensionMismatchError("line content needs d = 2")
     if f.is_zero:
         raise ZeroPolynomialError("zero polynomial")
-    split = _line_split(f, primitive_vector(tuple(map(operator.index, v))))
+    split = _line_split(f, primitive_vector(checked_step(v, 2, "line direction")))
     return LaurentPolynomial.one(f.dim) if split is None else split[0]
 
 

@@ -10,9 +10,10 @@ Line-oriented, whitespace-tolerant grammar.  Descriptor variants:
     valuemap map{0:5 1:7} default 0 of coset offset(0,0) gens{(1,0)} value 1
 
 Integers are ASCII digits with an optional sign, '-' or the typeset minus
-U+2212; rationals are p/q.  Radicands must be squarefree and at most 10**18:
-sqrt(8) is rejected rather than silently rewritten as 2*sqrt(2).  Every
-printer emits the canonical form, and parsing a printed value reproduces it.
+U+2212; rationals are p/q; a ';' token may separate listed vectors.
+Radicands must be squarefree and at most 10**18: sqrt(8) is rejected
+rather than silently rewritten as 2*sqrt(2).  Every printer emits the
+canonical form, and parsing a printed value reproduces it.
 
 A ConfigSyntaxError carries the (line, col) of the character or token it
 is about, both counted from 1, with a tab as one column.  An error at the
@@ -38,7 +39,7 @@ from .laurent import LaurentPolynomial
 from .quadratic import MAX_RADICAND, QuadraticReal, is_squarefree
 from .tiling import ClusterTile
 
-_PUNCT = "(){}:,*/^"
+_PUNCT = "(){}:,;*/^"
 MINUS = "−"
 _SUGAR = {"x": (1, 0), "y": (0, 1)}  # the 2-D variables of parse_poly
 
@@ -303,20 +304,28 @@ def format_config(c: Configuration) -> str:
 
 
 def parse_poly(text: str, dim: int | None = None) -> LaurentPolynomial:
-    """Sum of signed terms: coef, coef*X^(e1,e2), X^(e1,...), or x/y sugar."""
+    """Sum of signed terms: coef, coef*X^(e1,e2), X^(e1,...), or x/y sugar;
+    an exponent of another length than dim (or the first one) fails there."""
     cur = _Cursor(_tokenize(text), "polynomial")
     terms = []  # (exponent, or () for a constant, coefficient)
 
     def parse_atom():
+        nonlocal dim
         tok = cur.accept("name")
         if tok is None:
             return None
         if tok.text == "X":
             cur.expect("^")
-            return _parse_vector(cur)
-        if tok.text in _SUGAR:
-            return _SUGAR[tok.text]
-        cur.fail(f"unknown symbol {tok.text!r}", tok)
+            exp = _parse_vector(cur)
+        elif tok.text in _SUGAR:
+            exp = _SUGAR[tok.text]
+        else:
+            cur.fail(f"unknown symbol {tok.text!r}", tok)
+        if dim is None:
+            dim = len(exp)
+        elif len(exp) != dim:
+            cur.fail("mixed exponent dimensions", tok)
+        return exp
 
     while cur.peek() is not None:
         sign = cur.accept("sign")
@@ -338,18 +347,13 @@ def parse_poly(text: str, dim: int | None = None) -> LaurentPolynomial:
         terms.append((exp, -coeff if sign is not None and sign.text == "-" else coeff))
     if not terms:
         cur.fail("empty polynomial text")
-
-    lengths = {len(exp) for exp, _ in terms if exp}
-    if dim is not None:
-        lengths.add(dim)
-    if len(lengths) > 1:
-        raise ConfigSyntaxError("mixed exponent dimensions", position=(1, 1))
-    d = lengths.pop() if lengths else 2
+    if dim is None:
+        dim = 2
     out = {}
     for exp, coeff in terms:
-        e = exp or (0,) * d
+        e = exp or (0,) * dim
         out[e] = out.get(e, 0) + coeff
-    return LaurentPolynomial(d, out)
+    return LaurentPolynomial(dim, out)
 
 
 def format_poly(f: LaurentPolynomial) -> str:
@@ -423,13 +427,21 @@ def parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
+def parse_int(text: str) -> int:
+    """One integer, read as every text reads its integers."""
+    cur = _Cursor(_tokenize(text), "integer")
+    n = _parse_int(cur)
+    cur.done()
+    return n
+
+
 def parse_vectors(text: str) -> list:
-    """Whitespace- or semicolon-separated list of integer vectors."""
-    cleaned = text.replace(";", " ")
-    cur = _Cursor(_tokenize(cleaned), "vectors")
+    """Integer vectors separated by whitespace or ';' tokens."""
+    cur = _Cursor(_tokenize(text), "vectors")
     out = []
     while cur.peek() is not None:
-        out.append(_parse_vector(cur))
+        if not cur.accept(";"):
+            out.append(_parse_vector(cur))
     if not out:
-        raise ConfigSyntaxError("no vectors given", position=(1, 1))
+        cur.fail("no vectors given")
     return out

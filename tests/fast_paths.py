@@ -42,12 +42,23 @@ from nivatk.configurations import (
 )
 from nivatk.decomposition import _repeats, decompose, difference, difference_vanishes, integrate
 from nivatk.errors import EmptyResultError, VerificationFailedError, WindowTooSmallError
-from nivatk.lattice import Lattice, Window, canonical_sign, vec_add, vec_neg, vec_scale, vec_sub
+from nivatk.lattice import (
+    Lattice,
+    Window,
+    canonical_sign,
+    unimodular_complement,
+    vec_add,
+    vec_neg,
+    vec_scale,
+    vec_sub,
+)
 from nivatk.laurent import (
     LaurentPolynomial,
+    _line_split,
     _upoly_prem,
     annihilates,
     apply,
+    normalize_integer_primitive,
     periodicity_test,
 )
 from nivatk.linalg import (
@@ -660,6 +671,57 @@ def gcd_cases(rng):
                 for _ in range(2)), len(common)
 
 
+def line_split_reference(f, v):
+    """_line_split in the coordinates X^e = s^alpha t^beta of s = X^v and
+    t = X^w, w = unimodular_complement(v): phi is the rational_gcd of the
+    t-levels as dense lists in s, the quotient their Euclidean quotients."""
+    w = unimodular_complement(v)
+
+    def levels(poly):
+        """{beta: (lowest alpha, dense list in s)}, as e = alpha v + beta w."""
+        out = {}
+        for e, a in poly.terms.items():
+            out.setdefault(v[0] * e[1] - v[1] * e[0], {})[e[0] * w[1] - e[1] * w[0]] = a
+        return {be: (min(t), [t.get(al, 0) for al in range(min(t), max(t) + 1)]) for be, t in out.items()}
+
+    f_levels, g = levels(f), []
+    for _, d in f_levels.values():
+        g = rational_gcd(g, integer_primitive(d))
+    if len(g) == 1:
+        return None
+    phi = LaurentPolynomial(2, {vec_scale(k, v): a for k, a in enumerate(g) if a})
+    phi = normalize_integer_primitive(phi.shift(vec_neg(phi.min_exponent())))
+    ((p_beta, (p_alpha, p)),) = levels(phi).items()
+    q = {}
+    for be, (lo, d) in f_levels.items():
+        quotient, remainder = upoly_divmod(d, p)
+        assert not remainder
+        q.update((vec_add(vec_scale(lo - p_alpha + k, v), vec_scale(be - p_beta, w)), a)
+                 for k, a in enumerate(quotient) if a)
+    return phi, LaurentPolynomial(2, q)
+
+
+# primitive directions with |v|^2 from 1 to 13, in all four sign patterns
+LINE_DIRECTIONS = sorted({(sa * a, sb * b) for a in range(4) for b in range(4) for sa in (1, -1) for sb in (1, -1)
+                          if math.gcd(a, b) == 1 and a * a + b * b <= 13})
+
+
+def planted_lines(rng, count):
+    """f = h * one or two lines, in X^(gu) for g = 1 or 2, split along a
+    planted direction v, its negative or any other; int or Fraction levels."""
+    for _ in range(count):
+        rational = rng.random() < 0.4
+        v = rng.choice(LINE_DIRECTIONS)
+        f = random_poly(rng, 2, integral=not rational)
+        for u in rng.sample([v, rng.choice(LINE_DIRECTIONS)], rng.randint(1, 2)):
+            g, den = rng.choice((1, 1, 2)), rng.randint(1, 4) if rational else 1
+            ends = [rng.choice((-2, -1, 1, 3)) for _ in range(2)]
+            line = [ends[0]] + [rng.randint(-3, 3) for _ in range(rng.randint(0, 2))] + [ends[1]]
+            f = f * LaurentPolynomial(2, {vec_scale(k * g, u): Fraction(a, den) for k, a in enumerate(line)})
+        if not f.is_zero:
+            yield f, rng.choice((v, vec_neg(v), rng.choice(LINE_DIRECTIONS)))
+
+
 # --- the graph walk, the sparse solver and kernel vectors against elimination -----
 
 
@@ -999,6 +1061,9 @@ ROWS = [
     Row("laurent.LaurentPolynomial.__mul__", product, reference_product, spread_axis_products, [(79,)]),
     Row("laurent._upoly_prem", gcd, lambda a, b, planted: (monic(rational_gcd(a, b)), True, 1, True), gcd_cases,
         [(37,)]),
+    Row("laurent._line_split", _line_split, line_split_reference, planted_lines, [(s, 300) for s in (53, 54)],
+        (lambda args, split: {(split is None, args[0].has_integer_coefficients())},
+         lambda kinds, *_: kinds == set(itertools.product((True, False), repeat=2)))),
     Row("linalg.solve_sparse", exact_solution, lambda *system: (*dense_solution(*system), True), systems,
         [(23, 4, False, 60), (29, 10**6, True, 200)]),
     Row("linalg.solve_sparse", solve_sparse, _solve_echelon, graph_systems, [(43,)]),

@@ -166,7 +166,7 @@ def test_inline_flag_text_takes_comments_as_a_file_does(cfg, capsys):
 
 
 def test_lines_high_exponent_is_fast(capsys, monkeypatch):
-    # the level is a polynomial in s^2000000, so the cost follows the terms
+    # the level is a polynomial in X^(2000000,0), so the cost follows the terms
     lengths = []
     dense = laurent._dense
 
@@ -177,8 +177,9 @@ def test_lines_high_exponent_is_fast(capsys, monkeypatch):
 
     monkeypatch.setattr(laurent, "_dense", spy)
     assert run(["lines", "--poly", "X^(2000000,0) - 1"]) == 0
-    # 1 - s as a dense list in s^2000000: f's one level, then phi's
-    assert lengths == [2, 2]
+    # 1 - X^(2000000,0) as a dense list in X^(2000000,0): f's one level, and
+    # phi is read off their gcd, not levelled again
+    assert lengths == [2]
     assert capsys.readouterr().out == (
         "monomial=(0,0)\n"
         "factor 0: direction=(1,0) poly=X^(2000000,0) - 1\n"
@@ -244,6 +245,9 @@ def test_bounds_from_poly_with_off_axis_pair(capsys):
 def test_bounds_two_directions(capsys):
     code = run(["bounds", "--v1", "(1,0)", "--v2", "(0,1)", "--M", "4", "--N", "5"])
     assert code == 0
+    assert capsys.readouterr().out == "bound=20\n"
+    # the integer flags read as every text reads integers: spaces and a '+' pass
+    assert run(["bounds", "--v1", "(1,0)", "--v2", "(0,1)", "--M", " 4", "--N", "+5"]) == 0
     assert capsys.readouterr().out == "bound=20\n"
 
 
@@ -348,10 +352,16 @@ DEEP = "valuemap map{0:1} default 0 of " * sys.getrecursionlimit() + "finite dim
       "--shape", "2x2", "--sample", "4x4"],
      "error: configuration: radicand 100000000000000000039 is above 1000000000000000000"
      " (near token (1, 36))\n"),
+    # integer flags read as every text reads integers
+    (["tile-search", "--tile", "tile { (0,0) }", "--max-index", "٣"], "usage: nivatk tile-search"),
+    (["bounds", "--v1", "(1,0)", "--v2", "(0,1)", "--M", "1_0", "--N", "5"], "usage: nivatk bounds"),
+    (["bounds", "--v1", "(1,0)", "--v2", "(0,1)", "--M", "−4", "--N", "5"],
+     "error: block extents must be nonnegative\n"),
 ], ids=["verify-zero-denominator", "lines-zero-denominator", "alpha-zero-denominator",
         "quad-zero-denominator", "search-dim-0", "complexity-dim-minus-1", "deep-nesting",
         "unclosed-values", "non-squarefree-radicand", "missing-file", "bounds-without-input",
-        "range-superscript-digit", "window-arabic-indic-digit", "radicand-above-bound"])
+        "range-superscript-digit", "window-arabic-indic-digit", "radicand-above-bound",
+        "max-index-arabic-indic-digit", "M-underscore", "M-typeset-minus"])
 def test_input_errors_exit_2_with_an_error_line(argv, err, capsys):
     """Nothing raised, nothing on stdout, and stderr that starts with err."""
     assert run(argv) == 2

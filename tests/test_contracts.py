@@ -157,6 +157,7 @@ STEP_READERS = [
     ("line_pattern_census", lambda v: line_pattern_census(BOARD, SQUARE, v, SQUARE)),
     ("bound_two_directions-v1", lambda v: bound_two_directions(v, (0, 1), 2, 2)),
     ("bound_two_directions-v2", lambda v: bound_two_directions((0, 1), v, 2, 2)),
+    ("line_content", lambda v: line_content(LaurentPolynomial.difference((1, 1)), v)),
 ]
 
 

@@ -15,6 +15,7 @@ from nivatk.textio import (
     format_poly,
     format_tile,
     parse_config,
+    parse_int,
     parse_poly,
     parse_range,
     parse_tile,
@@ -163,7 +164,7 @@ ERRORS = [
     (parse_poly, " \n\t ", ConfigSyntaxError,
      "polynomial: empty polynomial text (near token (1, 1))", (1, 1)),
     (parse_poly, "X^(1,0) + X^(1,0,0)", ConfigSyntaxError,
-     "mixed exponent dimensions (near token (1, 1))", (1, 1)),
+     "polynomial: mixed exponent dimensions (near token (1, 11))", (1, 11)),
     (parse_tile, "tile { }", ConfigSyntaxError,
      "tile: a tile needs at least one cell (near token (1, 8))", (1, 8)),
     (parse_window, "0..x,0..3", ConfigSyntaxError,
@@ -175,7 +176,7 @@ ERRORS = [
     (parse_window, "0..3,0", ConfigSyntaxError,
      "window: expected '..', found end of input (near token (1, 6))", (1, 6)),
     (parse_vectors, " ; ", ConfigSyntaxError,
-     "no vectors given (near token (1, 1))", (1, 1)),
+     "vectors: no vectors given (near token (1, 2))", (1, 2)),
     (parse_range, "2..x", ConfigSyntaxError,
      "range: expected 'int', found 'x' (near token (1, 4))", (1, 4)),
     (parse_range, "2..3..4", ConfigSyntaxError,
@@ -209,6 +210,19 @@ ERRORS = [
      "unexpected character '²' (near token (1, 4))", (1, 4)),
     (parse_range, "٣", ConfigSyntaxError,
      "unexpected character '٣' (near token (1, 1))", (1, 1)),
+    # an exponent of the wrong length fails at its own token, a line down too
+    (parse_poly, "X^(1,0)\n + X^(1,0,0)", ConfigSyntaxError,
+     "polynomial: mixed exponent dimensions (near token (2, 4))", (2, 4)),
+    (parse_vectors, "(1,0);(1;0)", ConfigSyntaxError,
+     "vectors: expected ')', found ';' (near token (1, 9))", (1, 9)),
+    (parse_vectors, "", ConfigSyntaxError,
+     "vectors: no vectors given (near token (1, 1))", (1, 1)),
+    (parse_int, "٣", ConfigSyntaxError,
+     "unexpected character '٣' (near token (1, 1))", (1, 1)),
+    (parse_int, "1_0", ConfigSyntaxError,
+     "integer: trailing input from '_' (near token (1, 2))", (1, 2)),
+    (parse_int, "4..5", ConfigSyntaxError,
+     "integer: trailing input from '..' (near token (1, 2))", (1, 2)),
 ]
 
 
@@ -374,9 +388,21 @@ def test_range_specs():
     assert parse_range(" 5 .. 4 ") == range(5, 5)
 
 
+def test_poly_exponents_and_sugar_meet_the_given_dim():
+    for text, position in (("X^(1,0,0) - y", (1, 13)), ("x - 1", (1, 1)), ("2*X^(1,1)", (1, 3))):
+        with pytest.raises(ConfigSyntaxError, match="mixed exponent dimensions") as exc:
+            parse_poly(text, dim=3)
+        assert exc.value.position == position, text
+
+
+def test_integer_text():
+    assert [parse_int(t) for t in (" 4", "+5", "−4", "-4", "0")] == [4, 5, -4, -4, 0]
+
+
 def test_vector_lists():
     assert parse_vectors("(1,0) (0,1)") == [(1, 0), (0, 1)]
     assert parse_vectors("(1,0);(0,-1)") == [(1, 0), (0, -1)]
+    assert parse_vectors(";(1,0) ;; (0,-1);") == [(1, 0), (0, -1)]
     assert parse_vectors("(1,0,−3)") == [(1, 0, -3)]
     with pytest.raises(ConfigSyntaxError):
         parse_vectors("  ")
